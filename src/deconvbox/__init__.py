@@ -49,8 +49,8 @@ from .solver import (
     RefinementStudy,
     SolverState,
     Trajectory,
+    build_model,
     energy_refinement_study,
-    energy_residual,
     initial_state,
     make_state,
     rhs,

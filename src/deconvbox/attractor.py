@@ -28,15 +28,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import FieldSpec, SolverConfig, generate_ic
-from .deconv import FilterParams
-from .solver import (
-    BlowUpError,
-    ModelParams,
-    Trajectory,
-    initial_state,
-    simulate,
-)
-from .spectral import make_grid, smallest_eigenvalue, sobolev_norm
+from .solver import BlowUpError, Trajectory, build_model, initial_state, simulate
+from .spectral import smallest_eigenvalue, sobolev_norm
+
+# Relative slack of a member's energy over its decay envelope before the
+# envelope counts as broken.
+BOUND_TOLERANCE = 0.01
 
 
 def rho0(nu: float, lambda1: float, f_norm: float) -> float:
@@ -281,11 +278,15 @@ class ProbeReport:
 
 
 def _worker_count() -> int:
-    raw = os.environ.get("DECONV_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
+    """DECONV_THREADS as a worker count: unset means 1, else a decimal >= 1."""
+    raw = os.environ.get("DECONV_THREADS")
+    if raw is None:
         return 1
+    if not (raw.isascii() and raw.isdigit() and int(raw) >= 1):
+        raise ValueError(
+            f"DECONV_THREADS must be a base-10 integer >= 1, got {raw!r}"
+        )
+    return int(raw)
 
 
 def ensemble_absorb_probe(
@@ -294,31 +295,26 @@ def ensemble_absorb_probe(
     ensemble_size: int,
     template: SolverConfig,
     epsilon: float = 0.05,
-    bound_tolerance: float = 0.01,
     base_seed: int = 2024,
-    targets=None,
     keep_trajectories: bool = True,
 ) -> ProbeReport:
     """Run an ensemble from B(0, R) and check absorption into B(0, rho0').
 
     Members start from the template's initial-condition family (random
     spectra get per-member seeds; a single-mode template is reused as a
-    fixed shape) rescaled so that ||H_N u0|| spans (0, R], run to 2 T0,
-    and are judged on (a) entering
-    the slack ball no later than T0 (1 + epsilon), (b) never leaving it
-    afterwards, and (c) staying below the per-member decay envelope within
-    `bound_tolerance`. Members run independently; DECONV_THREADS sets the
+    fixed shape) rescaled so that ||H_N u0|| = R (i + 1) / ensemble_size
+    for member i, run to 2 T0, and are judged on (a) entering the slack
+    ball no later than T0 (1 + epsilon), (b) never leaving it afterwards,
+    and (c) staying below the per-member decay envelope within
+    `BOUND_TOLERANCE`. Members run independently; DECONV_THREADS sets the
     worker count and never changes results. A blown-up member is recorded
     with its failure time and fails the probe.
     """
     if ensemble_size < 1:
         raise ValueError("ensemble_size must be at least 1")
-    grid = make_grid(template.K, template.dealias)
-    filters = FilterParams(template.delta, template.order)
-    forcing = None
-    if template.forcing.kind != "zero":
-        forcing = generate_ic(template.forcing, grid, filters)
-    f_norm = sobolev_norm(forcing, 0.0) if forcing is not None else 0.0
+    workers = _worker_count()
+    grid, model = build_model(template)
+    f_norm = sobolev_norm(model.forcing, 0.0) if model.forcing is not None else 0.0
     params = AbsorbingParams(
         nu=template.nu,
         lambda1=smallest_eigenvalue(grid),
@@ -328,12 +324,6 @@ def ensemble_absorb_probe(
     )
     t0 = absorbing_time(params)
     horizon = max(2.0 * t0, 10.0 * template.dt)
-    model = ModelParams(nu=template.nu, filters=filters, forcing=forcing)
-
-    if targets is None:
-        targets = [R * (i + 1) / ensemble_size for i in range(ensemble_size)]
-    elif len(targets) != ensemble_size:
-        raise ValueError("targets must have one entry per member")
 
     def run_member(i: int) -> ProbeMember:
         seed = base_seed + i
@@ -343,9 +333,10 @@ def ensemble_absorb_probe(
             spec = replace(template.ic, seed=seed, target_norm=1.0)
         else:
             spec = FieldSpec(kind="random_spectrum", seed=seed, target_norm=1.0)
-        u0 = generate_ic(spec, grid, filters)
-        hn_norm = sobolev_norm(filters.apply(u0), 0.0)
-        state0 = initial_state(u0 * (targets[i] / hn_norm), model)
+        u0 = generate_ic(spec, grid, model.filters)
+        hn_norm = sobolev_norm(model.filters.apply(u0), 0.0)
+        target = R * (i + 1) / ensemble_size
+        state0 = initial_state(u0 * (target / hn_norm), model)
         w0_norm = sobolev_norm(state0.w, 0.0)
         member_config = replace(template, T=horizon)
         try:
@@ -374,13 +365,12 @@ def ensemble_absorb_probe(
             w0_norm=w0_norm,
             entry_time=entry_time,
             stayed_inside=stayed,
-            bound_ok=max_ratio <= 1.0 + bound_tolerance,
+            bound_ok=max_ratio <= 1.0 + BOUND_TOLERANCE,
             max_bound_ratio=max_ratio,
             blow_up_time=None,
             trajectory=traj if keep_trajectories else None,
         )
 
-    workers = _worker_count()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             members = tuple(pool.map(run_member, range(ensemble_size)))
@@ -407,6 +397,7 @@ def ensemble_absorb_probe(
 
 
 __all__ = [
+    "BOUND_TOLERANCE",
     "AbsorbingParams",
     "GronwallConstants",
     "WindowAverage",

@@ -12,9 +12,14 @@ import math
 import sys
 
 from .attractor import ensemble_absorb_probe, rho0
-from .config import ConfigError, generate_ic, parse_config
-from .deconv import FilterParams, SymbolTable
-from .solver import BlowUpError, energy_refinement_study, simulate_with_state
+from .config import ConfigError, parse_config
+from .deconv import SymbolTable
+from .solver import (
+    BlowUpError,
+    build_model,
+    energy_refinement_study,
+    simulate_with_state,
+)
 from .spectral import make_grid, smallest_eigenvalue, sobolev_norm
 from .storage import write_snapshot, write_timeseries
 from .verify import run_operator_checks
@@ -26,16 +31,8 @@ EXIT_IO = 3
 
 
 def _load_config(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as err:
-        raise _IOFailure(str(err)) from err
-    return parse_config(text)
-
-
-class _IOFailure(Exception):
-    pass
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_config(fh.read())
 
 
 def _cmd_simulate(args) -> int:
@@ -51,14 +48,7 @@ def _cmd_simulate(args) -> int:
     write_timeseries(traj, args.output)
     print(f"{len(traj)} samples written to {args.output} (t final = {traj.t[-1]})")
     if args.snapshot_out:
-        from .solver import ModelParams
-
-        grid = state.w.grid
-        filters = FilterParams(config.delta, config.order)
-        forcing = None
-        if config.forcing.kind != "zero":
-            forcing = generate_ic(config.forcing, grid, filters)
-        params = ModelParams(nu=config.nu, filters=filters, forcing=forcing)
+        _, params = build_model(config)
         write_snapshot(state, params, args.snapshot_out)
         print(f"final state written to {args.snapshot_out}")
     return EXIT_OK
@@ -71,12 +61,8 @@ def _cmd_verify_operators(args) -> int:
 
 def _cmd_absorb_probe(args) -> int:
     config = _load_config(args.config)
-    grid = make_grid(config.K, config.dealias)
-    filters = FilterParams(config.delta, config.order)
-    if config.forcing.kind != "zero":
-        f_norm = sobolev_norm(generate_ic(config.forcing, grid, filters), 0.0)
-    else:
-        f_norm = 0.0
+    grid, model = build_model(config)
+    f_norm = sobolev_norm(model.forcing, 0.0) if model.forcing is not None else 0.0
     base = rho0(config.nu, smallest_eigenvalue(grid), f_norm)
     R = args.radius if args.radius is not None else 4.0 * base
     rho_prime = args.rho0_prime if args.rho0_prime is not None else math.sqrt(2.0) * base
@@ -229,9 +215,6 @@ def cli_main(argv=None) -> int:
     except BlowUpError as err:
         print(f"blow-up: solution lost finiteness after t = {err.t_last}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except _IOFailure as err:
-        print(f"io error: {err}", file=sys.stderr)
-        return EXIT_IO
     except OSError as err:
         print(f"io error: {err}", file=sys.stderr)
         return EXIT_IO

@@ -282,6 +282,21 @@ def parse_config(text: str) -> SolverConfig:
     )
 
 
+def _random_raw(grid: WaveGrid, rng: np.random.Generator) -> SpectralVectorField:
+    """Random zero-mean field on the retained lattice, not divergence-free."""
+    shape = (3,) + grid.spectral_shape
+    coeff = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    # Hermitian symmetry on the self-conjugate k3 = 0 plane.
+    flip = (-np.arange(grid.K)) % grid.K
+    plane = coeff[:, :, :, 0]
+    coeff[:, :, :, 0] = 0.5 * (plane + np.conj(plane[:, flip][:, :, flip]))
+
+    coeff *= grid.mask
+    coeff[:, 0, 0, 0] = 0.0
+    return SpectralVectorField(grid, coeff)
+
+
 def _random_spectrum_field(
     spec: FieldSpec, grid: WaveGrid
 ) -> SpectralVectorField:
@@ -291,20 +306,8 @@ def _random_spectrum_field(
     kappa0 = K/6 unless overridden; the whole field is rescaled afterwards
     so its H0 norm hits the target exactly.
     """
-    K = grid.K
-    rng = np.random.default_rng(spec.seed)
-    shape = (3,) + grid.spectral_shape
-    coeff = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-    # Hermitian symmetry on the self-conjugate k3 = 0 plane.
-    flip = (-np.arange(K)) % K
-    plane = coeff[:, :, :, 0]
-    coeff[:, :, :, 0] = 0.5 * (plane + np.conj(plane[:, flip][:, :, flip]))
-
-    coeff *= grid.mask
-    coeff[:, 0, 0, 0] = 0.0
-
-    kappa0 = spec.cutoff if spec.cutoff is not None else K / 6.0
+    coeff = _random_raw(grid, np.random.default_rng(spec.seed)).coeff
+    kappa0 = spec.cutoff if spec.cutoff is not None else grid.K / 6.0
     kappa = np.sqrt(grid.ksq)
     profile = np.where(
         grid.ksq > 0.0,

@@ -19,13 +19,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .deconv import FilterParams, truncation_hn
+from .config import SolverConfig, generate_ic
+from .deconv import FilterParams
 from .spectral import (
     SpectralVectorField,
+    WaveGrid,
     divergence_error,
     inner_product,
     leray_project,
@@ -57,15 +58,12 @@ class ModelParams:
     """Viscosity, filter parameters and steady forcing for the model.
 
     `forcing` is a steady divergence-free, zero-mean field (None means
-    zero). `forcing_fn`, if given, overrides it with a time-dependent
-    generator t -> field; the truncation operator is applied to whichever
-    forcing is active.
+    zero); its truncation H_N f is cached in `hn_forcing`.
     """
 
     nu: float
     filters: FilterParams
     forcing: SpectralVectorField | None = None
-    forcing_fn: Callable[[float], SpectralVectorField] | None = None
     hn_forcing: SpectralVectorField | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -82,10 +80,15 @@ class ModelParams:
                 raise ValueError("forcing must have zero mean")
             self.hn_forcing = self.filters.apply(self.forcing)
 
-    def hn_forcing_at(self, t: float) -> SpectralVectorField | None:
-        if self.forcing_fn is not None:
-            return self.filters.apply(self.forcing_fn(t))
-        return self.hn_forcing
+
+def build_model(config: SolverConfig) -> tuple[WaveGrid, ModelParams]:
+    """The grid and the model (viscosity, filters, steady forcing) of a config."""
+    grid = make_grid(config.K, config.dealias)
+    filters = FilterParams(config.delta, config.order)
+    forcing = None
+    if config.forcing.kind != "zero":
+        forcing = generate_ic(config.forcing, grid, filters)
+    return grid, ModelParams(nu=config.nu, filters=filters, forcing=forcing)
 
 
 @dataclass
@@ -126,9 +129,8 @@ def initial_state(
 def _explicit_part(state: SolverState, params: ModelParams) -> np.ndarray:
     """Projected nonlinear term plus truncated forcing (everything but viscosity)."""
     out = -nonlinear_term(state.hn_w, state.w).coeff
-    hn_f = params.hn_forcing_at(state.t)
-    if hn_f is not None:
-        out = out + hn_f.coeff
+    if params.hn_forcing is not None:
+        out = out + params.hn_forcing.coeff
     return out
 
 
@@ -172,9 +174,10 @@ class Trajectory:
       h0_sq, h1_sq, aw_sq   ||w||^2, ||w||_1^2, ||A w||^2
       dissipation_integral  2 nu int_0^t ||w||_1^2 dt' (trapezoid, per step)
       work_integral         int_0^t (H_N f, w) dt'     (trapezoid, per step)
-      energy_residual       defect of the energy balance at the sample
-      absorb_bound          Gronwall decay envelope for ||w||^2 (NaN when
-                            the forcing is time-dependent)
+      energy_residual       defect of the energy balance at the sample,
+                            1/2 ||w||^2 + nu int ||w||_1^2 - 1/2 ||w(t_0)||^2
+                            - int (H_N f, w)
+      absorb_bound          Gronwall decay envelope for ||w||^2
     """
 
     t: np.ndarray
@@ -216,27 +219,8 @@ class Trajectory:
         return len(self.t)
 
 
-def energy_residual(traj: Trajectory, i: int) -> float:
-    """Signed defect of the energy balance at sample i (i >= 1).
-
-    residual = 1/2 ||w(t_i)||^2 + nu int_0^{t_i} ||w||_1^2 dt'
-               - 1/2 ||w(t_0)||^2 - int_0^{t_i} (H_N f, w) dt'
-
-    where the stored dissipation column carries the doubled integral, so
-    half of it enters here.
-    """
-    if not 1 <= i < len(traj):
-        raise IndexError(f"sample index {i} out of range [1, {len(traj) - 1}]")
-    return float(
-        0.5 * traj.h0_sq[i]
-        + 0.5 * traj.dissipation_integral[i]
-        - 0.5 * traj.h0_sq[0]
-        - traj.work_integral[i]
-    )
-
-
 class _TrajectoryBuilder:
-    def __init__(self, rho0_sq: float | None, nu_lam1: float):
+    def __init__(self, rho0_sq: float, nu_lam1: float):
         self.rows: list[tuple] = []
         self.rho0_sq = rho0_sq
         self.nu_lam1 = nu_lam1
@@ -245,25 +229,18 @@ class _TrajectoryBuilder:
         self.diss = 0.0
         self.work = 0.0
 
-    def record(self, state: SolverState, params: ModelParams) -> tuple[float, float]:
+    def record(self, state: SolverState, h1_sq: float) -> None:
         h0_sq = sobolev_norm(state.w, 0.0) ** 2
-        h1_sq = sobolev_norm(state.w, 1.0) ** 2
         aw_sq = sobolev_norm(state.w, 2.0) ** 2
-        hn_f = params.hn_forcing_at(state.t)
-        work_rate = inner_product(hn_f, state.w) if hn_f is not None else 0.0
         if self.t0 is None:
             self.t0 = state.t
             self.h0_sq0 = h0_sq
         residual = 0.5 * h0_sq + 0.5 * self.diss - 0.5 * self.h0_sq0 - self.work
-        if self.rho0_sq is None:
-            bound = math.nan
-        else:
-            decay = math.exp(-self.nu_lam1 * (state.t - self.t0))
-            bound = self.h0_sq0 * decay + self.rho0_sq * (1.0 - decay)
+        decay = math.exp(-self.nu_lam1 * (state.t - self.t0))
+        bound = self.h0_sq0 * decay + self.rho0_sq * (1.0 - decay)
         self.rows.append(
             (state.t, h0_sq, h1_sq, aw_sq, self.diss, self.work, residual, bound)
         )
-        return h1_sq, work_rate
 
     def accumulate(self, dt, h1_prev, work_prev, h1_new, work_new, nu) -> None:
         self.diss += 0.5 * dt * (2.0 * nu) * (h1_prev + h1_new)
@@ -275,8 +252,9 @@ class _TrajectoryBuilder:
 
 
 def _norm_rates(state: SolverState, params: ModelParams) -> tuple[float, float]:
+    """The integrands ||w||_1^2 and (H_N f, w) of the energy balance."""
     h1_sq = sobolev_norm(state.w, 1.0) ** 2
-    hn_f = params.hn_forcing_at(state.t)
+    hn_f = params.hn_forcing
     work = inner_product(hn_f, state.w) if hn_f is not None else 0.0
     return h1_sq, work
 
@@ -298,14 +276,7 @@ def simulate_with_state(
     config, initial: SolverState | None = None
 ) -> tuple[Trajectory, SolverState]:
     """Like `simulate` but also returns the final solver state."""
-    from .config import generate_ic
-
-    grid = make_grid(config.K, config.dealias)
-    filters = FilterParams(config.delta, config.order)
-    forcing = None
-    if config.forcing.kind != "zero":
-        forcing = generate_ic(config.forcing, grid, filters)
-    params = ModelParams(nu=config.nu, filters=filters, forcing=forcing)
+    grid, params = build_model(config)
 
     if initial is not None:
         state = initial
@@ -314,16 +285,12 @@ def simulate_with_state(
 
         state = read_snapshot(config.ic.path, grid=grid, params=params)
     else:
-        u0 = generate_ic(config.ic, grid, filters)
+        u0 = generate_ic(config.ic, grid, params.filters)
         state = initial_state(u0, params, auto_project=config.auto_project_ic)
 
     lam1 = smallest_eigenvalue(grid)
-    if forcing is not None:
-        rho0_sq = (sobolev_norm(forcing, 0.0) / (params.nu * lam1)) ** 2
-    elif params.forcing_fn is not None:
-        rho0_sq = None
-    else:
-        rho0_sq = 0.0
+    f_norm = sobolev_norm(params.forcing, 0.0) if params.forcing is not None else 0.0
+    rho0_sq = (f_norm / (params.nu * lam1)) ** 2
 
     dt = config.dt
     n_steps = max(0, math.ceil(config.T / dt - 1e-12))
@@ -338,7 +305,8 @@ def simulate_with_state(
         )
 
     builder = _TrajectoryBuilder(rho0_sq, params.nu * lam1)
-    h1_prev, work_prev = builder.record(state, params)
+    h1_prev, work_prev = _norm_rates(state, params)
+    builder.record(state, h1_prev)
     try:
         for i in range(1, n_steps + 1):
             state = step(state, params, dt)
@@ -349,7 +317,7 @@ def simulate_with_state(
             builder.accumulate(dt, h1_prev, work_prev, h1_new, work_new, params.nu)
             h1_prev, work_prev = h1_new, work_new
             if i % config.sample_every == 0 or i == n_steps:
-                builder.record(state, params)
+                builder.record(state, h1_new)
     except BlowUpError as err:
         err.trajectory = builder.build()
         raise
@@ -379,8 +347,10 @@ def energy_refinement_study(config, levels: int = 3, factor: int = 2) -> Refinem
     for j in range(levels):
         dt_j = config.dt / factor**j
         traj = simulate(replace(config, dt=dt_j))
+        if len(traj) < 2:
+            raise ValueError(f"horizon T = {config.T} takes no step of dt = {dt_j}")
         dts.append(dt_j)
-        residuals.append(abs(energy_residual(traj, len(traj) - 1)))
+        residuals.append(abs(float(traj.energy_residual[-1])))
     orders = tuple(
         float(np.log(residuals[j] / residuals[j + 1]) / np.log(factor))
         for j in range(levels - 1)
@@ -395,12 +365,12 @@ __all__ = [
     "SolverState",
     "Trajectory",
     "RefinementStudy",
+    "build_model",
     "make_state",
     "initial_state",
     "rhs",
     "step",
     "simulate",
     "simulate_with_state",
-    "energy_residual",
     "energy_refinement_study",
 ]

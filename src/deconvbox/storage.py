@@ -138,8 +138,10 @@ def read_snapshot(
 
     A provided grid must match the stored resolution (rejected with both K
     values otherwise); without one, a default two-thirds grid at the stored
-    K is built. The truncation cache uses `params` when given, else the
-    stored filter parameters.
+    K is built. Given `params`, the stored nu, delta and N must equal its
+    values exactly (each differing field is rejected with both values);
+    without them the stored filter parameters build the truncation cache.
+    The payload must have exactly the size the resolution implies.
     """
     meta = read_snapshot_meta(path)
     if grid is None:
@@ -149,24 +151,39 @@ def read_snapshot(
             f"snapshot resolution K = {meta.K} does not match the requested "
             f"grid K = {grid.K}"
         )
+    if params is None:
+        params = ModelParams(nu=meta.nu, filters=FilterParams(meta.delta, meta.order))
+    else:
+        pairs = (
+            ("nu", meta.nu, params.nu),
+            ("delta", meta.delta, params.filters.delta),
+            ("N", meta.order, params.filters.order),
+        )
+        differing = [
+            f"{name} = {stored!r} stored, {given!r} requested"
+            for name, stored, given in pairs
+            if stored != given
+        ]
+        if differing:
+            raise ValueError(
+                "snapshot was written under a different model: " + "; ".join(differing)
+            )
     n_modes = grid.K * grid.K * (grid.K // 2 + 1)
     expected = n_modes * 3 * 16
     with open(path, "rb") as fh:
         fh.seek(_HEADER_STRUCT.size)
         blob = fh.read()
-    if len(blob) < expected:
+    if len(blob) != expected:
+        problem = "truncated" if len(blob) < expected else "over-long"
         raise ValueError(
-            f"snapshot payload is truncated ({len(blob)} bytes, expected {expected})"
+            f"snapshot payload is {problem} ({len(blob)} bytes, expected {expected})"
         )
     _, inverse = _canonical_order(grid.K)
-    payload = np.frombuffer(blob[:expected], dtype="<c16").reshape(n_modes, 3)
+    payload = np.frombuffer(blob, dtype="<c16").reshape(n_modes, 3)
     coeff = np.ascontiguousarray(
         payload[inverse].T.reshape((3,) + grid.spectral_shape)
     ).astype(np.complex128)
-    w = SpectralVectorField(grid, coeff)
-    if params is None:
-        params = ModelParams(nu=meta.nu, filters=FilterParams(meta.delta, meta.order))
-    return make_state(meta.t, w, params)
+    return make_state(meta.t, SpectralVectorField(grid, coeff), params)
 
 
 __all__ = [

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import _random_raw
 from .deconv import (
     g_symbol,
     helmholtz_filter,
@@ -37,19 +38,6 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-
-
-def _random_raw(grid, rng) -> SpectralVectorField:
-    """Random retained-lattice field, not divergence-free."""
-    shape = (3,) + grid.spectral_shape
-    coeff = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    K = grid.K
-    flip = (-np.arange(K)) % K
-    plane = coeff[:, :, :, 0]
-    coeff[:, :, :, 0] = 0.5 * (plane + np.conj(plane[:, flip][:, :, flip]))
-    coeff *= grid.mask
-    coeff[:, 0, 0, 0] = 0.0
-    return SpectralVectorField(grid, coeff)
 
 
 def operator_checks(K: int = 16, seed: int = 0) -> list[CheckResult]:

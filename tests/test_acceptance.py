@@ -84,7 +84,6 @@ def absorb_ensemble():
             ensemble_size=8,
             template=template,
             epsilon=0.05,
-            bound_tolerance=0.01,
             base_seed=500,
         )
     finally:

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from deconvbox import cli_main, read_timeseries
+from deconvbox import (
+    cli_main,
+    parse_config,
+    read_snapshot,
+    read_snapshot_meta,
+    read_timeseries,
+    simulate_with_state,
+)
 
 GOOD_CONFIG = """
 K = 8
@@ -78,16 +85,45 @@ class TestSimulateCommand:
         assert cli_main(["simulate", "--config", cfg, "--output", str(bad)]) == 3
 
     def test_snapshot_out_roundtrip(self, tmp_path):
-        from deconvbox import read_snapshot_meta
-
-        cfg = write(tmp_path, "run.cfg", FORCED_CONFIG)
-        snap = tmp_path / "final.snap"
+        # two CLI segments chained through `ic = snapshot` reproduce one
+        # uninterrupted run of twice the horizon bit for bit
+        first = write(tmp_path, "first.cfg", FORCED_CONFIG)
+        snap = tmp_path / "first.snap"
         code = cli_main(
-            ["simulate", "--config", cfg, "--output", str(tmp_path / "ts.csv"),
+            ["simulate", "--config", first, "--output", str(tmp_path / "ts.csv"),
              "--snapshot-out", str(snap)]
         )
         assert code == 0
         assert read_snapshot_meta(snap).K == 8
+
+        resumed = FORCED_CONFIG.replace(
+            "ic = random_spectrum", f"ic = snapshot\nic_path = {snap}"
+        )
+        second = write(tmp_path, "second.cfg", resumed)
+        final = tmp_path / "second.snap"
+        code = cli_main(
+            ["simulate", "--config", second, "--output", str(tmp_path / "ts2.csv"),
+             "--snapshot-out", str(final)]
+        )
+        assert code == 0
+
+        whole = parse_config(FORCED_CONFIG.replace("T = 0.2", "T = 0.4"))
+        _, direct = simulate_with_state(whole)
+        back = read_snapshot(final)
+        assert back.t == direct.t
+        assert np.array_equal(back.w.coeff, direct.w.coeff)
+
+    def test_resume_under_different_model_exits_1(self, tmp_path, capsys):
+        first = write(tmp_path, "first.cfg", FORCED_CONFIG)
+        snap = tmp_path / "first.snap"
+        args = ["simulate", "--config", first, "--output", str(tmp_path / "ts.csv")]
+        assert cli_main(args + ["--snapshot-out", str(snap)]) == 0
+        other = GOOD_CONFIG.replace("ic = zero", f"ic = snapshot\nic_path = {snap}")
+        second = write(tmp_path, "second.cfg", other)
+        assert cli_main(["simulate", "--config", second]) == 1
+        err = capsys.readouterr().err
+        assert "nu = 0.5 stored, 1.0 requested" in err
+        assert "delta = 0.5 stored, 1.0 requested" in err
 
 
 class TestOtherCommands:
@@ -123,6 +159,15 @@ class TestOtherCommands:
         lines = report.read_text().splitlines()
         assert lines[0].startswith("member,")
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("threads", ["abc", "0", "-3", " 2x", ""])
+    def test_absorb_probe_invalid_threads_exits_1(self, tmp_path, capsys, monkeypatch, threads):
+        monkeypatch.setenv("DECONV_THREADS", threads)
+        cfg = write(tmp_path, "run.cfg", FORCED_CONFIG)
+        assert cli_main(["absorb-probe", "--config", cfg, "--members", "2"]) == 1
+        assert f"DECONV_THREADS must be a base-10 integer >= 1, got {threads!r}" in (
+            capsys.readouterr().err
+        )
 
     def test_absorb_probe_zero_forcing_needs_explicit_radii(self, tmp_path, capsys):
         cfg = write(tmp_path, "run.cfg", GOOD_CONFIG)

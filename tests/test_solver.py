@@ -13,7 +13,6 @@ from deconvbox import (
     Trajectory,
     divergence_error,
     energy_refinement_study,
-    energy_residual,
     g_symbol,
     generate_ic,
     hn_symbol,
@@ -200,43 +199,17 @@ class TestSimulate:
         g = g_symbol(grid16.ksq, 0.7)
         assert np.abs(hn - g).max() <= 1e-15
 
-    def test_time_dependent_forcing_hook(self, grid16):
-        base = random_div_free(grid16, seed=47, target=0.2)
-        params = ModelParams(
-            nu=1.0,
-            filters=FilterParams(0.5, 1),
-            forcing_fn=lambda t: base * math.cos(t),
-        )
-        state = initial_state(random_div_free(grid16, seed=48), params)
-        out = step(state, params, 0.01)
-        assert np.isfinite(out.w.coeff).all()
-
 
 class TestEnergyResidual:
     def test_zero_run(self):
         cfg = SolverConfig(K=8, nu=1.0, delta=1.0, order=0, dt=0.01, T=0.05)
         traj = simulate(cfg)
-        assert energy_residual(traj, len(traj) - 1) == 0.0
+        assert traj.energy_residual[-1] == 0.0
 
-    def test_matches_stored_column(self):
-        cfg = SolverConfig(
-            K=16, nu=0.3, delta=0.5, order=1, dt=0.01, T=0.2,
-            ic=FieldSpec(kind="random_spectrum", seed=49, target_norm=1.0),
-            forcing=FieldSpec(kind="random_spectrum", seed=50, target_norm=0.3),
-        )
-        traj = simulate(cfg)
-        for i in (1, len(traj) // 2, len(traj) - 1):
-            assert energy_residual(traj, i) == pytest.approx(
-                traj.energy_residual[i], abs=1e-18
-            )
-
-    def test_index_bounds(self):
-        cfg = SolverConfig(K=8, nu=1.0, delta=1.0, order=0, dt=0.01, T=0.05)
-        traj = simulate(cfg)
-        with pytest.raises(IndexError):
-            energy_residual(traj, 0)
-        with pytest.raises(IndexError):
-            energy_residual(traj, len(traj))
+    def test_refinement_needs_a_step(self):
+        cfg = SolverConfig(K=8, nu=1.0, delta=1.0, order=0, dt=0.01, T=0.0)
+        with pytest.raises(ValueError, match="no step"):
+            energy_refinement_study(cfg, levels=2)
 
     def test_single_mode_residual_refines_at_order_two(self):
         cfg = SolverConfig(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deconvbox import (
     FieldSpec,
@@ -103,9 +105,15 @@ class TestSnapshot:
         path = tmp_path / "s.snap"
         write_snapshot(state, params, path)
         blob = path.read_bytes()
-        path.write_bytes(blob[: len(blob) - 16])
-        with pytest.raises(ValueError, match="truncated"):
-            read_snapshot(path)
+        expected = 8 * 8 * 5 * 3 * 16  # modes x components x complex128 bytes
+        for damaged, size, problem in (
+            (blob[:-16], expected - 16, "truncated"),
+            (blob + bytes(48), expected + 48, "over-long"),
+        ):
+            path.write_bytes(damaged)
+            with pytest.raises(ValueError, match=problem) as exc:
+                read_snapshot(path)
+            assert f"({size} bytes, expected {expected})" in str(exc.value)
 
     def test_grid_mismatch_reports_both_resolutions(self, tmp_path, grid8):
         state, params = self.make_state(grid8)
@@ -123,21 +131,44 @@ class TestSnapshot:
 
 
 class TestResume:
-    def test_resume_equals_uninterrupted_bit_exact(self, tmp_path, grid8):
+    @settings(max_examples=8, deadline=None)
+    @given(split=st.integers(0, 12), seed=st.integers(0, 2**16))
+    def test_resume_equals_uninterrupted_bit_exact(
+        self, tmp_path_factory, grid8, split, seed
+    ):
         params = ModelParams(nu=0.4, filters=FilterParams(0.5, 1))
-        state = initial_state(random_div_free(grid8, seed=72), params)
+        state = initial_state(random_div_free(grid8, seed=seed), params)
         dt = 0.01
-        for _ in range(10):
+        for _ in range(split):
             state = step(state, params, dt)
-        path = tmp_path / "mid.snap"
+        path = tmp_path_factory.mktemp("resume") / "mid.snap"
         write_snapshot(state, params, path)
         resumed = read_snapshot(path, grid=grid8, params=params)
         direct = state
-        for _ in range(10):
+        for _ in range(12 - split):
             direct = step(direct, params, dt)
             resumed = step(resumed, params, dt)
         assert np.array_equal(direct.w.coeff, resumed.w.coeff)
         assert direct.t == resumed.t
+
+    def test_resume_under_different_model_rejected(self, tmp_path, grid8):
+        params = ModelParams(nu=0.4, filters=FilterParams(0.5, 1))
+        state = initial_state(random_div_free(grid8, seed=74), params)
+        path = tmp_path / "s.snap"
+        write_snapshot(state, params, path)
+        other = ModelParams(nu=2.0, filters=FilterParams(0.9, 3))
+        with pytest.raises(ValueError, match="different model") as exc:
+            read_snapshot(path, grid=grid8, params=other)
+        for text in (
+            "nu = 0.4 stored, 2.0 requested",
+            "delta = 0.5 stored, 0.9 requested",
+            "N = 1 stored, 3 requested",
+        ):
+            assert text in str(exc.value)
+        only_order = ModelParams(nu=0.4, filters=FilterParams(0.5, 2))
+        with pytest.raises(ValueError) as exc:
+            read_snapshot(path, grid=grid8, params=only_order)
+        assert str(exc.value).endswith("model: N = 1 stored, 2 requested")
 
     def test_simulate_resume_from_snapshot_ic(self, tmp_path):
         # a config whose IC is a snapshot continues from the stored time
