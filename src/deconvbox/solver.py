@@ -349,8 +349,14 @@ def energy_refinement_study(config, levels: int = 3, factor: int = 2) -> Refinem
         traj = simulate(replace(config, dt=dt_j))
         if len(traj) < 2:
             raise ValueError(f"horizon T = {config.T} takes no step of dt = {dt_j}")
+        residual = abs(float(traj.energy_residual[-1]))
+        if residual == 0.0:
+            raise ValueError(
+                f"energy residual at T is exactly 0 at dt = {dt_j}, "
+                "so the observed order is undefined"
+            )
         dts.append(dt_j)
-        residuals.append(abs(float(traj.energy_residual[-1])))
+        residuals.append(residual)
     orders = tuple(
         float(np.log(residuals[j] / residuals[j + 1]) / np.log(factor))
         for j in range(levels - 1)

@@ -23,6 +23,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,6 +43,9 @@ class WaveGrid:
     dealias_rule : str
         'two_thirds' keeps |k_i| <= K//3; 'none' keeps everything except
         the Nyquist planes.
+    cut : int
+        Largest retained |k_i| per axis: K//3 under 'two_thirds',
+        K//2 - 1 under 'none'.
     kx, ky, kz : ndarray
         Signed integer wavenumbers, shaped for broadcasting against the
         spectral layout (K,1,1), (1,K,1), (1,1,K//2+1).
@@ -56,6 +60,7 @@ class WaveGrid:
 
     K: int
     dealias_rule: str
+    cut: int
     kx: np.ndarray
     ky: np.ndarray
     kz: np.ndarray
@@ -126,6 +131,7 @@ def make_grid(K: int, dealias_rule: str = "two_thirds") -> WaveGrid:
     return WaveGrid(
         K=int(K),
         dealias_rule=dealias_rule,
+        cut=cut,
         kx=kx,
         ky=ky,
         kz=kz,
@@ -328,25 +334,61 @@ def smallest_eigenvalue(grid: WaveGrid) -> float:
     return float(vals.min())
 
 
+@lru_cache(maxsize=8)
+def _retained_columns(
+    K: int, cut: int
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The (ky, kz) columns the dealias mask keeps, laid out (ky, kz, kx).
+
+    ky runs over 0..cut then K-cut..K-1 and kz over 0..cut. Returns the
+    flat rfft-layout index of every entry (shape (2*cut+1, cut+1, K)), the
+    mask and the derivative factors 1j*k_i broadcastable against it.
+    """
+    half = K // 2 + 1
+    k_line = (np.fft.fftfreq(K) * K).astype(np.int64)
+    iy = np.r_[0 : cut + 1, K - cut : K].reshape(-1, 1, 1)
+    iz = np.arange(cut + 1).reshape(1, -1, 1)
+    ix = np.arange(K).reshape(1, 1, K)
+    flat = (ix * K + iy) * half + iz
+    mask = np.abs(k_line[ix]) <= cut
+    ik = (1j * k_line[ix], 1j * k_line[iy], 1j * iz)
+    for arr in (flat, mask) + ik:
+        arr.setflags(write=False)
+    return flat, mask, ik
+
+
 def _dealiased_physical_factors(
     u: SpectralVectorField, v: SpectralVectorField
 ) -> tuple[np.ndarray, np.ndarray]:
     """Collocation values of u and of grad v, both mask-truncated.
 
     Returns (u_phys (3,K,K,K), dv_phys (3,3,K,K,K)) with dv_phys[i, j]
-    holding d v_j / d x_i. A single batched inverse transform keeps the
-    hot path cheap.
+    holding d v_j / d x_i. The 12-channel inverse runs numpy's irfftn
+    passes (kx, ky, then real kz, each normalised by 1/n) in their order,
+    so the result is byte-identical to irfftn of the masked stack. Each
+    pass transforms only the lines the mask leaves nonzero, along the
+    contiguous last axis: the kx pass the retained (ky, kz) columns, the
+    ky pass the kz <= cut planes.
     """
     grid = u.grid
-    K = grid.K
-    uc = u.coeff * grid.mask
-    vc = v.coeff * grid.mask
-    stack = np.empty((12,) + grid.spectral_shape, dtype=np.complex128)
-    stack[0:3] = uc
-    kvec = grid.kvec
+    K, c = grid.K, grid.cut
+    flat, mask, ik = _retained_columns(K, c)
+    vc = np.take(v.coeff.reshape(3, -1), flat, axis=1) * mask
+    stack = np.empty((12,) + flat.shape, dtype=np.complex128)
+    np.multiply(np.take(u.coeff.reshape(3, -1), flat, axis=1), mask, out=stack[0:3])
     for i in range(3):
-        stack[3 + 3 * i : 6 + 3 * i] = (1j * kvec[i]) * vc
-    phys = np.fft.irfftn(stack, s=grid.shape, axes=(1, 2, 3)) * grid.n_points
+        np.multiply(ik[i], vc, out=stack[3 + 3 * i : 6 + 3 * i])
+
+    # kx pass into (x, kz, ky) order; the ky the mask drops stay zero.
+    by_ky = np.zeros((12, K, c + 1, K), dtype=np.complex128)
+    view = by_ky.transpose(0, 3, 2, 1)
+    np.fft.ifft(stack[:, : c + 1], axis=-1, out=view[:, : c + 1])
+    np.fft.ifft(stack[:, c + 1 :], axis=-1, out=view[:, K - c :])
+    # ky pass into (x, y, kz) order; the kz the mask drops stay zero.
+    by_kz = np.zeros((12, K, K, K // 2 + 1), dtype=np.complex128)
+    np.fft.ifft(by_ky, axis=-1, out=by_kz.transpose(0, 1, 3, 2)[:, :, : c + 1])
+    phys = np.fft.irfft(by_kz, n=K, axis=-1)
+    phys *= grid.n_points
     u_phys = phys[0:3]
     dv_phys = phys[3:12].reshape(3, 3, K, K, K)
     return u_phys, dv_phys
@@ -373,17 +415,14 @@ def trilinear_b(
     return float(integrand.mean())
 
 
-def nonlinear_term(
-    u: SpectralVectorField, w: SpectralVectorField, grid: WaveGrid | None = None
-) -> SpectralVectorField:
+def nonlinear_term(u: SpectralVectorField, w: SpectralVectorField) -> SpectralVectorField:
     """Leray-projected, dealiased convective term P_L[(u . grad) w].
 
     The advecting field u should be divergence-free; the result is
     divergence-free and zero-mean by construction.
     """
-    if grid is None:
-        grid = u.grid
     _require_same_grid(u, w)
+    grid = u.grid
     u_phys, dw_phys = _dealiased_physical_factors(u, w)
     conv = np.einsum("ixyz,ijxyz->jxyz", u_phys, dw_phys)
     chat = np.fft.rfftn(conv, axes=(1, 2, 3)) / grid.n_points

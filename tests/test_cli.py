@@ -147,6 +147,11 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert "observed order" in out
 
+    def test_energy_check_zero_residual_exits_1(self, tmp_path, capsys):
+        cfg = write(tmp_path, "run.cfg", GOOD_CONFIG)
+        assert cli_main(["energy-check", "--config", cfg, "--levels", "2"]) == 1
+        assert "observed order is undefined" in capsys.readouterr().err
+
     def test_absorb_probe_writes_report(self, tmp_path, capsys):
         cfg = write(tmp_path, "run.cfg", FORCED_CONFIG)
         report = tmp_path / "probe.csv"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deconvbox import (
     SpectralVectorField,
@@ -12,6 +14,7 @@ from deconvbox import (
     stokes_apply,
     trilinear_b,
 )
+from deconvbox.spectral import DEALIAS_RULES, _dealiased_physical_factors
 from oracles import hermitian_defect, random_div_free, trilinear_collocation
 
 
@@ -173,6 +176,46 @@ class TestNonlinearTerm:
         assert divergence_error(out) <= 1e-13
         assert np.all(out.coeff[:, 0, 0, 0] == 0.0)
         assert hermitian_defect(out) <= 1e-15 * max(np.abs(out.coeff).max(), 1e-300)
+
+    def test_output_invariants_without_dealiasing(self):
+        grid = make_grid(16, "none")
+        u = random_div_free(grid, seed=23)
+        w = random_div_free(grid, seed=24)
+        out = nonlinear_term(u, w)
+        assert sobolev_norm(out, 0.0) > 0.0
+        assert divergence_error(out) <= 1e-13
+        assert np.all(out.coeff[:, 0, 0, 0] == 0.0)
+        assert hermitian_defect(out) <= 1e-15 * max(np.abs(out.coeff).max(), 1e-300)
+
+
+class TestDealiasedInverse:
+    @staticmethod
+    def irfftn_factors(u, v):
+        """The masked 12-channel stack through one numpy irfftn."""
+        grid = u.grid
+        stack = np.empty((12,) + grid.spectral_shape, dtype=np.complex128)
+        stack[0:3] = u.coeff * grid.mask
+        vc = v.coeff * grid.mask
+        for i, ki in enumerate(grid.kvec):
+            stack[3 + 3 * i : 6 + 3 * i] = (1j * ki) * vc
+        return np.fft.irfftn(stack, s=grid.shape, axes=(1, 2, 3)) * grid.n_points
+
+    @pytest.mark.parametrize("rule", DEALIAS_RULES)
+    @pytest.mark.parametrize("K", [4, 6, 8, 12, 16, 32])
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_bytes_equal_numpy_irfftn(self, K, rule, seed):
+        grid = make_grid(K, rule)
+        rng = np.random.default_rng(seed)
+        shape = (3,) + grid.spectral_shape
+        u, v = (
+            SpectralVectorField(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            for _ in range(2)
+        )
+        u_phys, dv_phys = _dealiased_physical_factors(u, v)
+        want = self.irfftn_factors(u, v)
+        assert u_phys.tobytes() == want[0:3].tobytes()
+        assert dv_phys.tobytes() == want[3:12].tobytes()
 
 
 class TestFieldConstruction:
