@@ -41,6 +41,21 @@ class CheckResult:
     detail: str
 
 
+def _irfftn_factors(u: SpectralVectorField, v: SpectralVectorField) -> np.ndarray:
+    """Reference for spectral._dealiased_physical_factors.
+
+    The masked 12-channel stack of u and grad v through one numpy irfftn,
+    times K**3: shape (12, K, K, K), u first, then d v_j / d x_i at 3 + 3i + j.
+    """
+    grid = u.grid
+    stack = np.empty((12,) + grid.spectral_shape, dtype=np.complex128)
+    stack[0:3] = u.coeff * grid.mask
+    vc = v.coeff * grid.mask
+    for i, ki in enumerate(grid.kvec):
+        stack[3 + 3 * i : 6 + 3 * i] = (1j * ki) * vc
+    return np.fft.irfftn(stack, s=grid.shape, axes=(1, 2, 3)) * grid.n_points
+
+
 def operator_checks(K: int = 16, seed: int = 0) -> list[CheckResult]:
     grid = make_grid(K)
     rng = np.random.default_rng(seed)
@@ -117,8 +132,7 @@ def operator_checks(K: int = 16, seed: int = 0) -> list[CheckResult]:
     shape = (3,) + grid.spectral_shape
     p = SpectralVectorField(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     q = SpectralVectorField(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    stack = np.concatenate([p.coeff] + [(1j * ki) * q.coeff for ki in grid.kvec]) * grid.mask
-    want = np.fft.irfftn(stack, s=grid.shape, axes=(1, 2, 3)) * grid.n_points
+    want = _irfftn_factors(p, q)
     p_phys, dq_phys = _dealiased_physical_factors(p, q)
     got = np.concatenate([p_phys, dq_phys.reshape((9,) + grid.shape)])
     record("dealiased inverse transform equals numpy irfftn", float(np.abs(got - want).max()), 0.0)

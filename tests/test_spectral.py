@@ -15,6 +15,7 @@ from deconvbox import (
     trilinear_b,
 )
 from deconvbox.spectral import DEALIAS_RULES, _dealiased_physical_factors
+from deconvbox.verify import _irfftn_factors
 from oracles import hermitian_defect, random_div_free, trilinear_collocation
 
 
@@ -189,17 +190,6 @@ class TestNonlinearTerm:
 
 
 class TestDealiasedInverse:
-    @staticmethod
-    def irfftn_factors(u, v):
-        """The masked 12-channel stack through one numpy irfftn."""
-        grid = u.grid
-        stack = np.empty((12,) + grid.spectral_shape, dtype=np.complex128)
-        stack[0:3] = u.coeff * grid.mask
-        vc = v.coeff * grid.mask
-        for i, ki in enumerate(grid.kvec):
-            stack[3 + 3 * i : 6 + 3 * i] = (1j * ki) * vc
-        return np.fft.irfftn(stack, s=grid.shape, axes=(1, 2, 3)) * grid.n_points
-
     @pytest.mark.parametrize("rule", DEALIAS_RULES)
     @pytest.mark.parametrize("K", [4, 6, 8, 12, 16, 32])
     @settings(max_examples=4, deadline=None)
@@ -213,7 +203,7 @@ class TestDealiasedInverse:
             for _ in range(2)
         )
         u_phys, dv_phys = _dealiased_physical_factors(u, v)
-        want = self.irfftn_factors(u, v)
+        want = _irfftn_factors(u, v)
         assert u_phys.tobytes() == want[0:3].tobytes()
         assert dv_phys.tobytes() == want[3:12].tobytes()
 
