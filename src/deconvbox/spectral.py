@@ -22,11 +22,18 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import threading
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
 DEALIAS_RULES = ("two_thirds", "none")
+
+# The convective term walks the physical stack in blocks of x-planes whose
+# 12 real channels fill about this many bytes, so each block's last inverse
+# pass, scaling and contraction run on data still in cache.
+_BLOCK_BYTES = 2**20
 
 SobolevIndex = float
 
@@ -40,10 +47,10 @@ class WaveGrid:
     K : int
         Collocation points per axis (even, >= 4).
     dealias_rule : str
-        'two_thirds' keeps |k_i| <= K//3; 'none' keeps everything except
-        the Nyquist planes.
+        'two_thirds' keeps |k_i| <= (K-1)//3; 'none' keeps everything
+        except the Nyquist planes.
     cut : int
-        Largest retained |k_i| per axis: K//3 under 'two_thirds',
+        Largest retained |k_i| per axis: (K-1)//3 under 'two_thirds',
         K//2 - 1 under 'none'.
     kx, ky, kz : ndarray
         Signed integer wavenumbers, shaped for broadcasting against the
@@ -86,13 +93,25 @@ class WaveGrid:
         return (self.kx, self.ky, self.kz)
 
 
+def _wavenumbers(K: int) -> np.ndarray:
+    """Signed integer wavenumbers in FFT order: 0, 1, ..., K/2-1, -K/2, ..., -1.
+
+    Built from integers: np.fft.fftfreq(K) * K lands just below some
+    integers (5/14 * 14 = 4.999...), which a cast truncates.
+    """
+    return np.concatenate((np.arange(K // 2), np.arange(-(K // 2), 0))).astype(np.int64)
+
+
 def make_grid(K: int, dealias_rule: str = "two_thirds") -> WaveGrid:
     """Build the wavenumber lattice and dealias mask for resolution K.
 
     The lattice covers |k_i| <= K/2 - 1 (Nyquist planes are dropped so the
     lattice is closed under negation). Under the 2/3 rule the mask keeps
-    |k_i| <= K//3 in every axis, which makes pseudo-spectral quadratic
-    products Galerkin-equivalent.
+    |k_i| <= (K-1)//3 in every axis: the largest cut c with 3c < K, so a
+    product of two retained modes (|k_i| <= 2c) aliases to k_i -+ K, which
+    lies beyond c. That makes pseudo-spectral quadratic products
+    Galerkin-equivalent. (K//3 equals it unless 3 divides K, where it
+    would let products alias onto the retained modes.)
     """
     if not isinstance(K, (int, np.integer)):
         raise ValueError(f"K must be an integer, got {K!r}")
@@ -106,7 +125,7 @@ def make_grid(K: int, dealias_rule: str = "two_thirds") -> WaveGrid:
         )
 
     half = K // 2 + 1
-    k_line = (np.fft.fftfreq(K) * K).astype(np.int64)  # [0,1,...,K/2-1,-K/2,...,-1]
+    k_line = _wavenumbers(K)
     kx = k_line.reshape(K, 1, 1)
     ky = k_line.reshape(1, K, 1)
     kz = np.arange(half, dtype=np.int64).reshape(1, 1, half)
@@ -116,7 +135,7 @@ def make_grid(K: int, dealias_rule: str = "two_thirds") -> WaveGrid:
     ) ** 2
 
     if dealias_rule == "two_thirds":
-        cut = K // 3
+        cut = (K - 1) // 3
     else:
         cut = K // 2 - 1
     mask = (np.abs(kx) <= cut) & (np.abs(ky) <= cut) & (np.abs(kz) <= cut)
@@ -343,7 +362,7 @@ def _retained_columns(
     mask and the derivative factors 1j*k_i broadcastable against it.
     """
     half = K // 2 + 1
-    k_line = (np.fft.fftfreq(K) * K).astype(np.int64)
+    k_line = _wavenumbers(K)
     iy = np.r_[0 : cut + 1, K - cut : K].reshape(-1, 1, 1)
     iz = np.arange(cut + 1).reshape(1, -1, 1)
     ix = np.arange(K).reshape(1, 1, K)
@@ -353,44 +372,99 @@ def _retained_columns(
     return flat, mask, ik
 
 
+class _Workspace:
+    """One thread's buffers for the convective term at one (K, cut).
+
+    Every call writes only the lines the dealias mask keeps, so the lines
+    it drops in by_ky and by_kz stay zero from allocation on. by_kz and
+    phys hold one block of `planes` x-planes; conv and chat are full size.
+    """
+
+    def __init__(self, K: int, cut: int) -> None:
+        half = K // 2 + 1
+        self.key = (K, cut)
+        self.flat, self.mask, self.ik = _retained_columns(K, cut)
+        self.planes = min(K, max(1, _BLOCK_BYTES // (12 * K * K * 8)))
+        self.stack = np.empty((12,) + self.flat.shape, dtype=np.complex128)
+        self.by_ky = np.zeros((12, K, cut + 1, K), dtype=np.complex128)
+        self.by_kz = np.zeros((12, self.planes, K, half), dtype=np.complex128)
+        self.phys = np.empty((12, self.planes, K, K))
+        self.conv = np.empty((3, K, K, K))
+        self.chat = np.empty((3, K, K, half), dtype=np.complex128)
+
+
+# Probe members step on pool threads, so each thread gets its own buffers;
+# they are freed when the thread exits.
+_local = threading.local()
+
+
+def _workspace(grid: WaveGrid) -> _Workspace:
+    """This thread's workspace for grid, rebuilt when K or the cut changes."""
+    ws = getattr(_local, "workspace", None)
+    if ws is None or ws.key != (grid.K, grid.cut):
+        ws = _local.workspace = _Workspace(grid.K, grid.cut)
+    return ws
+
+
+def _physical_blocks(
+    ws: _Workspace, u: SpectralVectorField, v: SpectralVectorField
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Yield (xs, block): u and grad v on the x-planes xs, mask-truncated.
+
+    block has shape (12, n, K, K): u_i in channel i and d v_j / d x_i in
+    channel 3 + 3i + j, times K**3. It is a view of ws, overwritten by the
+    next block. The inverse runs numpy's irfftn passes (kx, ky, then real
+    kz, each normalised by 1/n) in their order, so every block is
+    byte-identical to its planes of irfftn of the masked stack. Each pass
+    transforms only the lines the mask leaves nonzero, along the
+    contiguous last axis: the kx pass (once) the retained (ky, kz)
+    columns, the ky pass (per block) the kz <= cut planes.
+    """
+    grid = u.grid
+    K, c = grid.K, grid.cut
+    stack = ws.stack
+    # v's masked columns land in channels 3:6, which are differentiated
+    # last, in place. mode="clip" keeps take from buffering its output.
+    np.take(v.coeff.reshape(3, -1), ws.flat, axis=1, out=stack[3:6], mode="clip")
+    np.multiply(stack[3:6], ws.mask, out=stack[3:6])
+    for i in (2, 1, 0):
+        np.multiply(ws.ik[i], stack[3:6], out=stack[3 + 3 * i : 6 + 3 * i])
+    np.take(u.coeff.reshape(3, -1), ws.flat, axis=1, out=stack[0:3], mode="clip")
+    np.multiply(stack[0:3], ws.mask, out=stack[0:3])
+
+    # kx pass into (x, kz, ky) order.
+    view = ws.by_ky.transpose(0, 3, 2, 1)
+    np.fft.ifft(stack[:, : c + 1], axis=-1, out=view[:, : c + 1])
+    np.fft.ifft(stack[:, c + 1 :], axis=-1, out=view[:, K - c :])
+    by_kz = ws.by_kz.transpose(0, 1, 3, 2)
+    for x0 in range(0, K, ws.planes):
+        n = min(ws.planes, K - x0)
+        xs = slice(x0, x0 + n)
+        # ky pass into (x, y, kz) order.
+        np.fft.ifft(ws.by_ky[:, xs], axis=-1, out=by_kz[:, :n, : c + 1])
+        # Real kz pass: numpy runs irfftn over one axis as exactly this
+        # irfft. Calling it as irfftn keeps the inverse visible to
+        # bench/spans.py, which wraps numpy's n-d transforms.
+        block = np.fft.irfftn(ws.by_kz[:, :n], s=(K,), axes=(-1,), out=ws.phys[:, :n])
+        block *= grid.n_points
+        yield xs, block
+
+
 def _dealiased_physical_factors(
     u: SpectralVectorField, v: SpectralVectorField
 ) -> tuple[np.ndarray, np.ndarray]:
     """Collocation values of u and of grad v, both mask-truncated.
 
     Returns (u_phys (3,K,K,K), dv_phys (3,3,K,K,K)) with dv_phys[i, j]
-    holding d v_j / d x_i. The 12-channel inverse runs numpy's irfftn
-    passes (kx, ky, then real kz, each normalised by 1/n) in their order,
-    so the result is byte-identical to irfftn of the masked stack. Each
-    pass transforms only the lines the mask leaves nonzero, along the
-    contiguous last axis: the kx pass the retained (ky, kz) columns, the
-    ky pass the kz <= cut planes.
+    holding d v_j / d x_i: the blocks of _physical_blocks assembled into
+    full arrays, byte-identical to irfftn of the masked stack.
     """
     grid = u.grid
-    K, c = grid.K, grid.cut
-    flat, mask, ik = _retained_columns(K, c)
-    vc = np.take(v.coeff.reshape(3, -1), flat, axis=1) * mask
-    stack = np.empty((12,) + flat.shape, dtype=np.complex128)
-    np.multiply(np.take(u.coeff.reshape(3, -1), flat, axis=1), mask, out=stack[0:3])
-    for i in range(3):
-        np.multiply(ik[i], vc, out=stack[3 + 3 * i : 6 + 3 * i])
-
-    # kx pass into (x, kz, ky) order; the ky the mask drops stay zero.
-    by_ky = np.zeros((12, K, c + 1, K), dtype=np.complex128)
-    view = by_ky.transpose(0, 3, 2, 1)
-    np.fft.ifft(stack[:, : c + 1], axis=-1, out=view[:, : c + 1])
-    np.fft.ifft(stack[:, c + 1 :], axis=-1, out=view[:, K - c :])
-    # ky pass into (x, y, kz) order; the kz the mask drops stay zero.
-    by_kz = np.zeros((12, K, K, K // 2 + 1), dtype=np.complex128)
-    np.fft.ifft(by_ky, axis=-1, out=by_kz.transpose(0, 1, 3, 2)[:, :, : c + 1])
-    # Real kz pass: numpy runs irfftn over one axis as exactly this irfft.
-    # Calling it as irfftn keeps the inverse visible to bench/spans.py,
-    # which wraps numpy's n-d transforms.
-    phys = np.fft.irfftn(by_kz, s=(K,), axes=(-1,))
-    phys *= grid.n_points
-    u_phys = phys[0:3]
-    dv_phys = phys[3:12].reshape(3, 3, K, K, K)
-    return u_phys, dv_phys
+    K = grid.K
+    phys = np.empty((12,) + grid.shape)
+    for xs, block in _physical_blocks(_workspace(grid), u, v):
+        phys[:, xs] = block
+    return phys[0:3], phys[3:12].reshape(3, 3, K, K, K)
 
 
 def trilinear_b(
@@ -406,11 +480,20 @@ def trilinear_b(
     _require_same_grid(u, v)
     _require_same_grid(u, w)
     grid = u.grid
-    u_phys, dv_phys = _dealiased_physical_factors(u, v)
+    K = grid.K
     w_phys = np.fft.irfftn(
         w.coeff * grid.mask, s=grid.shape, axes=(1, 2, 3)
     ) * grid.n_points
-    integrand = np.einsum("ixyz,ijxyz,jxyz->xyz", u_phys, dv_phys, w_phys)
+    integrand = np.empty(grid.shape)
+    for xs, block in _physical_blocks(_workspace(grid), u, v):
+        n = block.shape[1]
+        np.einsum(
+            "ixyz,ijxyz,jxyz->xyz",
+            block[0:3],
+            block[3:12].reshape(3, 3, n, K, K),
+            w_phys[:, xs],
+            out=integrand[xs],
+        )
     return float(integrand.mean())
 
 
@@ -418,13 +501,24 @@ def nonlinear_term(u: SpectralVectorField, w: SpectralVectorField) -> SpectralVe
     """Leray-projected, dealiased convective term P_L[(u . grad) w].
 
     The advecting field u should be divergence-free; the result is
-    divergence-free and zero-mean by construction.
+    divergence-free and zero-mean by construction. The product is formed
+    block by block in this thread's workspace; leray_project allocates
+    the returned field, so no workspace buffer escapes.
     """
     _require_same_grid(u, w)
     grid = u.grid
-    u_phys, dw_phys = _dealiased_physical_factors(u, w)
-    conv = np.einsum("ixyz,ijxyz->jxyz", u_phys, dw_phys)
-    chat = np.fft.rfftn(conv, axes=(1, 2, 3)) / grid.n_points
+    K = grid.K
+    ws = _workspace(grid)
+    for xs, block in _physical_blocks(ws, u, w):
+        n = block.shape[1]
+        np.einsum(
+            "ixyz,ijxyz->jxyz",
+            block[0:3],
+            block[3:12].reshape(3, 3, n, K, K),
+            out=ws.conv[:, xs],
+        )
+    chat = np.fft.rfftn(ws.conv, axes=(1, 2, 3), out=ws.chat)
+    chat /= grid.n_points
     chat *= grid.mask
     chat[:, 0, 0, 0] = 0.0
     return leray_project(SpectralVectorField(grid, chat))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .deconv import FilterParams
 from .solver import ModelParams, SolverState, Trajectory, make_state
-from .spectral import SpectralVectorField, WaveGrid, make_grid
+from .spectral import SpectralVectorField, WaveGrid, _wavenumbers, make_grid
 
 TIMESERIES_COLUMNS = (
     "t",
@@ -89,7 +89,7 @@ class SnapshotMeta:
 def _canonical_order(K: int) -> tuple[np.ndarray, np.ndarray]:
     """Permutation taking flattened rfft-layout modes to (k1,k2,k3)-lex order."""
     half = K // 2 + 1
-    k_line = (np.fft.fftfreq(K) * K).astype(np.int64)
+    k_line = _wavenumbers(K)
     k1 = np.broadcast_to(k_line.reshape(K, 1, 1), (K, K, half)).ravel()
     k2 = np.broadcast_to(k_line.reshape(1, K, 1), (K, K, half)).ravel()
     k3 = np.broadcast_to(np.arange(half).reshape(1, 1, half), (K, K, half)).ravel()

@@ -26,7 +26,7 @@ def eval_modes_on_grid(grid, coeff, points):
     """
     K = grid.K
     x = 2.0 * np.pi * np.arange(points) / points
-    k_line = (np.fft.fftfreq(K) * K).astype(int)
+    k_line = np.r_[0 : K // 2, -(K // 2) : 0]
     total = np.zeros((coeff.shape[0], points, points, points), dtype=np.complex128)
     nz = np.argwhere(np.abs(coeff).sum(axis=0) > 0.0)
     for i1, i2, i3 in nz:

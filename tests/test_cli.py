@@ -141,6 +141,12 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
+    @pytest.mark.parametrize("K", ["12", "14", "18"])
+    def test_verify_operators_passes_where_3_divides_K_or_fftfreq_rounds(self, K, capsys):
+        assert cli_main(["verify-operators", "--K", K]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out
+
     def test_energy_check_reports_order(self, tmp_path, capsys):
         cfg = write(tmp_path, "run.cfg", FORCED_CONFIG)
         assert cli_main(["energy-check", "--config", cfg, "--levels", "3"]) == 0

@@ -4,6 +4,11 @@ import numpy as np
 import pytest
 
 from deconvbox import make_grid, smallest_eigenvalue
+from deconvbox.spectral import _wavenumbers
+
+
+def exact_lattice(K):
+    return list(range(K // 2)) + list(range(-(K // 2), 0))
 
 
 def test_two_thirds_mask_small_grid():
@@ -37,6 +42,26 @@ def test_lattice_closed_under_negation():
     # stored half-spectrum plus implicit conjugates covers -k for every k
     full = kept | {(-a, -b, -c) for a, b, c in kept}
     assert all((-a, -b, -c) in full for a, b, c in full)
+
+
+def test_lattice_is_exact_integers():
+    # np.fft.fftfreq(K) * K lands just below some integers, and a cast
+    # truncates them: 76 of these K (14, 18, 24, ...) got a wrong lattice.
+    for K in range(4, 259, 2):
+        assert _wavenumbers(K).tolist() == exact_lattice(K)
+    for K in range(4, 67, 2):
+        grid = make_grid(K)
+        assert grid.kx.ravel().tolist() == exact_lattice(K)
+        assert grid.ky.ravel().tolist() == exact_lattice(K)
+        assert grid.kz.ravel().tolist() == list(range(K // 2 + 1))
+
+
+@pytest.mark.parametrize("K, cut", [(4, 1), (6, 1), (12, 3), (14, 4), (18, 5), (32, 10), (64, 21)])
+def test_two_thirds_cut_is_alias_free(K, cut):
+    # The largest cut with 3 * cut < K: a product of retained modes reaches
+    # 2 * cut and aliases to 2 * cut - K, which must fall outside the mask.
+    assert 3 * cut < K <= 3 * (cut + 1)
+    assert make_grid(K).cut == cut
 
 
 def test_mode_count_and_quadrature_size():

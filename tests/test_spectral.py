@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -189,23 +192,66 @@ class TestNonlinearTerm:
         assert hermitian_defect(out) <= 1e-15 * max(np.abs(out.coeff).max(), 1e-300)
 
 
+def random_pair(grid, seed):
+    rng = np.random.default_rng(seed)
+    shape = (3,) + grid.spectral_shape
+    return [
+        SpectralVectorField(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        for _ in range(2)
+    ]
+
+
 class TestDealiasedInverse:
     @pytest.mark.parametrize("rule", DEALIAS_RULES)
-    @pytest.mark.parametrize("K", [4, 6, 8, 12, 16, 32])
+    @pytest.mark.parametrize("K", [4, 6, 8, 12, 14, 16, 18, 32])
     @settings(max_examples=4, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_bytes_equal_numpy_irfftn(self, K, rule, seed):
         grid = make_grid(K, rule)
-        rng = np.random.default_rng(seed)
-        shape = (3,) + grid.spectral_shape
-        u, v = (
-            SpectralVectorField(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-            for _ in range(2)
-        )
+        u, v = random_pair(grid, seed)
         u_phys, dv_phys = _dealiased_physical_factors(u, v)
         want = _irfftn_factors(u, v)
         assert u_phys.tobytes() == want[0:3].tobytes()
         assert dv_phys.tobytes() == want[3:12].tobytes()
+
+
+class TestWorkspace:
+    def test_concurrent_threads_match_serial_calls(self):
+        # K=32 runs in several x-blocks; each thread must use its own buffers.
+        grid = make_grid(32)
+        inputs = [random_pair(grid, seed) for seed in (31, 32)]
+        serial = [nonlinear_term(u, w).coeff.tobytes() for u, w in inputs]
+        results = [[], []]
+        start = threading.Barrier(2)
+
+        def work(i):
+            start.wait(timeout=30)
+            u, w = inputs[i]
+            for _ in range(6):
+                results[i].append(nonlinear_term(u, w).coeff.tobytes())
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        for i in range(2):
+            assert results[i] == [serial[i]] * 6
+
+    def test_grid_switches_rebuild_the_workspace(self):
+        for K, rule in [(16, "two_thirds"), (16, "none"), (32, "two_thirds"), (16, "two_thirds")]:
+            grid = make_grid(K, rule)
+            u, v = random_pair(grid, K)
+            u_phys, dv_phys = _dealiased_physical_factors(u, v)
+            want = _irfftn_factors(u, v)
+            assert u_phys.tobytes() == want[0:3].tobytes()
+            assert dv_phys.tobytes() == want[3:12].tobytes()
 
 
 class TestFieldConstruction:

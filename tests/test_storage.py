@@ -19,7 +19,7 @@ from deconvbox import (
     write_snapshot,
     write_timeseries,
 )
-from deconvbox.storage import SNAPSHOT_MAGIC, TIMESERIES_HEADER
+from deconvbox.storage import SNAPSHOT_MAGIC, TIMESERIES_HEADER, _canonical_order
 from oracles import random_div_free
 
 
@@ -128,6 +128,20 @@ class TestSnapshot:
         path = tmp_path / "s.snap"
         write_snapshot(state, params, path)
         assert path.read_bytes()[:8] == SNAPSHOT_MAGIC
+
+    @pytest.mark.parametrize("K", [14, 18, 24])
+    def test_canonical_order_sorts_exact_wavevectors(self, K):
+        # K where np.fft.fftfreq(K) * K truncates to a wrong lattice.
+        order, inverse = _canonical_order(K)
+        half = K // 2 + 1
+        line = np.r_[0 : K // 2, -(K // 2) : 0]
+        k1, k2, k3 = (
+            np.broadcast_to(a, (K, K, half)).ravel()[order].tolist()
+            for a in (line.reshape(K, 1, 1), line.reshape(1, K, 1), np.arange(half).reshape(1, 1, half))
+        )
+        keys = list(zip(k1, k2, k3))
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert np.array_equal(order[inverse], np.arange(order.size))
 
 
 class TestResume:
