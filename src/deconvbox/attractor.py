@@ -28,7 +28,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import FieldSpec, SolverConfig, generate_ic
-from .solver import BlowUpError, Trajectory, build_model, initial_state, simulate
+from .solver import (
+    BlowUpError,
+    Trajectory,
+    _model_of,
+    _with_model,
+    initial_state,
+    simulate,
+)
 from .spectral import smallest_eigenvalue, sobolev_norm
 
 # Relative slack of a member's energy over its decay envelope before the
@@ -313,7 +320,7 @@ def ensemble_absorb_probe(
     if ensemble_size < 1:
         raise ValueError("ensemble_size must be at least 1")
     workers = _worker_count()
-    grid, model = build_model(template)
+    grid, model = _model_of(template)
     f_norm = sobolev_norm(model.forcing, 0.0) if model.forcing is not None else 0.0
     params = AbsorbingParams(
         nu=template.nu,
@@ -324,6 +331,8 @@ def ensemble_absorb_probe(
     )
     t0 = absorbing_time(params)
     horizon = max(2.0 * t0, 10.0 * template.dt)
+    # Members step with this grid and model instead of building their own.
+    member_config = _with_model(replace(template, T=horizon), grid, model)
 
     def run_member(i: int) -> ProbeMember:
         seed = base_seed + i
@@ -338,7 +347,6 @@ def ensemble_absorb_probe(
         target = R * (i + 1) / ensemble_size
         state0 = initial_state(u0 * (target / hn_norm), model)
         w0_norm = sobolev_norm(state0.w, 0.0)
-        member_config = replace(template, T=horizon)
         try:
             traj = simulate(member_config, initial=state0)
         except BlowUpError as err:

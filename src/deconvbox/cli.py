@@ -16,6 +16,7 @@ from .config import ConfigError, parse_config
 from .deconv import SymbolTable
 from .solver import (
     BlowUpError,
+    _with_model,
     build_model,
     energy_refinement_study,
     simulate_with_state,
@@ -37,8 +38,9 @@ def _load_config(path):
 
 def _cmd_simulate(args) -> int:
     config = _load_config(args.config)
+    grid, params = build_model(config)
     try:
-        traj, state = simulate_with_state(config)
+        traj, state = simulate_with_state(_with_model(config, grid, params))
     except BlowUpError as err:
         print(f"blow-up: solution lost finiteness after t = {err.t_last}", file=sys.stderr)
         if err.trajectory is not None and args.output:
@@ -48,7 +50,6 @@ def _cmd_simulate(args) -> int:
     write_timeseries(traj, args.output)
     print(f"{len(traj)} samples written to {args.output} (t final = {traj.t[-1]})")
     if args.snapshot_out:
-        _, params = build_model(config)
         write_snapshot(state, params, args.snapshot_out)
         print(f"final state written to {args.snapshot_out}")
     return EXIT_OK
@@ -60,6 +61,15 @@ def _cmd_verify_operators(args) -> int:
 
 
 def _cmd_absorb_probe(args) -> int:
+    for flag, value in (
+        ("--radius", args.radius),
+        ("--rho0-prime", args.rho0_prime),
+        ("--epsilon", args.epsilon),
+    ):
+        if value is not None and not math.isfinite(value):
+            raise ConfigError([f"absorb-probe: {flag} must be finite, got {value!r}"])
+    if args.epsilon is not None and args.epsilon < 0.0:
+        raise ConfigError([f"absorb-probe: --epsilon must be nonnegative, got {args.epsilon!r}"])
     config = _load_config(args.config)
     grid, model = build_model(config)
     f_norm = sobolev_norm(model.forcing, 0.0) if model.forcing is not None else 0.0
@@ -77,7 +87,7 @@ def _cmd_absorb_probe(args) -> int:
         R=R,
         rho0_prime=rho_prime,
         ensemble_size=args.members,
-        template=config,
+        template=_with_model(config, grid, model),
         epsilon=args.epsilon if args.epsilon is not None else config.epsilon,
         keep_trajectories=False,
     )

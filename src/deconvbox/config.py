@@ -8,6 +8,7 @@ stopping at the first one. The schema is documented in the README.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,6 +127,13 @@ def _parse_lines(text: str, errors: list[str]) -> dict[str, str]:
     return raw
 
 
+def _finite(s: str) -> float:
+    x = float(s)
+    if not math.isfinite(x):
+        raise ValueError(s)
+    return x
+
+
 class _Reader:
     def __init__(self, raw: dict[str, str], errors: list[str]):
         self.raw = raw
@@ -147,7 +155,7 @@ class _Reader:
         return self._get(key, lambda s: int(s, 10), default, "an integer")
 
     def float_(self, key, default=None):
-        return self._get(key, float, default, "a number")
+        return self._get(key, _finite, default, "a finite number")
 
     def str_(self, key, default=None):
         return self._get(key, str, default, "a string")
@@ -172,12 +180,12 @@ class _Reader:
 
     def float_triple(self, key, default=None):
         def conv(s):
-            parts = tuple(float(p.strip()) for p in s.split(","))
+            parts = tuple(_finite(p.strip()) for p in s.split(","))
             if len(parts) != 3:
                 raise ValueError(s)
             return parts
 
-        return self._get(key, conv, default, "three comma-separated numbers")
+        return self._get(key, conv, default, "three comma-separated finite numbers")
 
 
 def _read_field_spec(reader: _Reader, prefix: str, errors: list[str]) -> FieldSpec:

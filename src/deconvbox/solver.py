@@ -16,9 +16,11 @@ at second order.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,6 +29,10 @@ from .deconv import FilterParams
 from .spectral import (
     SpectralVectorField,
     WaveGrid,
+    _lattice,
+    _mode_energy,
+    _norm_from_energy,
+    _read_only,
     divergence_error,
     inner_product,
     leray_project,
@@ -91,6 +97,27 @@ def build_model(config: SolverConfig) -> tuple[WaveGrid, ModelParams]:
     return grid, ModelParams(nu=config.nu, filters=filters, forcing=forcing)
 
 
+@dataclass(frozen=True)
+class _BuiltConfig(SolverConfig):
+    """A config carrying the grid and model built from it, so that a run
+    under it (a probe member, a CLI command) does not build them again."""
+
+    grid: WaveGrid | None = field(default=None, compare=False, repr=False)
+    model: ModelParams | None = field(default=None, compare=False, repr=False)
+
+
+def _with_model(config: SolverConfig, grid: WaveGrid, model: ModelParams) -> _BuiltConfig:
+    values = {f.name: getattr(config, f.name) for f in dataclasses.fields(SolverConfig)}
+    return _BuiltConfig(**values, grid=grid, model=model)
+
+
+def _model_of(config: SolverConfig) -> tuple[WaveGrid, ModelParams]:
+    """The grid and model a config carries, else build_model(config)."""
+    if isinstance(config, _BuiltConfig):
+        return config.grid, config.model
+    return build_model(config)
+
+
 @dataclass
 class SolverState:
     """Time, the evolved field w, and the cached truncation H_N(w)."""
@@ -127,10 +154,14 @@ def initial_state(
 
 
 def _explicit_part(state: SolverState, params: ModelParams) -> np.ndarray:
-    """Projected nonlinear term plus truncated forcing (everything but viscosity)."""
-    out = -nonlinear_term(state.hn_w, state.w).coeff
+    """Projected nonlinear term plus truncated forcing (everything but viscosity).
+
+    Built in place in the fresh array nonlinear_term returns.
+    """
+    out = nonlinear_term(state.hn_w, state.w).coeff
+    np.negative(out, out=out)
     if params.hn_forcing is not None:
-        out = out + params.hn_forcing.coeff
+        np.add(out, params.hn_forcing.coeff, out=out)
     return out
 
 
@@ -151,18 +182,39 @@ def step(state: SolverState, params: ModelParams, dt: float) -> SolverState:
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     grid = state.w.grid
-    decay_half = np.exp(-params.nu * grid.ksq * (0.5 * dt))
+    w = state.w.coeff
+    decay_half = _half_decay(grid.K, params.nu, dt)
+    # In place, in the operand order of
+    #   mid = decay_half * (w + (dt/2) k1)
+    #   new = decay_half * (decay_half * w) + dt * (decay_half * k2),
+    # so the bytes equal those expressions: two complex factors do not
+    # commute to the last bit in numpy's fused complex multiply, and
+    # decay_half * decay_half applied as one factor rounds differently.
     with np.errstate(over="ignore", invalid="ignore"):
-        k1 = _explicit_part(state, params)
-        mid_coeff = decay_half * (state.w.coeff + (0.5 * dt) * k1)
+        mid_coeff = _explicit_part(state, params)
+        np.multiply(0.5 * dt, mid_coeff, out=mid_coeff)
+        np.add(w, mid_coeff, out=mid_coeff)
+        np.multiply(decay_half, mid_coeff, out=mid_coeff)
         mid = make_state(
             state.t + 0.5 * dt, SpectralVectorField(grid, mid_coeff), params
         )
         k2 = _explicit_part(mid, params)
-        new_coeff = decay_half * (decay_half * state.w.coeff) + dt * (decay_half * k2)
+        new_coeff = np.multiply(decay_half, w)
+        np.multiply(decay_half, new_coeff, out=new_coeff)
+        np.multiply(decay_half, k2, out=k2)
+        np.multiply(dt, k2, out=k2)
+        np.add(new_coeff, k2, out=new_coeff)
     if not np.isfinite(new_coeff).all():
         raise BlowUpError(state.t)
     return make_state(state.t + dt, SpectralVectorField(grid, new_coeff), params)
+
+
+@lru_cache(maxsize=16)
+def _half_decay(K: int, nu: float, dt: float) -> np.ndarray:
+    """The half-step viscous factor exp(-nu |k|^2 dt / 2) as a read-only complex table."""
+    table = np.exp(-nu * _lattice(K)[3] * (0.5 * dt)).astype(np.complex128)
+    _read_only(table)
+    return table
 
 
 @dataclass(eq=False)
@@ -229,9 +281,8 @@ class _TrajectoryBuilder:
         self.diss = 0.0
         self.work = 0.0
 
-    def record(self, state: SolverState, h1_sq: float) -> None:
-        h0_sq = sobolev_norm(state.w, 0.0) ** 2
-        aw_sq = sobolev_norm(state.w, 2.0) ** 2
+    def record(self, state: SolverState, norms: tuple[float, float, float]) -> None:
+        h1_sq, h0_sq, aw_sq = norms
         if self.t0 is None:
             self.t0 = state.t
             self.h0_sq0 = h0_sq
@@ -251,12 +302,25 @@ class _TrajectoryBuilder:
         return Trajectory(*(cols[:, j] for j in range(8)))
 
 
-def _norm_rates(state: SolverState, params: ModelParams) -> tuple[float, float]:
-    """The integrands ||w||_1^2 and (H_N f, w) of the energy balance."""
-    h1_sq = sobolev_norm(state.w, 1.0) ** 2
+def _squared_norms(w: SpectralVectorField, sampled: bool) -> tuple:
+    """(||w||_1^2, ||w||^2, ||A w||^2) from one mode-energy pass.
+
+    The last two are None unless `sampled`. Each equals
+    sobolev_norm(w, s) ** 2 to the bit.
+    """
+    amp2 = _mode_energy(w)
+    h1_sq = _norm_from_energy(amp2, w.grid, 1.0) ** 2
+    if not sampled:
+        return h1_sq, None, None
+    aw_sq = _norm_from_energy(amp2, w.grid, 2.0) ** 2
+    # Last: the s = 0 norm zeroes amp2's mean entry.
+    return h1_sq, _norm_from_energy(amp2, w.grid, 0.0) ** 2, aw_sq
+
+
+def _work_rate(state: SolverState, params: ModelParams) -> float:
+    """The forcing integrand (H_N f, w) of the energy balance."""
     hn_f = params.hn_forcing
-    work = inner_product(hn_f, state.w) if hn_f is not None else 0.0
-    return h1_sq, work
+    return inner_product(hn_f, state.w) if hn_f is not None else 0.0
 
 
 def simulate(config, initial: SolverState | None = None) -> Trajectory:
@@ -276,7 +340,7 @@ def simulate_with_state(
     config, initial: SolverState | None = None
 ) -> tuple[Trajectory, SolverState]:
     """Like `simulate` but also returns the final solver state."""
-    grid, params = build_model(config)
+    grid, params = _model_of(config)
 
     if initial is not None:
         state = initial
@@ -305,19 +369,22 @@ def simulate_with_state(
         )
 
     builder = _TrajectoryBuilder(rho0_sq, params.nu * lam1)
-    h1_prev, work_prev = _norm_rates(state, params)
-    builder.record(state, h1_prev)
+    norms = _squared_norms(state.w, sampled=True)
+    h1_prev, work_prev = norms[0], _work_rate(state, params)
+    builder.record(state, norms)
     try:
         for i in range(1, n_steps + 1):
             state = step(state, params, dt)
+            sampled = i % config.sample_every == 0 or i == n_steps
             with np.errstate(over="ignore", invalid="ignore"):
-                h1_new, work_new = _norm_rates(state, params)
+                norms = _squared_norms(state.w, sampled)
+                h1_new, work_new = norms[0], _work_rate(state, params)
             if not (math.isfinite(h1_new) and math.isfinite(work_new)):
                 raise BlowUpError(state.t - dt)
             builder.accumulate(dt, h1_prev, work_prev, h1_new, work_new, params.nu)
             h1_prev, work_prev = h1_new, work_new
-            if i % config.sample_every == 0 or i == n_steps:
-                builder.record(state, h1_new)
+            if sampled:
+                builder.record(state, norms)
     except BlowUpError as err:
         err.trajectory = builder.build()
         raise
@@ -343,10 +410,11 @@ def energy_refinement_study(config, levels: int = 3, factor: int = 2) -> Refinem
 
     if levels < 2:
         raise ValueError("need at least two refinement levels")
+    grid, params = _model_of(config)
     dts, residuals = [], []
     for j in range(levels):
         dt_j = config.dt / factor**j
-        traj = simulate(replace(config, dt=dt_j))
+        traj = simulate(_with_model(replace(config, dt=dt_j), grid, params))
         if len(traj) < 2:
             raise ValueError(f"horizon T = {config.T} takes no step of dt = {dt_j}")
         residual = abs(float(traj.energy_residual[-1]))

@@ -25,6 +25,7 @@ from __future__ import annotations
 import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -102,6 +103,67 @@ def _wavenumbers(K: int) -> np.ndarray:
     return np.concatenate((np.arange(K // 2), np.arange(-(K // 2), 0))).astype(np.int64)
 
 
+# -- per-K tables ----------------------------------------------------------------
+#
+# The step multiplies complex coefficients by |k|-dependent tables. numpy
+# casts a float, int or bool operand to complex128 before a complex
+# multiply or divide, so a table cast once gives the same bytes as the
+# cast numpy would make on every call, without the cast buffers and
+# temporaries. Every table is cached, read-only and shared by all threads.
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for arr in arrays:
+        arr.setflags(write=False)
+
+
+@lru_cache(maxsize=8)
+def _lattice(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Integer kx, ky, kz shaped (K,1,1), (1,K,1), (1,1,K//2+1) and float |k|^2."""
+    half = K // 2 + 1
+    k_line = _wavenumbers(K)
+    kx = k_line.reshape(K, 1, 1)
+    ky = k_line.reshape(1, K, 1)
+    kz = np.arange(half, dtype=np.int64).reshape(1, 1, half)
+    ksq = (kx.astype(np.float64)) ** 2 + (ky.astype(np.float64)) ** 2 + (
+        kz.astype(np.float64)
+    ) ** 2
+    _read_only(kx, ky, kz, ksq)
+    return kx, ky, kz, ksq
+
+
+def _retained(kx: np.ndarray, ky: np.ndarray, kz: np.ndarray, cut: int) -> np.ndarray:
+    return (np.abs(kx) <= cut) & (np.abs(ky) <= cut) & (np.abs(kz) <= cut)
+
+
+@lru_cache(maxsize=8)
+def _complex_lattice(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """kx, ky, kz and |k|^2 with the mean mode's 0 replaced by 1, as complex128."""
+    kx, ky, kz, ksq = _lattice(K)
+    tables = tuple(
+        a.astype(np.complex128) for a in (kx, ky, kz, np.where(ksq > 0.0, ksq, 1.0))
+    )
+    _read_only(*tables)
+    return tables
+
+
+@lru_cache(maxsize=16)
+def _mask_table(K: int, cut: int) -> np.ndarray:
+    """The dealias mask keeping |k_i| <= cut, as complex128 ones and zeros."""
+    table = _retained(*_lattice(K)[:3], cut).astype(np.complex128)
+    _read_only(table)
+    return table
+
+
+@lru_cache(maxsize=16)
+def _sobolev_weight(K: int, s: float) -> np.ndarray:
+    """|k|^(2s) per stored mode; for s < 0 the mean mode's |k|^2 counts as 1."""
+    ksq = _lattice(K)[3]
+    table = ksq**s if s > 0 else np.where(ksq > 0.0, ksq, 1.0) ** s
+    _read_only(table)
+    return table
+
+
 def make_grid(K: int, dealias_rule: str = "two_thirds") -> WaveGrid:
     """Build the wavenumber lattice and dealias mask for resolution K.
 
@@ -125,25 +187,17 @@ def make_grid(K: int, dealias_rule: str = "two_thirds") -> WaveGrid:
         )
 
     half = K // 2 + 1
-    k_line = _wavenumbers(K)
-    kx = k_line.reshape(K, 1, 1)
-    ky = k_line.reshape(1, K, 1)
-    kz = np.arange(half, dtype=np.int64).reshape(1, 1, half)
-
-    ksq = (kx.astype(np.float64)) ** 2 + (ky.astype(np.float64)) ** 2 + (
-        kz.astype(np.float64)
-    ) ** 2
-
+    kx, ky, kz, ksq = _lattice(K)
     if dealias_rule == "two_thirds":
         cut = (K - 1) // 3
     else:
         cut = K // 2 - 1
-    mask = (np.abs(kx) <= cut) & (np.abs(ky) <= cut) & (np.abs(kz) <= cut)
+    mask = _retained(kx, ky, kz, cut)
 
     mult = np.ones((K, K, half), dtype=np.float64)
     mult[:, :, 1 : K // 2] = 2.0
 
-    for arr in (kx, ky, kz, ksq, mask, mult):
+    for arr in (mask, mult):
         arr.setflags(write=False)
 
     return WaveGrid(
@@ -281,18 +335,21 @@ def scale_modes(w: SpectralVectorField, factor: np.ndarray) -> SpectralVectorFie
 
 def sobolev_norm(w: SpectralVectorField, s: SobolevIndex) -> float:
     """H_s norm (sum_k |k|^(2s) |what(k)|^2)^(1/2) over the nonzero lattice."""
-    grid = w.grid
+    return _norm_from_energy(_mode_energy(w), w.grid, s)
+
+
+def _mode_energy(w: SpectralVectorField) -> np.ndarray:
+    """sum_i |what_i(k)|^2 per stored mode, times the lattice multiplicity."""
     amp2 = np.real(w.coeff * np.conj(w.coeff)).sum(axis=0)
-    amp2 = amp2 * grid.mult
-    if s == 0:
+    amp2 *= w.grid.mult
+    return amp2
+
+
+def _norm_from_energy(amp2: np.ndarray, grid: WaveGrid, s: SobolevIndex) -> float:
+    """The H_s norm from _mode_energy's array; s <= 0 zeroes its mean entry."""
+    if s <= 0:
         amp2[0, 0, 0] = 0.0
-        total = amp2.sum()
-    elif s > 0:
-        total = (amp2 * grid.ksq**s).sum()
-    else:
-        kern = np.where(grid.ksq > 0.0, grid.ksq, 1.0) ** s
-        amp2[0, 0, 0] = 0.0
-        total = (amp2 * kern).sum()
+    total = amp2.sum() if s == 0 else (amp2 * _sobolev_weight(grid.K, s)).sum()
     return float(np.sqrt(total))
 
 
@@ -326,16 +383,20 @@ def leray_project(w_raw: SpectralVectorField) -> SpectralVectorField:
     untouched (it is zero for valid fields). Idempotent and self-adjoint.
     """
     grid = w_raw.grid
-    ksq_safe = np.where(grid.ksq > 0.0, grid.ksq, 1.0)
-    dot = (
-        grid.kx * w_raw.coeff[0]
-        + grid.ky * w_raw.coeff[1]
-        + grid.kz * w_raw.coeff[2]
-    ) / ksq_safe
-    out = np.empty_like(w_raw.coeff)
-    out[0] = w_raw.coeff[0] - grid.kx * dot
-    out[1] = w_raw.coeff[1] - grid.ky * dot
-    out[2] = w_raw.coeff[2] - grid.kz * dot
+    c = w_raw.coeff
+    k = _complex_lattice(grid.K)
+    # dot = (kx c0 + ky c1 + kz c2) / |k|^2, the operand order of the
+    # closed form, so the bytes equal it.
+    dot = np.multiply(k[0], c[0])
+    tmp = np.multiply(k[1], c[1])
+    dot += tmp
+    np.multiply(k[2], c[2], out=tmp)
+    dot += tmp
+    dot /= k[3]
+    out = np.empty_like(c)
+    for i in range(3):
+        np.multiply(k[i], dot, out=tmp)
+        np.subtract(c[i], tmp, out=out[i])
     return SpectralVectorField(grid, out)
 
 
@@ -359,7 +420,8 @@ def _retained_columns(
 
     ky runs over 0..cut then K-cut..K-1 and kz over 0..cut. Returns the
     flat rfft-layout index of every entry (shape (2*cut+1, cut+1, K)), the
-    mask and the derivative factors 1j*k_i broadcastable against it.
+    mask (complex ones and zeros) and the derivative factors 1j*k_i
+    broadcastable against it.
     """
     half = K // 2 + 1
     k_line = _wavenumbers(K)
@@ -367,7 +429,7 @@ def _retained_columns(
     iz = np.arange(cut + 1).reshape(1, -1, 1)
     ix = np.arange(K).reshape(1, 1, K)
     flat = (ix * K + iy) * half + iz
-    mask = np.abs(k_line[ix]) <= cut
+    mask = (np.abs(k_line[ix]) <= cut).astype(np.complex128)
     ik = (1j * k_line[ix], 1j * k_line[iy], 1j * iz)
     return flat, mask, ik
 
@@ -482,7 +544,7 @@ def trilinear_b(
     grid = u.grid
     K = grid.K
     w_phys = np.fft.irfftn(
-        w.coeff * grid.mask, s=grid.shape, axes=(1, 2, 3)
+        w.coeff * _mask_table(K, grid.cut), s=grid.shape, axes=(1, 2, 3)
     ) * grid.n_points
     integrand = np.empty(grid.shape)
     for xs, block in _physical_blocks(_workspace(grid), u, v):
@@ -519,7 +581,7 @@ def nonlinear_term(u: SpectralVectorField, w: SpectralVectorField) -> SpectralVe
         )
     chat = np.fft.rfftn(ws.conv, axes=(1, 2, 3), out=ws.chat)
     chat /= grid.n_points
-    chat *= grid.mask
+    chat *= _mask_table(K, grid.cut)
     chat[:, 0, 0, 0] = 0.0
     return leray_project(SpectralVectorField(grid, chat))
 

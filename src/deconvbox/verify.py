@@ -13,6 +13,7 @@ import numpy as np
 
 from .config import _random_raw
 from .deconv import (
+    FilterParams,
     g_symbol,
     helmholtz_filter,
     hn_symbol,
@@ -21,6 +22,7 @@ from .deconv import (
     truncation_hn,
     van_cittert_apply,
 )
+from .solver import ModelParams, SolverState, make_state, step
 from .spectral import (
     SpectralVectorField,
     _dealiased_physical_factors,
@@ -54,6 +56,89 @@ def _irfftn_factors(u: SpectralVectorField, v: SpectralVectorField) -> np.ndarra
     for i, ki in enumerate(grid.kvec):
         stack[3 + 3 * i : 6 + 3 * i] = (1j * ki) * vc
     return np.fft.irfftn(stack, s=grid.shape, axes=(1, 2, 3)) * grid.n_points
+
+
+# References for the table-driven operators: the closed forms on the grid's
+# integer, float and bool arrays, which numpy casts to complex on every
+# call. The operators must reproduce them byte for byte.
+
+
+def _leray_reference(w: SpectralVectorField) -> np.ndarray:
+    """Reference for spectral.leray_project."""
+    grid = w.grid
+    ksq_safe = np.where(grid.ksq > 0.0, grid.ksq, 1.0)
+    dot = (
+        grid.kx * w.coeff[0] + grid.ky * w.coeff[1] + grid.kz * w.coeff[2]
+    ) / ksq_safe
+    out = np.empty_like(w.coeff)
+    out[0] = w.coeff[0] - grid.kx * dot
+    out[1] = w.coeff[1] - grid.ky * dot
+    out[2] = w.coeff[2] - grid.kz * dot
+    return out
+
+
+def _truncation_reference(w: SpectralVectorField, filters: FilterParams) -> np.ndarray:
+    """Reference for FilterParams.apply."""
+    return w.coeff * hn_symbol(w.grid.ksq, filters.delta, filters.order)
+
+
+def _sobolev_reference(w: SpectralVectorField, s: float) -> float:
+    """Reference for sobolev_norm and the stepper's one-pass norms."""
+    grid = w.grid
+    amp2 = np.real(w.coeff * np.conj(w.coeff)).sum(axis=0)
+    amp2 = amp2 * grid.mult
+    if s == 0:
+        amp2[0, 0, 0] = 0.0
+        total = amp2.sum()
+    elif s > 0:
+        total = (amp2 * grid.ksq**s).sum()
+    else:
+        kern = np.where(grid.ksq > 0.0, grid.ksq, 1.0) ** s
+        amp2[0, 0, 0] = 0.0
+        total = (amp2 * kern).sum()
+    return float(np.sqrt(total))
+
+
+def _nonlinear_reference(u: SpectralVectorField, w: SpectralVectorField) -> np.ndarray:
+    """Reference for spectral.nonlinear_term, from _irfftn_factors."""
+    grid = u.grid
+    K = grid.K
+    phys = _irfftn_factors(u, w)
+    conv = np.einsum("ixyz,ijxyz->jxyz", phys[0:3], phys[3:12].reshape(3, 3, K, K, K))
+    chat = np.fft.rfftn(conv, axes=(1, 2, 3)) / grid.n_points
+    chat *= grid.mask
+    chat[:, 0, 0, 0] = 0.0
+    return _leray_reference(SpectralVectorField(grid, chat))
+
+
+def _step_reference(
+    state: SolverState, params: ModelParams, dt: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reference for solver.step: the new w and H_N w."""
+    grid = state.w.grid
+
+    def truncate(coeff):
+        return _truncation_reference(SpectralVectorField(grid, coeff), params.filters)
+
+    def explicit(coeff):
+        w = SpectralVectorField(grid, coeff)
+        out = -_nonlinear_reference(SpectralVectorField(grid, truncate(coeff)), w)
+        if params.forcing is not None:
+            out = out + _truncation_reference(params.forcing, params.filters)
+        return out
+
+    decay_half = np.exp(-params.nu * grid.ksq * (0.5 * dt))
+    w = state.w.coeff
+    mid = decay_half * (w + (0.5 * dt) * explicit(w))
+    new = decay_half * (decay_half * w) + dt * (decay_half * explicit(mid))
+    return new, truncate(new)
+
+
+def _differing_words(got: np.ndarray, want: np.ndarray) -> int:
+    """How many float64 words differ in their bits (so -0.0 differs from 0.0)."""
+    a = np.ascontiguousarray(got).view(np.uint64)
+    b = np.ascontiguousarray(want).view(np.uint64)
+    return int(np.count_nonzero(a != b))
 
 
 def operator_checks(K: int = 16, seed: int = 0) -> list[CheckResult]:
@@ -215,6 +300,31 @@ def operator_checks(K: int = 16, seed: int = 0) -> list[CheckResult]:
         smooth = max(smooth, lhs_n - bound * sobolev_norm(w, s))
     record("two-derivative smoothing inequality", max(smooth, 0.0), 1e-12)
 
+    # Exact: the table-driven operators against their closed forms, in
+    # differing float64 words. Drawn last, so the data above is unchanged.
+    raw = SpectralVectorField(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    record(
+        "leray projection equals its closed form",
+        _differing_words(leray_project(raw).coeff, _leray_reference(raw)),
+        0,
+    )
+    filters = FilterParams(delta, order)
+    record(
+        "FilterParams.apply equals the closed-form truncation",
+        _differing_words(filters.apply(raw).coeff, _truncation_reference(raw, filters)),
+        0,
+    )
+    model = ModelParams(
+        nu=0.3, filters=filters, forcing=leray_project(_random_raw(grid, rng))
+    )
+    start = make_state(0.0, leray_project(_random_raw(grid, rng)), model)
+    got = step(start, model, 0.01)
+    want_w, want_hn_w = _step_reference(start, model, 0.01)
+    record(
+        "one step equals the closed-form stepper",
+        _differing_words(got.w.coeff, want_w) + _differing_words(got.hn_w.coeff, want_hn_w),
+        0,
+    )
     return results
 
 

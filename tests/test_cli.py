@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from deconvbox import attractor, cli, solver
 from deconvbox import (
     cli_main,
+    ensemble_absorb_probe,
     parse_config,
     read_snapshot,
     read_snapshot_meta,
@@ -69,6 +71,11 @@ class TestSimulateCommand:
         code = cli_main(["simulate", "--config", cfg, "--output", str(out)])
         assert code == 2
         assert "blow-up" in capsys.readouterr().err
+
+    def test_infinite_horizon_exits_1(self, tmp_path, capsys):
+        cfg = write(tmp_path, "run.cfg", GOOD_CONFIG.replace("T = 0.05", "T = inf"))
+        assert cli_main(["simulate", "--config", cfg]) == 1
+        assert "T: expected a finite number, got 'inf'" in capsys.readouterr().err
 
     def test_invalid_config_exits_1(self, tmp_path, capsys):
         cfg = write(tmp_path, "run.cfg", "K = 15\nnu = -1\ndelta = 0\nN = 1\n")
@@ -179,6 +186,44 @@ class TestOtherCommands:
         assert f"DECONV_THREADS must be a base-10 integer >= 1, got {threads!r}" in (
             capsys.readouterr().err
         )
+
+    @pytest.mark.parametrize("flag", ["--epsilon", "--radius", "--rho0-prime"])
+    def test_absorb_probe_non_finite_flag_exits_1(self, tmp_path, capsys, flag):
+        cfg = write(tmp_path, "run.cfg", FORCED_CONFIG)
+        assert cli_main(["absorb-probe", "--config", cfg, "--members", "2", flag, "nan"]) == 1
+        assert f"{flag} must be finite, got nan" in capsys.readouterr().err
+
+    def test_absorb_probe_negative_epsilon_exits_1(self, tmp_path, capsys):
+        cfg = write(tmp_path, "run.cfg", FORCED_CONFIG)
+        assert cli_main(["absorb-probe", "--config", cfg, "--epsilon", "-0.1"]) == 1
+        assert "--epsilon must be nonnegative" in capsys.readouterr().err
+
+    def test_model_built_once_per_command(self, tmp_path, capsys, monkeypatch):
+        built = []
+        original = solver.build_model
+
+        def counting(config):
+            built.append(config)
+            return original(config)
+
+        for module in (solver, attractor, cli):
+            if hasattr(module, "build_model"):
+                monkeypatch.setattr(module, "build_model", counting)
+        cfg = write(tmp_path, "run.cfg", FORCED_CONFIG)
+        out = ["--output", str(tmp_path / "ts.csv"), "--snapshot-out", str(tmp_path / "s.snap")]
+        assert cli_main(["simulate", "--config", cfg] + out) == 0
+        assert len(built) == 1
+        built.clear()
+        assert cli_main(["absorb-probe", "--config", cfg, "--members", "3"]) == 0
+        assert len(built) == 1
+        built.clear()
+        assert cli_main(["energy-check", "--config", cfg, "--levels", "3"]) == 0
+        assert len(built) == 1
+        built.clear()
+        ensemble_absorb_probe(
+            R=1.0, rho0_prime=1.0, ensemble_size=3, template=parse_config(FORCED_CONFIG)
+        )
+        assert len(built) == 1
 
     def test_absorb_probe_zero_forcing_needs_explicit_radii(self, tmp_path, capsys):
         cfg = write(tmp_path, "run.cfg", GOOD_CONFIG)

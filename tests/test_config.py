@@ -101,6 +101,34 @@ class TestParseConfig:
         assert any("ic_k" in e for e in exc.value.errors)
         assert any("ic_amplitude" in e for e in exc.value.errors)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "nu", "delta", "dt", "T", "epsilon",
+            "ic_target_norm", "ic_cutoff", "ic_exponent",
+            "forcing_target_norm", "forcing_cutoff", "forcing_exponent",
+        ],
+    )
+    def test_non_finite_number_rejected(self, key, value):
+        keys = {
+            "K": "16", "nu": "1.0", "delta": "0.5", "N": "2",
+            "ic": "random_spectrum", "forcing": "random_spectrum",
+        }
+        keys[key] = value
+        text = "".join(f"{k} = {v}\n" for k, v in keys.items())
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert exc.value.errors == [f"{key}: expected a finite number, got {value!r}"]
+
+    def test_non_finite_amplitude_rejected(self):
+        text = MINIMAL + "ic = single_mode\nic_k = 1,0,0\nic_amplitude = 0,nan,0\n"
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert exc.value.errors == [
+            "ic_amplitude: expected three comma-separated finite numbers, got '0,nan,0'"
+        ]
+
 
 class TestGenerateIC:
     def test_zero_spec(self, grid16):

@@ -1,0 +1,145 @@
+"""The table-driven operators against their closed forms, byte for byte.
+
+The references in `deconvbox.verify` evaluate the closed forms on the
+grid's integer, float and bool arrays; the operators use cached complex
+tables and in-place updates. Bytes are compared, so a -0.0 where the
+reference has 0.0 fails too.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from deconvbox import FilterParams, ModelParams, leray_project, make_grid, make_state, step
+from deconvbox.config import _random_raw
+from deconvbox.deconv import _hn_table
+from deconvbox.solver import _half_decay, _squared_norms
+from deconvbox.spectral import (
+    DEALIAS_RULES,
+    SpectralVectorField,
+    _complex_lattice,
+    _lattice,
+    _mask_table,
+    _sobolev_weight,
+    sobolev_norm,
+)
+from deconvbox.verify import (
+    _leray_reference,
+    _sobolev_reference,
+    _step_reference,
+    _truncation_reference,
+)
+
+KS = (4, 6, 8, 12, 14, 16, 32)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def unmasked_field(grid, rng):
+    shape = (3,) + grid.spectral_shape
+    return SpectralVectorField(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def forced_start(grid, rng, nu=0.3, dt=0.01, delta=0.7, order=3):
+    model = ModelParams(
+        nu=nu, filters=FilterParams(delta, order), forcing=leray_project(_random_raw(grid, rng))
+    )
+    return model, make_state(0.0, leray_project(_random_raw(grid, rng)), model), dt
+
+
+def assert_step_matches(state, model, dt):
+    got = step(state, model, dt)
+    want_w, want_hn_w = _step_reference(state, model, dt)
+    assert got.w.coeff.tobytes() == want_w.tobytes()
+    assert got.hn_w.coeff.tobytes() == want_hn_w.tobytes()
+
+
+def assert_norms_match(w):
+    h1_sq, h0_sq, aw_sq = _squared_norms(w, sampled=True)
+    want = [_sobolev_reference(w, s) ** 2 for s in (1.0, 0.0, 2.0)]
+    assert np.array([h1_sq, h0_sq, aw_sq]).tobytes() == np.array(want).tobytes()
+    assert _squared_norms(w, sampled=False) == (h1_sq, None, None)
+    for s in (-1.0, 0.0, 0.5, 1.0, 2.0):
+        assert np.float64(sobolev_norm(w, s)).tobytes() == np.float64(
+            _sobolev_reference(w, s)
+        ).tobytes()
+
+
+@pytest.mark.parametrize("rule", DEALIAS_RULES)
+@pytest.mark.parametrize("K", KS)
+class TestBytesEqualClosedForms:
+    @settings(max_examples=3, deadline=None)
+    @given(seed=SEEDS)
+    def test_leray_project(self, K, rule, seed):
+        raw = unmasked_field(make_grid(K, rule), np.random.default_rng(seed))
+        assert leray_project(raw).coeff.tobytes() == _leray_reference(raw).tobytes()
+
+    @settings(max_examples=3, deadline=None)
+    @given(seed=SEEDS)
+    def test_filter_apply(self, K, rule, seed):
+        raw = unmasked_field(make_grid(K, rule), np.random.default_rng(seed))
+        filters = FilterParams(0.7, 3)
+        assert filters.apply(raw).coeff.tobytes() == _truncation_reference(raw, filters).tobytes()
+
+    @settings(max_examples=3, deadline=None)
+    @given(seed=SEEDS)
+    def test_norms(self, K, rule, seed):
+        assert_norms_match(unmasked_field(make_grid(K, rule), np.random.default_rng(seed)))
+
+    @settings(max_examples=3, deadline=None)
+    @given(seed=SEEDS)
+    def test_step(self, K, rule, seed):
+        model, state, dt = forced_start(make_grid(K, rule), np.random.default_rng(seed))
+        assert_step_matches(state, model, dt)
+
+
+def test_step_output_has_signed_zeros():
+    # Why bytes are compared: the masked modes of a stepped state hold
+    # -0.0 as well as 0.0, and the snapshot and benchmark digests hash them.
+    model, state, dt = forced_start(make_grid(16), np.random.default_rng(5))
+    w = step(state, model, dt).w.coeff
+    zeros = np.concatenate([w.real[w.real == 0.0], w.imag[w.imag == 0.0]])
+    assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+
+
+def test_interleaved_models_use_their_own_tables():
+    # Models that differ in one table key at one K, stepped in turn: a
+    # table cached under too few keys would serve one model another's.
+    K = 8
+    rng = np.random.default_rng(11)
+    base = dict(nu=0.3, dt=0.01, delta=0.7, order=3)
+    variants = [
+        ("two_thirds", base),
+        ("two_thirds", {**base, "nu": 0.5}),
+        ("two_thirds", {**base, "dt": 0.02}),
+        ("two_thirds", {**base, "delta": 0.4}),
+        ("two_thirds", {**base, "order": 1}),
+        ("none", base),
+    ]
+    cases = [forced_start(make_grid(K, rule), rng, **keys) for rule, keys in variants]
+    for _ in range(2):
+        for model, state, dt in cases:
+            assert_step_matches(state, model, dt)
+            raw = unmasked_field(state.w.grid, rng)
+            want = _truncation_reference(raw, model.filters)
+            assert model.filters.apply(raw).coeff.tobytes() == want.tobytes()
+            assert leray_project(raw).coeff.tobytes() == _leray_reference(raw).tobytes()
+            assert_norms_match(state.w)
+
+
+@pytest.mark.parametrize(
+    "tables",
+    [
+        lambda: _lattice(8),
+        lambda: _complex_lattice(8),
+        lambda: (_mask_table(8, 2),),
+        lambda: (_sobolev_weight(8, 2.0), _sobolev_weight(8, -1.0)),
+        lambda: (_hn_table(8, 0.7, 3),),
+        lambda: (_half_decay(8, 0.3, 0.01),),
+    ],
+    ids=["lattice", "complex_lattice", "mask", "sobolev_weight", "hn", "half_decay"],
+)
+def test_cached_tables_are_read_only(tables):
+    for table in tables():
+        with pytest.raises(ValueError):
+            table[...] = 0
