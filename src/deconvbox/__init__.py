@@ -66,7 +66,6 @@ from .spectral import (
     leray_project,
     make_grid,
     nonlinear_term,
-    scale_modes,
     smallest_eigenvalue,
     sobolev_norm,
     stokes_apply,

@@ -128,15 +128,19 @@ def _write_probe_csv(report, path) -> None:
 
 
 def _cmd_deconv_table(args) -> int:
-    if args.k2max <= 0.0:
-        raise ConfigError(["k2max: must be positive"])
+    if not (math.isfinite(args.k2max) and args.k2max > 0.0):
+        raise ConfigError([f"k2max: must be finite and positive, got {args.k2max!r}"])
     if args.K is not None:
         K = args.K
     else:
         K = 3 * math.ceil(math.sqrt(args.k2max)) + 2
         K += K % 2
     grid = make_grid(K, "two_thirds")
-    table = SymbolTable.build(grid, args.delta, args.N)
+    try:
+        table = SymbolTable.build(grid, args.delta, args.N)
+    except RuntimeError as err:
+        print(f"numerical failure: {err}", file=sys.stderr)
+        return EXIT_NUMERICAL
     lines = ["k2,g,hn"]
     for k2, g, hn in table.rows():
         if k2 <= args.k2max + 1e-12:

@@ -19,15 +19,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import SpectralVectorField, WaveGrid, _lattice, _read_only, scale_modes
+from .spectral import SpectralVectorField, WaveGrid, _read_only
 
 MAX_DECONV_ORDER = 64
 
 
 def _check_delta(delta: float) -> float:
     delta = float(delta)
-    if not delta > 0.0:
-        raise ValueError(f"filter width delta must be positive, got {delta}")
+    if not (delta > 0.0 and np.isfinite(delta)):
+        raise ValueError(f"filter width delta must be positive and finite, got {delta}")
     return delta
 
 
@@ -57,7 +57,7 @@ class FilterParams:
 
         Byte-identical to truncation_hn(w, delta, order).
         """
-        return scale_modes(w, _hn_table(w.grid.K, self.delta, self.order))
+        return SpectralVectorField(w.grid, w.coeff * _hn_table(w.grid, self.delta, self.order))
 
 
 def g_symbol(k2, delta: float):
@@ -96,12 +96,12 @@ def helmholtz_filter(w: SpectralVectorField, delta: float) -> SpectralVectorFiel
     preserved and the pressure-like term of the filtering problem vanishes
     identically on the periodic box.
     """
-    return scale_modes(w, g_symbol(w.grid.ksq, delta))
+    return SpectralVectorField(w.grid, w.coeff * g_symbol(w.grid.ksq, delta))
 
 
 def truncation_hn(w: SpectralVectorField, delta: float, order: int) -> SpectralVectorField:
     """Apply H_N = D_N o G through its closed-form symbol."""
-    return scale_modes(w, hn_symbol(w.grid.ksq, delta, order))
+    return SpectralVectorField(w.grid, w.coeff * hn_symbol(w.grid.ksq, delta, order))
 
 
 def van_cittert_apply(w: SpectralVectorField, delta: float, order: int) -> SpectralVectorField:
@@ -123,9 +123,9 @@ def van_cittert_apply(w: SpectralVectorField, delta: float, order: int) -> Spect
 
 
 @lru_cache(maxsize=16)
-def _hn_table(K: int, delta: float, order: int) -> np.ndarray:
-    """hn_symbol over the resolution-K lattice as a read-only complex128 table."""
-    table = hn_symbol(_lattice(K)[3], delta, order).astype(np.complex128)
+def _hn_table(grid: WaveGrid, delta: float, order: int) -> np.ndarray:
+    """hn_symbol over the grid's lattice as a read-only complex128 table."""
+    table = hn_symbol(grid.ksq, delta, order).astype(np.complex128)
     _read_only(table)
     return table
 
@@ -168,10 +168,11 @@ class SymbolTable:
     @classmethod
     def build(cls, grid: WaveGrid, delta: float, order: int) -> "SymbolTable":
         k2 = np.unique(grid.ksq[grid.mask])
-        g = g_symbol(k2, delta)
-        hn = hn_symbol(k2, delta, order)
-        if np.any(g <= 0.0) or np.any(g > 1.0) or np.any(hn <= 0.0) or np.any(hn > 1.0):
-            raise RuntimeError("symbol values escaped (0, 1]")
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the check
+            g = g_symbol(k2, delta)
+            hn = hn_symbol(k2, delta, order)
+        if not np.all((g > 0.0) & (g <= 1.0) & (hn > 0.0) & (hn <= 1.0)):
+            raise RuntimeError(f"symbol values escaped (0, 1] at delta={delta!r}, N={order!r}")
         return cls(delta=float(delta), order=int(order), k2=k2, g=g, hn=hn)
 
     def rows(self):

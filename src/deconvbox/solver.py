@@ -29,7 +29,6 @@ from .deconv import FilterParams
 from .spectral import (
     SpectralVectorField,
     WaveGrid,
-    _lattice,
     _mode_energy,
     _norm_from_energy,
     _read_only,
@@ -183,7 +182,7 @@ def step(state: SolverState, params: ModelParams, dt: float) -> SolverState:
         raise ValueError(f"dt must be positive, got {dt}")
     grid = state.w.grid
     w = state.w.coeff
-    decay_half = _half_decay(grid.K, params.nu, dt)
+    decay_half = _half_decay(grid, params.nu, dt)
     # In place, in the operand order of
     #   mid = decay_half * (w + (dt/2) k1)
     #   new = decay_half * (decay_half * w) + dt * (decay_half * k2),
@@ -210,9 +209,9 @@ def step(state: SolverState, params: ModelParams, dt: float) -> SolverState:
 
 
 @lru_cache(maxsize=16)
-def _half_decay(K: int, nu: float, dt: float) -> np.ndarray:
+def _half_decay(grid: WaveGrid, nu: float, dt: float) -> np.ndarray:
     """The half-step viscous factor exp(-nu |k|^2 dt / 2) as a read-only complex table."""
-    table = np.exp(-nu * _lattice(K)[3] * (0.5 * dt)).astype(np.complex128)
+    table = np.exp(-nu * grid.ksq * (0.5 * dt)).astype(np.complex128)
     _read_only(table)
     return table
 
@@ -256,16 +255,7 @@ class Trajectory:
                 raise ValueError(f"column {name} must be nonnegative")
 
     def columns(self) -> dict[str, np.ndarray]:
-        return {
-            "t": self.t,
-            "h0_sq": self.h0_sq,
-            "h1_sq": self.h1_sq,
-            "aw_sq": self.aw_sq,
-            "dissipation_integral": self.dissipation_integral,
-            "work_integral": self.work_integral,
-            "energy_residual": self.energy_residual,
-            "absorb_bound": self.absorb_bound,
-        }
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
     def __len__(self) -> int:
         return len(self.t)
@@ -405,16 +395,16 @@ class RefinementStudy:
 
 
 def energy_refinement_study(config, levels: int = 3, factor: int = 2) -> RefinementStudy:
-    """Halve dt `levels` times and report |energy_residual(T)| at each level."""
-    from dataclasses import replace
-
+    """Run at dt / factor**j for j < levels; report |energy_residual(T)| at each."""
     if levels < 2:
         raise ValueError("need at least two refinement levels")
+    if not factor > 1:
+        raise ValueError(f"refinement factor must exceed 1, got factor = {factor!r}")
     grid, params = _model_of(config)
     dts, residuals = [], []
     for j in range(levels):
         dt_j = config.dt / factor**j
-        traj = simulate(_with_model(replace(config, dt=dt_j), grid, params))
+        traj = simulate(_with_model(dataclasses.replace(config, dt=dt_j), grid, params))
         if len(traj) < 2:
             raise ValueError(f"horizon T = {config.T} takes no step of dt = {dt_j}")
         residual = abs(float(traj.energy_residual[-1]))

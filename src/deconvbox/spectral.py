@@ -43,6 +43,10 @@ SobolevIndex = float
 class WaveGrid:
     """Truncated integer wavenumber lattice for the 2*pi-periodic box.
 
+    make_grid builds one per (K, dealias rule); its arrays are read-only and
+    shared by all threads. The complex tables give the bytes of numpy's cast
+    in a complex multiply or divide without its per-call buffers.
+
     Attributes
     ----------
     K : int
@@ -63,6 +67,12 @@ class WaveGrid:
     mult : ndarray
         Lattice multiplicity of each stored mode (2 for interior k3
         columns that stand for a conjugate pair, else 1).
+    ck, ksq_safe, cmask : complex128 tables
+        kx, ky, kz; |k|^2 with the mean mode's 0 replaced by 1; mask.
+    col_flat, col_mask, col_ik : ndarray
+        For the pruned inverse, the (ky, kz) columns the mask keeps, laid out
+        (ky, kz, kx) (ky over 0..cut, K-cut..K-1; kz over 0..cut): the flat
+        rfft-layout index, the complex mask along kx and the factors 1j*k_i.
     """
 
     K: int
@@ -74,6 +84,12 @@ class WaveGrid:
     ksq: np.ndarray
     mask: np.ndarray
     mult: np.ndarray
+    ck: tuple[np.ndarray, np.ndarray, np.ndarray]
+    ksq_safe: np.ndarray
+    cmask: np.ndarray
+    col_flat: np.ndarray
+    col_mask: np.ndarray
+    col_ik: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -103,62 +119,15 @@ def _wavenumbers(K: int) -> np.ndarray:
     return np.concatenate((np.arange(K // 2), np.arange(-(K // 2), 0))).astype(np.int64)
 
 
-# -- per-K tables ----------------------------------------------------------------
-#
-# The step multiplies complex coefficients by |k|-dependent tables. numpy
-# casts a float, int or bool operand to complex128 before a complex
-# multiply or divide, so a table cast once gives the same bytes as the
-# cast numpy would make on every call, without the cast buffers and
-# temporaries. Every table is cached, read-only and shared by all threads.
-
-
 def _read_only(*arrays: np.ndarray) -> None:
     for arr in arrays:
         arr.setflags(write=False)
 
 
-@lru_cache(maxsize=8)
-def _lattice(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Integer kx, ky, kz shaped (K,1,1), (1,K,1), (1,1,K//2+1) and float |k|^2."""
-    half = K // 2 + 1
-    k_line = _wavenumbers(K)
-    kx = k_line.reshape(K, 1, 1)
-    ky = k_line.reshape(1, K, 1)
-    kz = np.arange(half, dtype=np.int64).reshape(1, 1, half)
-    ksq = (kx.astype(np.float64)) ** 2 + (ky.astype(np.float64)) ** 2 + (
-        kz.astype(np.float64)
-    ) ** 2
-    _read_only(kx, ky, kz, ksq)
-    return kx, ky, kz, ksq
-
-
-def _retained(kx: np.ndarray, ky: np.ndarray, kz: np.ndarray, cut: int) -> np.ndarray:
-    return (np.abs(kx) <= cut) & (np.abs(ky) <= cut) & (np.abs(kz) <= cut)
-
-
-@lru_cache(maxsize=8)
-def _complex_lattice(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """kx, ky, kz and |k|^2 with the mean mode's 0 replaced by 1, as complex128."""
-    kx, ky, kz, ksq = _lattice(K)
-    tables = tuple(
-        a.astype(np.complex128) for a in (kx, ky, kz, np.where(ksq > 0.0, ksq, 1.0))
-    )
-    _read_only(*tables)
-    return tables
-
-
 @lru_cache(maxsize=16)
-def _mask_table(K: int, cut: int) -> np.ndarray:
-    """The dealias mask keeping |k_i| <= cut, as complex128 ones and zeros."""
-    table = _retained(*_lattice(K)[:3], cut).astype(np.complex128)
-    _read_only(table)
-    return table
-
-
-@lru_cache(maxsize=16)
-def _sobolev_weight(K: int, s: float) -> np.ndarray:
+def _sobolev_weight(grid: WaveGrid, s: float) -> np.ndarray:
     """|k|^(2s) per stored mode; for s < 0 the mean mode's |k|^2 counts as 1."""
-    ksq = _lattice(K)[3]
+    ksq = grid.ksq
     table = ksq**s if s > 0 else np.where(ksq > 0.0, ksq, 1.0) ** s
     _read_only(table)
     return table
@@ -185,23 +154,34 @@ def make_grid(K: int, dealias_rule: str = "two_thirds") -> WaveGrid:
         raise ValueError(
             f"dealias_rule must be one of {DEALIAS_RULES}, got {dealias_rule!r}"
         )
+    return _grid(int(K), dealias_rule)
 
+
+@lru_cache(maxsize=8)
+def _grid(K: int, dealias_rule: str) -> WaveGrid:
     half = K // 2 + 1
-    kx, ky, kz, ksq = _lattice(K)
+    k_line = _wavenumbers(K)
+    kx = k_line.reshape(K, 1, 1)
+    ky = k_line.reshape(1, K, 1)
+    kz = np.arange(half, dtype=np.int64).reshape(1, 1, half)
+    ksq = (kx.astype(np.float64)) ** 2 + (ky.astype(np.float64)) ** 2 + (
+        kz.astype(np.float64)
+    ) ** 2
     if dealias_rule == "two_thirds":
         cut = (K - 1) // 3
     else:
         cut = K // 2 - 1
-    mask = _retained(kx, ky, kz, cut)
+    mask = (np.abs(kx) <= cut) & (np.abs(ky) <= cut) & (np.abs(kz) <= cut)
 
     mult = np.ones((K, K, half), dtype=np.float64)
     mult[:, :, 1 : K // 2] = 2.0
 
-    for arr in (mask, mult):
-        arr.setflags(write=False)
+    iy = np.r_[0 : cut + 1, K - cut : K].reshape(-1, 1, 1)
+    iz = np.arange(cut + 1).reshape(1, -1, 1)
+    ix = np.arange(K).reshape(1, 1, K)
 
-    return WaveGrid(
-        K=int(K),
+    grid = WaveGrid(
+        K=K,
         dealias_rule=dealias_rule,
         cut=cut,
         kx=kx,
@@ -210,7 +190,16 @@ def make_grid(K: int, dealias_rule: str = "two_thirds") -> WaveGrid:
         ksq=ksq,
         mask=mask,
         mult=mult,
+        ck=tuple(k.astype(np.complex128) for k in (kx, ky, kz)),
+        ksq_safe=np.where(ksq > 0.0, ksq, 1.0).astype(np.complex128),
+        cmask=mask.astype(np.complex128),
+        col_flat=(ix * K + iy) * half + iz,
+        col_mask=(np.abs(k_line[ix]) <= cut).astype(np.complex128),
+        col_ik=(1j * k_line[ix], 1j * k_line[iy], 1j * iz),
     )
+    _read_only(kx, ky, kz, ksq, mask, mult, *grid.ck, grid.ksq_safe, grid.cmask)
+    _read_only(grid.col_flat, grid.col_mask, *grid.col_ik)
+    return grid
 
 
 @dataclass(eq=False)
@@ -293,21 +282,12 @@ class SpectralVectorField:
     def copy(self) -> "SpectralVectorField":
         return SpectralVectorField(self.grid, self.coeff.copy())
 
-    def __add__(self, other: "SpectralVectorField") -> "SpectralVectorField":
-        _require_same_grid(self, other)
-        return SpectralVectorField(self.grid, self.coeff + other.coeff)
-
     def __sub__(self, other: "SpectralVectorField") -> "SpectralVectorField":
         _require_same_grid(self, other)
         return SpectralVectorField(self.grid, self.coeff - other.coeff)
 
     def __mul__(self, scalar: float) -> "SpectralVectorField":
         return SpectralVectorField(self.grid, self.coeff * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "SpectralVectorField":
-        return SpectralVectorField(self.grid, -self.coeff)
 
     # -- transforms ----------------------------------------------------------
 
@@ -323,11 +303,6 @@ def _require_same_grid(a: SpectralVectorField, b: SpectralVectorField) -> None:
         a.grid.K != b.grid.K or a.grid.dealias_rule != b.grid.dealias_rule
     ):
         raise ValueError("fields live on different grids")
-
-
-def scale_modes(w: SpectralVectorField, factor: np.ndarray) -> SpectralVectorField:
-    """Multiply every mode by a real, |k|-dependent factor array (K,K,K//2+1)."""
-    return SpectralVectorField(w.grid, w.coeff * factor)
 
 
 # -- norms and inner products --------------------------------------------------
@@ -349,7 +324,7 @@ def _norm_from_energy(amp2: np.ndarray, grid: WaveGrid, s: SobolevIndex) -> floa
     """The H_s norm from _mode_energy's array; s <= 0 zeroes its mean entry."""
     if s <= 0:
         amp2[0, 0, 0] = 0.0
-    total = amp2.sum() if s == 0 else (amp2 * _sobolev_weight(grid.K, s)).sum()
+    total = amp2.sum() if s == 0 else (amp2 * _sobolev_weight(grid, s)).sum()
     return float(np.sqrt(total))
 
 
@@ -384,7 +359,7 @@ def leray_project(w_raw: SpectralVectorField) -> SpectralVectorField:
     """
     grid = w_raw.grid
     c = w_raw.coeff
-    k = _complex_lattice(grid.K)
+    k = grid.ck
     # dot = (kx c0 + ky c1 + kz c2) / |k|^2, the operand order of the
     # closed form, so the bytes equal it.
     dot = np.multiply(k[0], c[0])
@@ -392,7 +367,7 @@ def leray_project(w_raw: SpectralVectorField) -> SpectralVectorField:
     dot += tmp
     np.multiply(k[2], c[2], out=tmp)
     dot += tmp
-    dot /= k[3]
+    dot /= grid.ksq_safe
     out = np.empty_like(c)
     for i in range(3):
         np.multiply(k[i], dot, out=tmp)
@@ -413,27 +388,6 @@ def smallest_eigenvalue(grid: WaveGrid) -> float:
     return float(vals.min())
 
 
-def _retained_columns(
-    K: int, cut: int
-) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The (ky, kz) columns the dealias mask keeps, laid out (ky, kz, kx).
-
-    ky runs over 0..cut then K-cut..K-1 and kz over 0..cut. Returns the
-    flat rfft-layout index of every entry (shape (2*cut+1, cut+1, K)), the
-    mask (complex ones and zeros) and the derivative factors 1j*k_i
-    broadcastable against it.
-    """
-    half = K // 2 + 1
-    k_line = _wavenumbers(K)
-    iy = np.r_[0 : cut + 1, K - cut : K].reshape(-1, 1, 1)
-    iz = np.arange(cut + 1).reshape(1, -1, 1)
-    ix = np.arange(K).reshape(1, 1, K)
-    flat = (ix * K + iy) * half + iz
-    mask = (np.abs(k_line[ix]) <= cut).astype(np.complex128)
-    ik = (1j * k_line[ix], 1j * k_line[iy], 1j * iz)
-    return flat, mask, ik
-
-
 class _Workspace:
     """One thread's buffers for the convective term at one (K, cut).
 
@@ -442,12 +396,12 @@ class _Workspace:
     phys hold one block of `planes` x-planes; conv and chat are full size.
     """
 
-    def __init__(self, K: int, cut: int) -> None:
+    def __init__(self, grid: WaveGrid) -> None:
+        K, cut = grid.K, grid.cut
         half = K // 2 + 1
         self.key = (K, cut)
-        self.flat, self.mask, self.ik = _retained_columns(K, cut)
         self.planes = min(K, max(1, _BLOCK_BYTES // (12 * K * K * 8)))
-        self.stack = np.empty((12,) + self.flat.shape, dtype=np.complex128)
+        self.stack = np.empty((12,) + grid.col_flat.shape, dtype=np.complex128)
         self.by_ky = np.zeros((12, K, cut + 1, K), dtype=np.complex128)
         self.by_kz = np.zeros((12, self.planes, K, half), dtype=np.complex128)
         self.phys = np.empty((12, self.planes, K, K))
@@ -464,7 +418,7 @@ def _workspace(grid: WaveGrid) -> _Workspace:
     """This thread's workspace for grid, rebuilt when K or the cut changes."""
     ws = getattr(_local, "workspace", None)
     if ws is None or ws.key != (grid.K, grid.cut):
-        ws = _local.workspace = _Workspace(grid.K, grid.cut)
+        ws = _local.workspace = _Workspace(grid)
     return ws
 
 
@@ -487,12 +441,12 @@ def _physical_blocks(
     stack = ws.stack
     # v's masked columns land in channels 3:6, which are differentiated
     # last, in place. mode="clip" keeps take from buffering its output.
-    np.take(v.coeff.reshape(3, -1), ws.flat, axis=1, out=stack[3:6], mode="clip")
-    np.multiply(stack[3:6], ws.mask, out=stack[3:6])
+    np.take(v.coeff.reshape(3, -1), grid.col_flat, axis=1, out=stack[3:6], mode="clip")
+    np.multiply(stack[3:6], grid.col_mask, out=stack[3:6])
     for i in (2, 1, 0):
-        np.multiply(ws.ik[i], stack[3:6], out=stack[3 + 3 * i : 6 + 3 * i])
-    np.take(u.coeff.reshape(3, -1), ws.flat, axis=1, out=stack[0:3], mode="clip")
-    np.multiply(stack[0:3], ws.mask, out=stack[0:3])
+        np.multiply(grid.col_ik[i], stack[3:6], out=stack[3 + 3 * i : 6 + 3 * i])
+    np.take(u.coeff.reshape(3, -1), grid.col_flat, axis=1, out=stack[0:3], mode="clip")
+    np.multiply(stack[0:3], grid.col_mask, out=stack[0:3])
 
     # kx pass into (x, kz, ky) order.
     view = ws.by_ky.transpose(0, 3, 2, 1)
@@ -544,7 +498,7 @@ def trilinear_b(
     grid = u.grid
     K = grid.K
     w_phys = np.fft.irfftn(
-        w.coeff * _mask_table(K, grid.cut), s=grid.shape, axes=(1, 2, 3)
+        w.coeff * grid.cmask, s=grid.shape, axes=(1, 2, 3)
     ) * grid.n_points
     integrand = np.empty(grid.shape)
     for xs, block in _physical_blocks(_workspace(grid), u, v):
@@ -581,7 +535,7 @@ def nonlinear_term(u: SpectralVectorField, w: SpectralVectorField) -> SpectralVe
         )
     chat = np.fft.rfftn(ws.conv, axes=(1, 2, 3), out=ws.chat)
     chat /= grid.n_points
-    chat *= _mask_table(K, grid.cut)
+    chat *= grid.cmask
     chat[:, 0, 0, 0] = 0.0
     return leray_project(SpectralVectorField(grid, chat))
 
@@ -592,7 +546,6 @@ __all__ = [
     "WaveGrid",
     "SpectralVectorField",
     "make_grid",
-    "scale_modes",
     "sobolev_norm",
     "inner_product",
     "divergence_error",

@@ -11,25 +11,16 @@ Round trips are bit-exact.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
 
 from .deconv import FilterParams
 from .solver import ModelParams, SolverState, Trajectory, make_state
-from .spectral import SpectralVectorField, WaveGrid, _wavenumbers, make_grid
+from .spectral import SpectralVectorField, WaveGrid, make_grid
 
-TIMESERIES_COLUMNS = (
-    "t",
-    "h0_sq",
-    "h1_sq",
-    "aw_sq",
-    "dissipation_integral",
-    "work_integral",
-    "energy_residual",
-    "absorb_bound",
-)
+TIMESERIES_COLUMNS = tuple(f.name for f in fields(Trajectory))
 TIMESERIES_HEADER = ",".join(TIMESERIES_COLUMNS)
 
 SNAPSHOT_MAGIC = b"DCNVSNAP"
@@ -86,13 +77,9 @@ class SnapshotMeta:
 
 
 @lru_cache(maxsize=8)
-def _canonical_order(K: int) -> tuple[np.ndarray, np.ndarray]:
+def _canonical_order(grid: WaveGrid) -> tuple[np.ndarray, np.ndarray]:
     """Permutation taking flattened rfft-layout modes to (k1,k2,k3)-lex order."""
-    half = K // 2 + 1
-    k_line = _wavenumbers(K)
-    k1 = np.broadcast_to(k_line.reshape(K, 1, 1), (K, K, half)).ravel()
-    k2 = np.broadcast_to(k_line.reshape(1, K, 1), (K, K, half)).ravel()
-    k3 = np.broadcast_to(np.arange(half).reshape(1, 1, half), (K, K, half)).ravel()
+    k1, k2, k3 = (np.broadcast_to(k, grid.spectral_shape).ravel() for k in grid.kvec)
     order = np.lexsort((k3, k2, k1))  # last key is primary
     inverse = np.empty_like(order)
     inverse[order] = np.arange(order.size)
@@ -102,7 +89,7 @@ def _canonical_order(K: int) -> tuple[np.ndarray, np.ndarray]:
 def write_snapshot(state: SolverState, params: ModelParams, path) -> None:
     """Write the full state (half-spectrum) in the canonical mode ordering."""
     grid = state.w.grid
-    order, _ = _canonical_order(grid.K)
+    order, _ = _canonical_order(grid)
     header = _HEADER_STRUCT.pack(
         SNAPSHOT_MAGIC,
         SNAPSHOT_VERSION,
@@ -178,7 +165,7 @@ def read_snapshot(
         raise ValueError(
             f"snapshot payload is {problem} ({len(blob)} bytes, expected {expected})"
         )
-    _, inverse = _canonical_order(grid.K)
+    _, inverse = _canonical_order(grid)
     payload = np.frombuffer(blob, dtype="<c16").reshape(n_modes, 3)
     coeff = np.ascontiguousarray(
         payload[inverse].T.reshape((3,) + grid.spectral_shape)

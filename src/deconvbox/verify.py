@@ -29,7 +29,6 @@ from .spectral import (
     inner_product,
     leray_project,
     make_grid,
-    scale_modes,
     sobolev_norm,
     stokes_apply,
     trilinear_b,

@@ -143,6 +143,26 @@ class TestOtherCommands:
         assert rows[1.0][1] == pytest.approx(0.75, abs=1e-15)
         assert max(rows) <= 4.0
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--delta", "1", "--k2max", "inf"], ["--delta", "1", "--k2max", "nan", "--K", "8"]],
+    )
+    def test_deconv_table_non_finite_k2max_exits_1(self, flags, capsys):
+        assert cli_main(["deconv-table", "--N", "1", *flags]) == 1
+        assert "k2max: must be finite and positive" in capsys.readouterr().err
+
+    def test_deconv_table_infinite_delta_exits_1(self, capsys):
+        assert cli_main(["deconv-table", "--delta", "inf", "--N", "1", "--K", "8"]) == 1
+        assert "delta must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    def test_deconv_table_symbol_failure_exits_2(self, capsys):
+        # delta^2 |k|^2 overflows, so H_N rounds to 0 outside (0, 1].
+        assert cli_main(["deconv-table", "--delta", "1e308", "--N", "1", "--K", "8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "symbol values escaped" in captured.err
+
     def test_verify_operators_passes(self, capsys):
         assert cli_main(["verify-operators", "--K", "8"]) == 0
         out = capsys.readouterr().out

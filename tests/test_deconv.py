@@ -208,6 +208,16 @@ class TestFilterParams:
         with pytest.raises(ValueError):
             FilterParams(1.0, 65)
 
+    @pytest.mark.parametrize("delta", [np.inf, np.nan, -np.inf])
+    def test_non_finite_delta_rejected(self, delta):
+        for build in (
+            lambda: FilterParams(delta, 1),
+            lambda: g_symbol(1.0, delta),
+            lambda: hn_symbol(1.0, delta, 1),
+        ):
+            with pytest.raises(ValueError, match="delta must be positive and finite"):
+                build()
+
     def test_apply_matches_truncation(self, grid16):
         w = random_div_free(grid16, seed=38)
         fp = FilterParams(0.5, 2)

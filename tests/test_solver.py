@@ -211,6 +211,12 @@ class TestEnergyResidual:
         with pytest.raises(ValueError, match="no step"):
             energy_refinement_study(cfg, levels=2)
 
+    @pytest.mark.parametrize("factor", [1, 0])
+    def test_refinement_factor_must_exceed_1(self, factor):
+        cfg = SolverConfig(K=8, nu=1.0, delta=1.0, order=0, dt=0.01, T=0.05)
+        with pytest.raises(ValueError, match="factor"):
+            energy_refinement_study(cfg, levels=2, factor=factor)
+
     def test_zero_residual_has_no_order(self):
         cfg = SolverConfig(K=8, nu=1.0, delta=1.0, order=0, dt=0.01, T=0.05)
         msg = r"exactly 0 at dt = 0\.01, so the observed order is undefined"

@@ -132,7 +132,7 @@ class TestSnapshot:
     @pytest.mark.parametrize("K", [14, 18, 24])
     def test_canonical_order_sorts_exact_wavevectors(self, K):
         # K where np.fft.fftfreq(K) * K truncates to a wrong lattice.
-        order, inverse = _canonical_order(K)
+        order, inverse = _canonical_order(make_grid(K))
         half = K // 2 + 1
         line = np.r_[0 : K // 2, -(K // 2) : 0]
         k1, k2, k3 = (

@@ -1,9 +1,9 @@
 """The table-driven operators against their closed forms, byte for byte.
 
 The references in `deconvbox.verify` evaluate the closed forms on the
-grid's integer, float and bool arrays; the operators use cached complex
-tables and in-place updates. Bytes are compared, so a -0.0 where the
-reference has 0.0 fails too.
+grid's integer, float and bool arrays; the operators use the complex
+tables of the grid and of the table caches, and in-place updates. Bytes
+are compared, so a -0.0 where the reference has 0.0 fails too.
 """
 
 import numpy as np
@@ -11,16 +11,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deconvbox import FilterParams, ModelParams, leray_project, make_grid, make_state, step
-from deconvbox.config import _random_raw
+from deconvbox import (
+    FilterParams,
+    ModelParams,
+    SolverConfig,
+    build_model,
+    initial_state,
+    leray_project,
+    make_grid,
+    make_state,
+    step,
+)
+from deconvbox.config import FieldSpec, _random_raw
 from deconvbox.deconv import _hn_table
 from deconvbox.solver import _half_decay, _squared_norms
 from deconvbox.spectral import (
     DEALIAS_RULES,
     SpectralVectorField,
-    _complex_lattice,
-    _lattice,
-    _mask_table,
+    _grid,
     _sobolev_weight,
     sobolev_norm,
 )
@@ -130,16 +138,48 @@ def test_interleaved_models_use_their_own_tables():
 @pytest.mark.parametrize(
     "tables",
     [
-        lambda: _lattice(8),
-        lambda: _complex_lattice(8),
-        lambda: (_mask_table(8, 2),),
-        lambda: (_sobolev_weight(8, 2.0), _sobolev_weight(8, -1.0)),
-        lambda: (_hn_table(8, 0.7, 3),),
-        lambda: (_half_decay(8, 0.3, 0.01),),
+        lambda g: (g.kx, g.ky, g.kz, g.ksq, g.mask, g.mult),
+        lambda g: (*g.ck, g.ksq_safe),
+        lambda g: (g.cmask, g.col_flat, g.col_mask, *g.col_ik),
+        lambda g: (_sobolev_weight(g, 2.0), _sobolev_weight(g, -1.0)),
+        lambda g: (_hn_table(g, 0.7, 3),),
+        lambda g: (_half_decay(g, 0.3, 0.01),),
     ],
     ids=["lattice", "complex_lattice", "mask", "sobolev_weight", "hn", "half_decay"],
 )
 def test_cached_tables_are_read_only(tables):
-    for table in tables():
-        with pytest.raises(ValueError):
-            table[...] = 0
+    # The grid's tables and the three remaining table caches are shared
+    # by every run and thread at their key.
+    for rule in DEALIAS_RULES:
+        for table in tables(make_grid(8, rule)):
+            with pytest.raises(ValueError):
+                table[...] = 0
+
+
+def test_make_grid_returns_one_object_per_key():
+    K = 16
+    grid = make_grid(K)
+    assert make_grid(K, "two_thirds") is grid
+    assert make_grid(np.int64(K), "two_thirds") is grid
+    assert make_grid(K, dealias_rule="two_thirds") is grid
+    other = make_grid(K, "none")
+    assert other is not grid and make_grid(K, "none") is other
+
+
+@pytest.mark.parametrize("rule", DEALIAS_RULES)
+def test_a_run_builds_one_grid(rule):
+    # Every table of a run reads the run's own grid: a table cache that
+    # built its lattice through make_grid under another key would add one.
+    config = SolverConfig(
+        K=10,
+        nu=0.3,
+        delta=0.7,
+        order=3,
+        dealias=rule,
+        forcing=FieldSpec(kind="random_spectrum", seed=3, target_norm=0.5),
+    )
+    _grid.cache_clear()
+    grid, model = build_model(config)
+    state = initial_state(leray_project(_random_raw(grid, np.random.default_rng(4))), model)
+    step(state, model, 0.01)
+    assert _grid.cache_info().currsize == 1
