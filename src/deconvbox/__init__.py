@@ -9,7 +9,6 @@ energy balance, absorbing-ball diagnostics, and reproducible IO.
 
 from .attractor import (
     AbsorbingParams,
-    GronwallConstants,
     H1Report,
     ProbeMember,
     ProbeReport,

@@ -115,22 +115,6 @@ def uniform_gronwall(k1: float, k2: float, k3: float, r: float) -> float:
 
 
 @dataclass(frozen=True)
-class GronwallConstants:
-    """Window length r and the three windowed-integral constants."""
-
-    r: float
-    k1: float
-    k2: float
-    k3: float
-
-    def __post_init__(self) -> None:
-        uniform_gronwall(self.k1, self.k2, self.k3, self.r)  # validates
-
-    def bound(self) -> float:
-        return uniform_gronwall(self.k1, self.k2, self.k3, self.r)
-
-
-@dataclass(frozen=True)
 class WindowAverage:
     integral: float
     bound: float
@@ -193,9 +177,6 @@ class H1Report:
     nonincreasing: bool
     bounded: bool
     k2_empirical: float
-
-    def gronwall_bound(self, k2: float) -> float:
-        return uniform_gronwall(self.k1, k2, self.k3, self.window_length)
 
 
 def h1_absorbing_report(
@@ -407,7 +388,6 @@ def ensemble_absorb_probe(
 __all__ = [
     "BOUND_TOLERANCE",
     "AbsorbingParams",
-    "GronwallConstants",
     "WindowAverage",
     "H1Report",
     "ProbeMember",

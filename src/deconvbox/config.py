@@ -15,6 +15,7 @@ import numpy as np
 
 from .deconv import MAX_DECONV_ORDER, FilterParams
 from .spectral import (
+    DEALIAS_RULES,
     SpectralVectorField,
     WaveGrid,
     leray_project,
@@ -139,9 +140,6 @@ class _Reader:
         self.raw = raw
         self.errors = errors
 
-    def has(self, key: str) -> bool:
-        return key in self.raw
-
     def _get(self, key, conv, default, describe):
         if key not in self.raw:
             return default
@@ -251,8 +249,8 @@ def parse_config(text: str) -> SolverConfig:
             errors.append(f"K: must be at least 4, got {K}")
         elif K % 2 != 0:
             errors.append(f"K: must be even, got {K}")
-    if dealias not in ("two_thirds", "none"):
-        errors.append(f"dealias: must be two_thirds or none, got {dealias!r}")
+    if dealias not in DEALIAS_RULES:
+        errors.append(f"dealias: must be {' or '.join(DEALIAS_RULES)}, got {dealias!r}")
         dealias = "two_thirds"
     if nu is not None and nu <= 0.0:
         errors.append(f"nu: must be positive, got {nu}")

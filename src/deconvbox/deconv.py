@@ -60,13 +60,19 @@ class FilterParams:
         return SpectralVectorField(w.grid, w.coeff * _hn_table(w.grid, self.delta, self.order))
 
 
+def _scaled_k2(k2a: np.ndarray, delta: float) -> np.ndarray:
+    """delta^2 k2, kept at 0 for the mean mode when delta^2 overflows."""
+    with np.errstate(invalid="ignore"):
+        return np.where(k2a == 0.0, 0.0, delta * delta * k2a)
+
+
 def g_symbol(k2, delta: float):
     """Filter transfer function 1 / (1 + delta^2 k2); scalar or array."""
     delta = _check_delta(delta)
     k2a = np.asarray(k2, dtype=np.float64)
     if np.any(k2a < 0.0):
         raise ValueError("k2 must be nonnegative")
-    out = 1.0 / (1.0 + delta * delta * k2a)
+    out = 1.0 / (1.0 + _scaled_k2(k2a, delta))
     return float(out) if np.isscalar(k2) else out
 
 
@@ -82,7 +88,7 @@ def hn_symbol(k2, delta: float, order: int):
     k2a = np.asarray(k2, dtype=np.float64)
     if np.any(k2a < 0.0):
         raise ValueError("k2 must be nonnegative")
-    a = delta * delta * k2a
+    a = _scaled_k2(k2a, delta)
     with np.errstate(divide="ignore"):
         log_r = -np.log1p(1.0 / a)  # a = 0 -> log_r = -inf -> symbol 1
     out = -np.expm1((order + 1) * log_r)

@@ -303,7 +303,6 @@ def _squared_norms(w: SpectralVectorField, sampled: bool) -> tuple:
     if not sampled:
         return h1_sq, None, None
     aw_sq = _norm_from_energy(amp2, w.grid, 2.0) ** 2
-    # Last: the s = 0 norm zeroes amp2's mean entry.
     return h1_sq, _norm_from_energy(amp2, w.grid, 0.0) ** 2, aw_sq
 
 

@@ -317,13 +317,12 @@ def _mode_energy(w: SpectralVectorField) -> np.ndarray:
     """sum_i |what_i(k)|^2 per stored mode, times the lattice multiplicity."""
     amp2 = np.real(w.coeff * np.conj(w.coeff)).sum(axis=0)
     amp2 *= w.grid.mult
+    amp2[0, 0, 0] = 0.0  # the norms sum over the nonzero lattice
     return amp2
 
 
 def _norm_from_energy(amp2: np.ndarray, grid: WaveGrid, s: SobolevIndex) -> float:
-    """The H_s norm from _mode_energy's array; s <= 0 zeroes its mean entry."""
-    if s <= 0:
-        amp2[0, 0, 0] = 0.0
+    """The H_s norm from _mode_energy's array."""
     total = amp2.sum() if s == 0 else (amp2 * _sobolev_weight(grid, s)).sum()
     return float(np.sqrt(total))
 

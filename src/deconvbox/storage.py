@@ -3,16 +3,15 @@
 Time series use the fixed column layout below with shortest round-trip
 decimal floats, so read(write(traj)) reproduces the trajectory exactly.
 Snapshots are little-endian binary: a fixed header followed by the full
-stored half-spectrum in a canonical mode ordering (lexicographic over the
-signed wavevector (k1, k2, k3)), independent of the in-memory layout.
-Round trips are bit-exact.
+stored half-spectrum in a canonical mode ordering, lexicographic over the
+signed wavevector (k1, k2, k3): the rfft layout with the k1 and k2 axes
+fftshifted. It is independent of the in-memory layout; round trips are bit-exact.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, fields
-from functools import lru_cache
 
 import numpy as np
 
@@ -76,20 +75,9 @@ class SnapshotMeta:
     delta: float
 
 
-@lru_cache(maxsize=8)
-def _canonical_order(grid: WaveGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Permutation taking flattened rfft-layout modes to (k1,k2,k3)-lex order."""
-    k1, k2, k3 = (np.broadcast_to(k, grid.spectral_shape).ravel() for k in grid.kvec)
-    order = np.lexsort((k3, k2, k1))  # last key is primary
-    inverse = np.empty_like(order)
-    inverse[order] = np.arange(order.size)
-    return order, inverse
-
-
 def write_snapshot(state: SolverState, params: ModelParams, path) -> None:
     """Write the full state (half-spectrum) in the canonical mode ordering."""
     grid = state.w.grid
-    order, _ = _canonical_order(grid)
     header = _HEADER_STRUCT.pack(
         SNAPSHOT_MAGIC,
         SNAPSHOT_VERSION,
@@ -99,10 +87,11 @@ def write_snapshot(state: SolverState, params: ModelParams, path) -> None:
         params.nu,
         params.filters.delta,
     )
-    payload = state.w.coeff.reshape(3, -1).T[order]  # (n_modes, 3), canonical order
+    # (k1, k2, k3, component), canonical order
+    payload = np.fft.fftshift(np.moveaxis(state.w.coeff, 0, -1), axes=(0, 1))
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(payload, dtype="<c16").tobytes())
+        fh.write(payload.astype("<c16", copy=False).tobytes())
 
 
 def read_snapshot_meta(path) -> SnapshotMeta:
@@ -165,11 +154,10 @@ def read_snapshot(
         raise ValueError(
             f"snapshot payload is {problem} ({len(blob)} bytes, expected {expected})"
         )
-    _, inverse = _canonical_order(grid)
-    payload = np.frombuffer(blob, dtype="<c16").reshape(n_modes, 3)
+    payload = np.frombuffer(blob, dtype="<c16").reshape(grid.spectral_shape + (3,))
     coeff = np.ascontiguousarray(
-        payload[inverse].T.reshape((3,) + grid.spectral_shape)
-    ).astype(np.complex128)
+        np.moveaxis(np.fft.ifftshift(payload, axes=(0, 1)), -1, 0), dtype=np.complex128
+    )
     return make_state(meta.t, SpectralVectorField(grid, coeff), params)
 
 

@@ -6,7 +6,6 @@ import pytest
 from deconvbox import (
     AbsorbingParams,
     FieldSpec,
-    GronwallConstants,
     SolverConfig,
     absorbing_bound,
     absorbing_time,
@@ -100,11 +99,9 @@ class TestUniformGronwall:
         assert uniform_gronwall(1.0, 1.0, 2.0, 1.0) > base
         assert uniform_gronwall(1.0, 1.0, 1.0, 2.0) < base
 
-    def test_constants_container(self):
-        c = GronwallConstants(r=1.0, k1=1.0, k2=0.0, k3=1.0)
-        assert c.bound() == 2.0
-        with pytest.raises(ValueError):
-            GronwallConstants(r=-1.0, k1=1.0, k2=0.0, k3=1.0)
+    def test_rejects_negative_window(self):
+        with pytest.raises(ValueError, match="window length r must be positive"):
+            uniform_gronwall(1.0, 0.0, 1.0, -1.0)
 
 
 def decaying_shear_config(nu=1.0, T=2.0, dt=0.01, sample_every=1):

@@ -49,6 +49,11 @@ class TestParseConfig:
             parse_config(MINIMAL.replace("K = 16", "K = 15"))
         assert any("even" in e for e in exc.value.errors)
 
+    def test_unknown_dealias_rule_rejected(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(MINIMAL + "dealias = three_halves\n")
+        assert exc.value.errors == ["dealias: must be two_thirds or none, got 'three_halves'"]
+
     def test_all_errors_collected(self):
         text = "K = 15\nnu = -1\ndelta = 0\nN = 99\nwhatever = 3\n"
         with pytest.raises(ConfigError) as exc:

@@ -30,6 +30,11 @@ class TestGSymbol:
         # delta^2 k2 = 1 again, just at a different corner of the domain
         assert g_symbol(100.0, 0.1) == pytest.approx(0.5, rel=1e-15)
 
+    @pytest.mark.filterwarnings("error")
+    def test_mean_mode_when_delta_squared_overflows(self):
+        assert g_symbol(0.0, 1e200) == 1.0
+        assert g_symbol(np.array([0.0, 1.0]), 1e200).tolist() == [1.0, 0.0]
+
     def test_rejects_nonpositive_delta(self):
         with pytest.raises(ValueError):
             g_symbol(1.0, 0.0)
@@ -48,6 +53,11 @@ class TestHnSymbol:
     def test_mean_mode_for_any_order(self):
         for order in (0, 3, 20, 64):
             assert hn_symbol(0.0, 0.5, order) == 1.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_mean_mode_when_delta_squared_overflows(self):
+        assert hn_symbol(0.0, 1e200, 1) == 1.0
+        assert hn_symbol(np.array([0.0, 1.0]), 1e200, 1).tolist() == [1.0, 0.0]
 
     def test_matches_series_oracle(self):
         for k2 in (0.5, 1.0, 4.0, 33.0):

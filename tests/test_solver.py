@@ -193,6 +193,18 @@ class TestSimulate:
         assert len(exc.value.trajectory) >= 1
         assert exc.value.t_last >= 0.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_delta_squared_runs(self):
+        # delta^2 is inf: H_N is 1 on the mean mode and 0 elsewhere, so the
+        # run stays at zero instead of meeting a NaN mean-mode symbol.
+        cfg = SolverConfig(
+            K=8, nu=1.0, delta=1e200, order=1, dt=0.01, T=0.05,
+            ic=FieldSpec(kind="random_spectrum", seed=47, target_norm=1.0),
+        )
+        traj = simulate(cfg)
+        assert len(traj) == 6
+        assert np.all(traj.h0_sq == 0.0)
+
     def test_leray_alpha_reduction_at_order_zero(self, grid16):
         # N=0 turns the truncation into the plain filter, symbol-for-symbol
         hn = hn_symbol(grid16.ksq, 0.7, 0)

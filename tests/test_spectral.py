@@ -17,7 +17,12 @@ from deconvbox import (
     stokes_apply,
     trilinear_b,
 )
-from deconvbox.spectral import DEALIAS_RULES, _dealiased_physical_factors
+from deconvbox.spectral import (
+    DEALIAS_RULES,
+    _dealiased_physical_factors,
+    _mode_energy,
+    _norm_from_energy,
+)
 from deconvbox.verify import _irfftn_factors
 from oracles import hermitian_defect, random_div_free, trilinear_collocation
 
@@ -59,6 +64,19 @@ class TestSobolevNorm:
         w = shear_mode(grid16)
         # all energy at |k| = 1, so every H_s norm coincides
         assert sobolev_norm(w, -1.0) == pytest.approx(sobolev_norm(w, 0.0), rel=1e-14)
+
+    def test_norm_from_energy_writes_nothing(self, grid8):
+        # Unmasked, with a nonzero mean: the norms leave out the mean mode
+        # without writing into the mode-energy array they share.
+        rng = np.random.default_rng(7)
+        shape = (3,) + grid8.spectral_shape
+        w = SpectralVectorField(grid8, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        amp2 = _mode_energy(w)
+        before = amp2.tobytes()
+        amp2.setflags(write=False)
+        for s in (-1.0, 0.0, 1.0, 2.0):
+            assert _norm_from_energy(amp2, grid8, s) == sobolev_norm(w, s)
+        assert amp2.tobytes() == before
 
 
 class TestLerayProjection:

@@ -8,9 +8,11 @@ from deconvbox import (
     FilterParams,
     ModelParams,
     SolverConfig,
+    SpectralVectorField,
     Trajectory,
     initial_state,
     make_grid,
+    make_state,
     read_snapshot,
     read_snapshot_meta,
     read_timeseries,
@@ -19,7 +21,7 @@ from deconvbox import (
     write_snapshot,
     write_timeseries,
 )
-from deconvbox.storage import SNAPSHOT_MAGIC, TIMESERIES_HEADER, _canonical_order
+from deconvbox.storage import _HEADER_STRUCT, SNAPSHOT_MAGIC, TIMESERIES_HEADER
 from oracles import random_div_free
 
 
@@ -130,18 +132,23 @@ class TestSnapshot:
         assert path.read_bytes()[:8] == SNAPSHOT_MAGIC
 
     @pytest.mark.parametrize("K", [14, 18, 24])
-    def test_canonical_order_sorts_exact_wavevectors(self, K):
-        # K where np.fft.fftfreq(K) * K truncates to a wrong lattice.
-        order, inverse = _canonical_order(make_grid(K))
-        half = K // 2 + 1
-        line = np.r_[0 : K // 2, -(K // 2) : 0]
-        k1, k2, k3 = (
-            np.broadcast_to(a, (K, K, half)).ravel()[order].tolist()
-            for a in (line.reshape(K, 1, 1), line.reshape(1, K, 1), np.arange(half).reshape(1, 1, half))
-        )
-        keys = list(zip(k1, k2, k3))
+    def test_canonical_order_sorts_exact_wavevectors(self, tmp_path, K):
+        # K where np.fft.fftfreq(K) * K truncates to a wrong lattice. Each
+        # mode's three components hold its own signed wavevector, so the
+        # payload lists the wavevectors in the order they are stored on disk.
+        grid = make_grid(K)
+        k1, k2, k3 = (np.broadcast_to(k, grid.spectral_shape) for k in grid.kvec)
+        coeff = np.stack((k1, k2, k3)).astype(np.complex128)
+        coeff.imag = -0.0
+        params = ModelParams(nu=0.5, filters=FilterParams(0.3, 1))
+        path = tmp_path / "s.snap"
+        write_snapshot(make_state(0.0, SpectralVectorField(grid, coeff), params), params, path)
+        payload = np.frombuffer(path.read_bytes()[_HEADER_STRUCT.size :], dtype="<c16")
+        keys = [tuple(row) for row in payload.real.reshape(-1, 3).astype(np.int64).tolist()]
+        assert len(keys) == coeff[0].size
         assert all(a < b for a, b in zip(keys, keys[1:]))
-        assert np.array_equal(order[inverse], np.arange(order.size))
+        back = read_snapshot(path, grid=grid, params=params)
+        assert back.w.coeff.tobytes() == coeff.tobytes()
 
 
 class TestResume:
