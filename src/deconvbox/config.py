@@ -3,13 +3,15 @@
 The config format is plain UTF-8 ``key = value`` lines; ``#`` starts a
 comment and ``[section]`` headers are allowed as visual grouping (they are
 ignored, keys are global). Validation collects every problem instead of
-stopping at the first one. The schema is documented in the README.
+stopping at the first one. The schema is the key tables below
+(`_TOP_KEYS`, `_KIND_KEYS`); the README documents it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,9 +33,6 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
-FIELD_KINDS = ("zero", "single_mode", "random_spectrum", "snapshot")
-
-
 @dataclass(frozen=True)
 class FieldSpec:
     """Recipe for one divergence-free field (initial condition or forcing)."""
@@ -41,7 +40,7 @@ class FieldSpec:
     kind: str = "zero"
     mode: tuple[int, int, int] | None = None
     amplitude: tuple[float, float, float] | None = None
-    seed: int | None = None
+    seed: int = 0
     exponent: float = 4.0
     cutoff: float | None = None  # spectral peak; defaults to K/6 at build time
     target_norm: float = 1.0
@@ -77,36 +76,83 @@ _BOOL_WORDS = {
     "0": False,
 }
 
-_KNOWN_KEYS = {
-    "K",
-    "dealias",
-    "nu",
-    "delta",
-    "N",
-    "dt",
-    "T",
-    "sample_every",
-    "auto_project_ic",
-    "epsilon",
-    "ic",
-    "ic_k",
-    "ic_amplitude",
-    "ic_seed",
-    "ic_exponent",
-    "ic_cutoff",
-    "ic_target_norm",
-    "ic_path",
-    "forcing",
-    "forcing_k",
-    "forcing_amplitude",
-    "forcing_seed",
-    "forcing_exponent",
-    "forcing_cutoff",
-    "forcing_target_norm",
-    "forcing_path",
+
+def _finite(s: str) -> float:
+    x = float(s)
+    if not math.isfinite(x):
+        raise ValueError(s)
+    return x
+
+
+class _Type(NamedTuple):
+    parse: Callable[[str], object]  # raises ValueError or KeyError on bad text
+    expected: str  # completes "<key>: expected ..., got '<text>'"
+    render: Callable[[object], str]  # inverse of parse, for format_config
+
+
+def _triple(item: _Type, expected: str) -> _Type:
+    def parse(s: str) -> tuple:
+        parts = tuple(item.parse(p.strip()) for p in s.split(","))
+        if len(parts) != 3:
+            raise ValueError(s)
+        return parts
+
+    return _Type(parse, expected, lambda v: ",".join(item.render(x) for x in v))
+
+
+_INT = _Type(lambda s: int(s, 10), "an integer", str)
+_FLOAT = _Type(_finite, "a finite number", lambda x: repr(float(x)))
+_STR = _Type(str, "a string", str)
+_BOOL = _Type(lambda s: _BOOL_WORDS[s.lower()], "a boolean (true/false)", lambda b: str(b).lower())
+_INTS = _triple(_INT, "three comma-separated integers")
+_FLOATS = _triple(_FLOAT, "three comma-separated finite numbers")
+
+
+class _Key(NamedTuple):
+    name: str  # the key, or its suffix after an "ic"/"forcing" prefix
+    field: str  # the SolverConfig or FieldSpec field it sets
+    type: _Type
+    required: bool = False
+
+
+# The config schema. Defaults come from SolverConfig and FieldSpec; the
+# order is format_config's.
+_TOP_KEYS = (
+    _Key("K", "K", _INT, required=True),
+    _Key("dealias", "dealias", _STR),
+    _Key("nu", "nu", _FLOAT, required=True),
+    _Key("delta", "delta", _FLOAT, required=True),
+    _Key("N", "order", _INT, required=True),
+    _Key("dt", "dt", _FLOAT),
+    _Key("T", "T", _FLOAT),
+    _Key("sample_every", "sample_every", _INT),
+    _Key("auto_project_ic", "auto_project_ic", _BOOL),
+    _Key("epsilon", "epsilon", _FLOAT),
+)
+# The FieldSpec-valued SolverConfig fields; each is also the key naming its kind.
+_FIELD_PREFIXES = ("ic", "forcing")
+_KIND_KEYS = {
+    "zero": (),
+    "single_mode": (
+        _Key("_k", "mode", _INTS, required=True),
+        _Key("_amplitude", "amplitude", _FLOATS, required=True),
+    ),
+    "random_spectrum": (
+        _Key("_seed", "seed", _INT),
+        _Key("_exponent", "exponent", _FLOAT),
+        _Key("_cutoff", "cutoff", _FLOAT),
+        _Key("_target_norm", "target_norm", _FLOAT),
+    ),
+    "snapshot": (_Key("_path", "path", _STR, required=True),),
 }
 
-_REQUIRED_KEYS = ("K", "nu", "delta", "N")
+FIELD_KINDS = tuple(_KIND_KEYS)
+
+_KNOWN_KEYS = {key.name for key in _TOP_KEYS} | {
+    prefix + suffix
+    for prefix in _FIELD_PREFIXES
+    for suffix in ("", *(key.name for keys in _KIND_KEYS.values() for key in keys))
+}
 
 
 def _parse_lines(text: str, errors: list[str]) -> dict[str, str]:
@@ -128,96 +174,41 @@ def _parse_lines(text: str, errors: list[str]) -> dict[str, str]:
     return raw
 
 
-def _finite(s: str) -> float:
-    x = float(s)
-    if not math.isfinite(x):
-        raise ValueError(s)
-    return x
+def _read(
+    raw: dict[str, str], prefix: str, keys: tuple[_Key, ...], errors: list[str]
+) -> dict[str, object]:
+    """Parse the keys present in `raw` into {field: value}.
 
-
-class _Reader:
-    def __init__(self, raw: dict[str, str], errors: list[str]):
-        self.raw = raw
-        self.errors = errors
-
-    def _get(self, key, conv, default, describe):
-        if key not in self.raw:
-            return default
-        try:
-            return conv(self.raw[key])
-        except (ValueError, TypeError):
-            self.errors.append(f"{key}: expected {describe}, got {self.raw[key]!r}")
-            return default
-
-    def int_(self, key, default=None):
-        return self._get(key, lambda s: int(s, 10), default, "an integer")
-
-    def float_(self, key, default=None):
-        return self._get(key, _finite, default, "a finite number")
-
-    def str_(self, key, default=None):
-        return self._get(key, str, default, "a string")
-
-    def bool_(self, key, default=None):
-        def conv(s):
+    A value that does not parse is reported and left out, so its field
+    keeps the dataclass default.
+    """
+    values = {}
+    for key in keys:
+        name = prefix + key.name
+        if name in raw:
             try:
-                return _BOOL_WORDS[s.lower()]
-            except KeyError:
-                raise ValueError(s)
-
-        return self._get(key, conv, default, "a boolean (true/false)")
-
-    def int_triple(self, key, default=None):
-        def conv(s):
-            parts = tuple(int(p.strip(), 10) for p in s.split(","))
-            if len(parts) != 3:
-                raise ValueError(s)
-            return parts
-
-        return self._get(key, conv, default, "three comma-separated integers")
-
-    def float_triple(self, key, default=None):
-        def conv(s):
-            parts = tuple(_finite(p.strip()) for p in s.split(","))
-            if len(parts) != 3:
-                raise ValueError(s)
-            return parts
-
-        return self._get(key, conv, default, "three comma-separated finite numbers")
+                values[key.field] = key.type.parse(raw[name])
+            except (ValueError, KeyError):
+                errors.append(f"{name}: expected {key.type.expected}, got {raw[name]!r}")
+    return values
 
 
-def _read_field_spec(reader: _Reader, prefix: str, errors: list[str]) -> FieldSpec:
-    kind = reader.str_(prefix, "zero")
-    if kind not in FIELD_KINDS:
+def _read_field_spec(raw: dict[str, str], prefix: str, errors: list[str]) -> FieldSpec:
+    kind = raw.get(prefix, FieldSpec.kind)
+    if kind not in _KIND_KEYS:
         errors.append(f"{prefix}: must be one of {', '.join(FIELD_KINDS)}, got {kind!r}")
         return FieldSpec()
-    if kind == "zero":
-        return FieldSpec()
-    if kind == "single_mode":
-        mode = reader.int_triple(f"{prefix}_k")
-        amp = reader.float_triple(f"{prefix}_amplitude")
-        if mode is None and f"{prefix}_k" not in reader.raw:
-            errors.append(f"{prefix}_k: required for {prefix} = single_mode")
-        if amp is None and f"{prefix}_amplitude" not in reader.raw:
-            errors.append(f"{prefix}_amplitude: required for {prefix} = single_mode")
-        return FieldSpec(kind=kind, mode=mode, amplitude=amp)
-    if kind == "random_spectrum":
-        spec = FieldSpec(
-            kind=kind,
-            seed=reader.int_(f"{prefix}_seed", 0),
-            exponent=reader.float_(f"{prefix}_exponent", 4.0),
-            cutoff=reader.float_(f"{prefix}_cutoff", None),
-            target_norm=reader.float_(f"{prefix}_target_norm", 1.0),
-        )
-        if spec.target_norm is not None and spec.target_norm <= 0.0:
-            errors.append(f"{prefix}_target_norm: must be positive")
-        if spec.cutoff is not None and spec.cutoff <= 0.0:
-            errors.append(f"{prefix}_cutoff: must be positive")
-        return spec
-    path = reader.str_(f"{prefix}_path")
-    if path is None:
-        errors.append(f"{prefix}_path: required for {prefix} = snapshot")
-    return FieldSpec(kind=kind, path=path)
+    values = _read(raw, prefix, _KIND_KEYS[kind], errors)
+    for key in _KIND_KEYS[kind]:
+        if key.required and prefix + key.name not in raw:
+            errors.append(f"{prefix}{key.name}: required for {prefix} = {kind}")
+    if "target_norm" in values and values["target_norm"] <= 0.0:
+        errors.append(f"{prefix}_target_norm: must be positive")
+    if "cutoff" in values and values["cutoff"] <= 0.0:
+        errors.append(f"{prefix}_cutoff: must be positive")
+    if "seed" in values and values["seed"] < 0:
+        errors.append(f"{prefix}_seed: must be nonnegative, got {values['seed']}")
+    return FieldSpec(kind=kind, **values)
 
 
 def parse_config(text: str) -> SolverConfig:
@@ -228,64 +219,39 @@ def parse_config(text: str) -> SolverConfig:
     for key in raw:
         if key not in _KNOWN_KEYS:
             errors.append(f"{key}: unknown key")
-    for key in _REQUIRED_KEYS:
-        if key not in raw:
-            errors.append(f"{key}: required key is missing")
+    for key in _TOP_KEYS:
+        if key.required and key.name not in raw:
+            errors.append(f"{key.name}: required key is missing")
 
-    reader = _Reader(raw, errors)
-    K = reader.int_("K", 0)
-    nu = reader.float_("nu", 1.0)
-    delta = reader.float_("delta", 1.0)
-    order = reader.int_("N", 0)
-    dealias = reader.str_("dealias", "two_thirds")
-    dt = reader.float_("dt", 0.01)
-    T = reader.float_("T", 1.0)
-    sample_every = reader.int_("sample_every", 1)
-    auto_project = reader.bool_("auto_project_ic", False)
-    epsilon = reader.float_("epsilon", 0.05)
+    v = _read(raw, "", _TOP_KEYS, errors)
+    if "K" in v:
+        if v["K"] < 4:
+            errors.append(f"K: must be at least 4, got {v['K']}")
+        elif v["K"] % 2 != 0:
+            errors.append(f"K: must be even, got {v['K']}")
+    if "dealias" in v and v["dealias"] not in DEALIAS_RULES:
+        errors.append(f"dealias: must be {' or '.join(DEALIAS_RULES)}, got {v['dealias']!r}")
+    if "nu" in v and v["nu"] <= 0.0:
+        errors.append(f"nu: must be positive, got {v['nu']}")
+    if "delta" in v and v["delta"] <= 0.0:
+        errors.append(f"delta: must be positive, got {v['delta']}")
+    if "order" in v and not 0 <= v["order"] <= MAX_DECONV_ORDER:
+        errors.append(f"N: must be in [0, {MAX_DECONV_ORDER}], got {v['order']}")
+    if "dt" in v and v["dt"] <= 0.0:
+        errors.append(f"dt: must be positive, got {v['dt']}")
+    if "T" in v and v["T"] < 0.0:
+        errors.append(f"T: must be nonnegative, got {v['T']}")
+    if "sample_every" in v and v["sample_every"] < 1:
+        errors.append(f"sample_every: must be at least 1, got {v['sample_every']}")
+    if "epsilon" in v and v["epsilon"] < 0.0:
+        errors.append(f"epsilon: must be nonnegative, got {v['epsilon']}")
 
-    if "K" in raw and K is not None:
-        if K < 4:
-            errors.append(f"K: must be at least 4, got {K}")
-        elif K % 2 != 0:
-            errors.append(f"K: must be even, got {K}")
-    if dealias not in DEALIAS_RULES:
-        errors.append(f"dealias: must be {' or '.join(DEALIAS_RULES)}, got {dealias!r}")
-        dealias = "two_thirds"
-    if nu is not None and nu <= 0.0:
-        errors.append(f"nu: must be positive, got {nu}")
-    if delta is not None and delta <= 0.0:
-        errors.append(f"delta: must be positive, got {delta}")
-    if order is not None and not 0 <= order <= MAX_DECONV_ORDER:
-        errors.append(f"N: must be in [0, {MAX_DECONV_ORDER}], got {order}")
-    if dt is not None and dt <= 0.0:
-        errors.append(f"dt: must be positive, got {dt}")
-    if T is not None and T < 0.0:
-        errors.append(f"T: must be nonnegative, got {T}")
-    if sample_every is not None and sample_every < 1:
-        errors.append(f"sample_every: must be at least 1, got {sample_every}")
-    if epsilon is not None and epsilon < 0.0:
-        errors.append(f"epsilon: must be nonnegative, got {epsilon}")
-
-    ic = _read_field_spec(reader, "ic", errors)
-    forcing = _read_field_spec(reader, "forcing", errors)
+    for prefix in _FIELD_PREFIXES:
+        v[prefix] = _read_field_spec(raw, prefix, errors)
 
     if errors:
         raise ConfigError(errors)
-    return SolverConfig(
-        K=K,
-        nu=nu,
-        delta=delta,
-        order=order,
-        dealias=dealias,
-        dt=dt,
-        T=T,
-        sample_every=sample_every,
-        ic=ic,
-        forcing=forcing,
-        auto_project_ic=auto_project,
-        epsilon=epsilon,
-    )
+    return SolverConfig(**v)
 
 
 def _random_raw(grid: WaveGrid, rng: np.random.Generator) -> SpectralVectorField:
@@ -367,41 +333,16 @@ def generate_ic(
 
 def format_config(config: SolverConfig) -> str:
     """Render a SolverConfig back to the key=value format."""
-
-    def fmt(v) -> str:
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        if isinstance(v, float):
-            return repr(v)
-        return str(v)
-
     lines = [
-        f"K = {config.K}",
-        f"dealias = {config.dealias}",
-        f"nu = {fmt(config.nu)}",
-        f"delta = {fmt(config.delta)}",
-        f"N = {config.order}",
-        f"dt = {fmt(config.dt)}",
-        f"T = {fmt(config.T)}",
-        f"sample_every = {config.sample_every}",
-        f"auto_project_ic = {fmt(config.auto_project_ic)}",
-        f"epsilon = {fmt(config.epsilon)}",
+        f"{key.name} = {key.type.render(getattr(config, key.field))}" for key in _TOP_KEYS
     ]
-    for prefix, spec in (("ic", config.ic), ("forcing", config.forcing)):
+    for prefix in _FIELD_PREFIXES:
+        spec = getattr(config, prefix)
         lines.append(f"{prefix} = {spec.kind}")
-        if spec.kind == "single_mode":
-            lines.append(f"{prefix}_k = {','.join(str(v) for v in spec.mode)}")
-            lines.append(
-                f"{prefix}_amplitude = {','.join(repr(float(v)) for v in spec.amplitude)}"
-            )
-        elif spec.kind == "random_spectrum":
-            lines.append(f"{prefix}_seed = {spec.seed}")
-            lines.append(f"{prefix}_exponent = {fmt(spec.exponent)}")
-            if spec.cutoff is not None:
-                lines.append(f"{prefix}_cutoff = {fmt(spec.cutoff)}")
-            lines.append(f"{prefix}_target_norm = {fmt(spec.target_norm)}")
-        elif spec.kind == "snapshot":
-            lines.append(f"{prefix}_path = {spec.path}")
+        for key in _KIND_KEYS.get(spec.kind, ()):
+            value = getattr(spec, key.field)
+            if value is not None:
+                lines.append(f"{prefix}{key.name} = {key.type.render(value)}")
     return "\n".join(lines) + "\n"
 
 

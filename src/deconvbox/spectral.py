@@ -465,23 +465,6 @@ def _physical_blocks(
         yield xs, block
 
 
-def _dealiased_physical_factors(
-    u: SpectralVectorField, v: SpectralVectorField
-) -> tuple[np.ndarray, np.ndarray]:
-    """Collocation values of u and of grad v, both mask-truncated.
-
-    Returns (u_phys (3,K,K,K), dv_phys (3,3,K,K,K)) with dv_phys[i, j]
-    holding d v_j / d x_i: the blocks of _physical_blocks assembled into
-    full arrays, byte-identical to irfftn of the masked stack.
-    """
-    grid = u.grid
-    K = grid.K
-    phys = np.empty((12,) + grid.shape)
-    for xs, block in _physical_blocks(_workspace(grid), u, v):
-        phys[:, xs] = block
-    return phys[0:3], phys[3:12].reshape(3, 3, K, K, K)
-
-
 def trilinear_b(
     u: SpectralVectorField, v: SpectralVectorField, w: SpectralVectorField
 ) -> float:

@@ -10,6 +10,7 @@ fftshifted. It is independent of the in-memory layout; round trips are bit-exact
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, fields
 
@@ -104,6 +105,8 @@ def read_snapshot_meta(path) -> SnapshotMeta:
         raise ValueError(f"not a snapshot file (magic {magic!r})")
     if version != SNAPSHOT_VERSION:
         raise ValueError(f"unsupported snapshot version {version}")
+    if not math.isfinite(t):
+        raise ValueError(f"snapshot header field t is not finite ({t!r})")
     return SnapshotMeta(version=version, K=K, order=order, t=t, nu=nu, delta=delta)
 
 

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,9 +11,13 @@ from deconvbox import (
     divergence_error,
     generate_ic,
     format_config,
+    make_grid,
     parse_config,
     sobolev_norm,
 )
+from deconvbox.config import FIELD_KINDS, _FIELD_PREFIXES, _KIND_KEYS, _TOP_KEYS
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 MINIMAL = """
 K = 16
@@ -87,14 +94,37 @@ class TestParseConfig:
         assert any("ic_amplitude" in e for e in exc.value.errors)
 
     def test_full_round_trip_through_format(self):
-        text = MINIMAL + (
+        # Every field kind for ic and forcing, both dealias rules and both
+        # auto_project_ic values.
+        extras = [
             "dt = 0.005\nT = 0.75\nsample_every = 3\nepsilon = 0.1\n"
             "ic = random_spectrum\nic_seed = 9\nic_target_norm = 2.5\n"
-            "forcing = single_mode\nforcing_k = 1,0,0\nforcing_amplitude = 0,0.25,0\n"
-        )
-        cfg = parse_config(text)
-        again = parse_config(format_config(cfg))
-        assert again == cfg
+            "forcing = single_mode\nforcing_k = 1,0,0\nforcing_amplitude = 0,0.25,0\n",
+            "dealias = none\nauto_project_ic = true\n"
+            "ic = single_mode\nic_k = 0,-2,1\nic_amplitude = 1.5,0,0\n"
+            "forcing = random_spectrum\nforcing_seed = 4\nforcing_exponent = 2.5\n"
+            "forcing_cutoff = 3.25\nforcing_target_norm = 0.125\n",
+            "ic = snapshot\nic_path = runs/state one.snap\nforcing = zero\n",
+            "ic = zero\nforcing = snapshot\nforcing_path = f.snap\n",
+            "ic = random_spectrum\nic_exponent = 1e-3\nic_cutoff = 2\n",
+        ]
+        for extra in extras:
+            cfg = parse_config(MINIMAL + extra)
+            again = parse_config(format_config(cfg))
+            assert again == cfg
+            assert format_config(again) == format_config(cfg)
+
+    def test_unparsable_k_reports_only_the_parse_error(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(MINIMAL.replace("K = 16", "K = 1e3"))
+        assert exc.value.errors == ["K: expected an integer, got '1e3'"]
+
+    @pytest.mark.parametrize("prefix", ["ic", "forcing"])
+    def test_negative_seed_rejected(self, prefix):
+        text = MINIMAL + f"{prefix} = random_spectrum\n{prefix}_seed = -1\n"
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert exc.value.errors == [f"{prefix}_seed: must be nonnegative, got -1"]
 
     def test_bad_vector_and_bool(self):
         text = MINIMAL + (
@@ -135,6 +165,20 @@ class TestParseConfig:
         ]
 
 
+class TestReadme:
+    def test_config_section_names_exactly_the_schema_keys(self):
+        text = README.read_text(encoding="utf-8")
+        section = text.split("### Config file format", 1)[1].split("\n### ", 1)[0]
+        rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
+        keys = {name for cell, _ in rows for name in re.findall(r"`(\w+)`", cell)}
+        assert keys == {key.name for key in _TOP_KEYS}.union(_FIELD_PREFIXES)
+        kinds = [re.findall(r"`(\w+)`", meaning) for cell, meaning in rows if "`ic`" in cell]
+        assert kinds == [list(FIELD_KINDS)]
+        per_kind = section.split("Per-kind keys", 1)[1].split("\n\n", 1)[0]
+        suffixes = set(re.findall(r"`\*(_\w+)", per_kind))
+        assert suffixes == {key.name for keys in _KIND_KEYS.values() for key in keys}
+
+
 class TestGenerateIC:
     def test_zero_spec(self, grid16):
         w = generate_ic(FieldSpec(kind="zero"), grid16)
@@ -172,6 +216,14 @@ class TestGenerateIC:
         assert np.array_equal(a.coeff, b.coeff)
         c = generate_ic(FieldSpec(kind="random_spectrum", seed=6), grid16)
         assert not np.array_equal(a.coeff, c.coeff)
+
+    def test_default_seed_is_reproducible_and_matches_the_parser(self):
+        grid = make_grid(8)
+        a = generate_ic(FieldSpec(kind="random_spectrum"), grid)
+        b = generate_ic(FieldSpec(kind="random_spectrum"), grid)
+        parsed = parse_config("K = 8\nnu = 1\ndelta = 1\nN = 0\nic = random_spectrum\n").ic
+        c = generate_ic(parsed, grid)
+        assert a.coeff.tobytes() == b.coeff.tobytes() == c.coeff.tobytes()
 
     def test_filters_argument_accepted(self, grid16):
         w = generate_ic(

@@ -117,6 +117,20 @@ class TestSnapshot:
                 read_snapshot(path)
             assert f"({size} bytes, expected {expected})" in str(exc.value)
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_time_rejected(self, tmp_path, grid8, t):
+        state, params = self.make_state(grid8)
+        path = tmp_path / "s.snap"
+        write_snapshot(state, params, path)
+        blob = path.read_bytes()
+        header = list(_HEADER_STRUCT.unpack(blob[: _HEADER_STRUCT.size]))
+        header[4] = t
+        path.write_bytes(_HEADER_STRUCT.pack(*header) + blob[_HEADER_STRUCT.size :])
+        for read in (read_snapshot_meta, read_snapshot):
+            with pytest.raises(ValueError) as exc:
+                read(path)
+            assert str(exc.value) == f"snapshot header field t is not finite ({t!r})"
+
     def test_grid_mismatch_reports_both_resolutions(self, tmp_path, grid8):
         state, params = self.make_state(grid8)
         path = tmp_path / "s.snap"
