@@ -282,7 +282,6 @@ def ensemble_absorb_probe(
     rho0_prime: float,
     ensemble_size: int,
     template: SolverConfig,
-    epsilon: float = 0.05,
     base_seed: int = 2024,
     keep_trajectories: bool = True,
 ) -> ProbeReport:
@@ -292,14 +291,16 @@ def ensemble_absorb_probe(
     spectra get per-member seeds; a single-mode template is reused as a
     fixed shape) rescaled so that ||H_N u0|| = R (i + 1) / ensemble_size
     for member i, run to 2 T0, and are judged on (a) entering the slack
-    ball no later than T0 (1 + epsilon), (b) never leaving it afterwards,
-    and (c) staying below the per-member decay envelope within
+    ball no later than T0 (1 + template.epsilon), (b) never leaving it
+    afterwards, and (c) staying below the per-member decay envelope within
     `BOUND_TOLERANCE`. Members run independently; DECONV_THREADS sets the
     worker count and never changes results. A blown-up member is recorded
     with its failure time and fails the probe.
     """
     if ensemble_size < 1:
         raise ValueError("ensemble_size must be at least 1")
+    if not 0.0 <= template.epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and nonnegative, got {template.epsilon!r}")
     workers = _worker_count()
     grid, model = _model_of(template)
     f_norm = sobolev_norm(model.forcing, 0.0) if model.forcing is not None else 0.0
@@ -369,7 +370,7 @@ def ensemble_absorb_probe(
     passed = all(
         m.blow_up_time is None
         and m.entry_time is not None
-        and m.entry_time <= t0 * (1.0 + epsilon)
+        and m.entry_time <= t0 * (1.0 + template.epsilon)
         and m.stayed_inside
         for m in members
     )
@@ -379,7 +380,7 @@ def ensemble_absorb_probe(
         rho0_prime=rho0_prime,
         T0=t0,
         horizon=horizon,
-        epsilon=epsilon,
+        epsilon=template.epsilon,
         members=members,
         passed=passed,
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 
 from .attractor import ensemble_absorb_probe, rho0
 from .config import ConfigError, parse_config
@@ -71,6 +72,8 @@ def _cmd_absorb_probe(args) -> int:
     if args.epsilon is not None and args.epsilon < 0.0:
         raise ConfigError([f"absorb-probe: --epsilon must be nonnegative, got {args.epsilon!r}"])
     config = _load_config(args.config)
+    if args.epsilon is not None:
+        config = replace(config, epsilon=args.epsilon)
     grid, model = build_model(config)
     f_norm = sobolev_norm(model.forcing, 0.0) if model.forcing is not None else 0.0
     base = rho0(config.nu, smallest_eigenvalue(grid), f_norm)
@@ -88,7 +91,6 @@ def _cmd_absorb_probe(args) -> int:
         rho0_prime=rho_prime,
         ensemble_size=args.members,
         template=_with_model(config, grid, model),
-        epsilon=args.epsilon if args.epsilon is not None else config.epsilon,
         keep_trajectories=False,
     )
     print(

@@ -198,6 +198,9 @@ def _read_field_spec(raw: dict[str, str], prefix: str, errors: list[str]) -> Fie
     if kind not in _KIND_KEYS:
         errors.append(f"{prefix}: must be one of {', '.join(FIELD_KINDS)}, got {kind!r}")
         return FieldSpec()
+    for other, keys in _KIND_KEYS.items():
+        stale = [prefix + key.name for key in keys if other != kind and prefix + key.name in raw]
+        errors.extend(f"{name}: not a key of {prefix} = {kind}" for name in stale)
     values = _read(raw, prefix, _KIND_KEYS[kind], errors)
     for key in _KIND_KEYS[kind]:
         if key.required and prefix + key.name not in raw:
@@ -332,18 +335,24 @@ def generate_ic(
 
 
 def format_config(config: SolverConfig) -> str:
-    """Render a SolverConfig back to the key=value format."""
-    lines = [
-        f"{key.name} = {key.type.render(getattr(config, key.field))}" for key in _TOP_KEYS
-    ]
+    """Render a SolverConfig back to the key=value format.
+
+    Raises ValueError, naming the key, for a string that parse_config would
+    not read back: one that holds '#' or a line break, or has leading or
+    trailing blanks.
+    """
+    pairs = [(key.name, key.type.render(getattr(config, key.field))) for key in _TOP_KEYS]
     for prefix in _FIELD_PREFIXES:
         spec = getattr(config, prefix)
-        lines.append(f"{prefix} = {spec.kind}")
+        pairs.append((prefix, spec.kind))
         for key in _KIND_KEYS.get(spec.kind, ()):
             value = getattr(spec, key.field)
             if value is not None:
-                lines.append(f"{prefix}{key.name} = {key.type.render(value)}")
-    return "\n".join(lines) + "\n"
+                pairs.append((prefix + key.name, key.type.render(value)))
+    for name, text in pairs:
+        if "#" in text or text != text.strip() or len(text.splitlines()) > 1:
+            raise ValueError(f"{name}: {text!r} has '#', a line break or outer blanks")
+    return "".join(f"{name} = {text}\n" for name, text in pairs)
 
 
 __all__ = [

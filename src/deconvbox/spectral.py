@@ -23,7 +23,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import threading
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -122,15 +121,6 @@ def _wavenumbers(K: int) -> np.ndarray:
 def _read_only(*arrays: np.ndarray) -> None:
     for arr in arrays:
         arr.setflags(write=False)
-
-
-@lru_cache(maxsize=16)
-def _sobolev_weight(grid: WaveGrid, s: float) -> np.ndarray:
-    """|k|^(2s) per stored mode; for s < 0 the mean mode's |k|^2 counts as 1."""
-    ksq = grid.ksq
-    table = ksq**s if s > 0 else np.where(ksq > 0.0, ksq, 1.0) ** s
-    _read_only(table)
-    return table
 
 
 def make_grid(K: int, dealias_rule: str = "two_thirds") -> WaveGrid:
@@ -323,8 +313,12 @@ def _mode_energy(w: SpectralVectorField) -> np.ndarray:
 
 def _norm_from_energy(amp2: np.ndarray, grid: WaveGrid, s: SobolevIndex) -> float:
     """The H_s norm from _mode_energy's array."""
-    total = amp2.sum() if s == 0 else (amp2 * _sobolev_weight(grid, s)).sum()
-    return float(np.sqrt(total))
+    if s == 0:
+        return float(np.sqrt(amp2.sum()))
+    # |k|^(2s); for s < 0 the mean mode's |k|^2 counts as 1.
+    ksq = grid.ksq
+    weight = ksq**s if s > 0 else np.where(ksq > 0.0, ksq, 1.0) ** s
+    return float(np.sqrt((amp2 * weight).sum()))
 
 
 def inner_product(u: SpectralVectorField, v: SpectralVectorField) -> float:
@@ -421,22 +415,25 @@ def _workspace(grid: WaveGrid) -> _Workspace:
     return ws
 
 
-def _physical_blocks(
-    ws: _Workspace, u: SpectralVectorField, v: SpectralVectorField
-) -> Iterator[tuple[slice, np.ndarray]]:
-    """Yield (xs, block): u and grad v on the x-planes xs, mask-truncated.
+def _convective(u: SpectralVectorField, v: SpectralVectorField) -> np.ndarray:
+    """Masked, mean-free coefficients of the dealiased product (u . grad) v.
 
-    block has shape (12, n, K, K): u_i in channel i and d v_j / d x_i in
-    channel 3 + 3i + j, times K**3. It is a view of ws, overwritten by the
-    next block. The inverse runs numpy's irfftn passes (kx, ky, then real
+    The returned array is this thread's workspace buffer, overwritten by
+    the next call on the thread: callers reduce it or copy out of it.
+
+    u and grad v are formed on the collocation grid block by block of
+    x-planes. The inverse runs numpy's irfftn passes (kx, ky, then real
     kz, each normalised by 1/n) in their order, so every block is
-    byte-identical to its planes of irfftn of the masked stack. Each pass
+    byte-identical to its planes of irfftn of the masked 12-channel stack
+    (u_i in channel i, d v_j / d x_i in channel 3 + 3i + j). Each pass
     transforms only the lines the mask leaves nonzero, along the
     contiguous last axis: the kx pass (once) the retained (ky, kz)
     columns, the ky pass (per block) the kz <= cut planes.
     """
+    _require_same_grid(u, v)
     grid = u.grid
     K, c = grid.K, grid.cut
+    ws = _workspace(grid)
     stack = ws.stack
     # v's masked columns land in channels 3:6, which are differentiated
     # last, in place. mode="clip" keeps take from buffering its output.
@@ -462,53 +459,6 @@ def _physical_blocks(
         # bench/spans.py, which wraps numpy's n-d transforms.
         block = np.fft.irfftn(ws.by_kz[:, :n], s=(K,), axes=(-1,), out=ws.phys[:, :n])
         block *= grid.n_points
-        yield xs, block
-
-
-def trilinear_b(
-    u: SpectralVectorField, v: SpectralVectorField, w: SpectralVectorField
-) -> float:
-    """Trilinear convection form b(u, v, w) = sum_ij int u_i d_i v_j w_j dx.
-
-    Evaluated pseudo-spectrally with mask-truncated (dealiased) inputs, so
-    it is Galerkin-equivalent and b(u, w, w) vanishes to round-off for
-    divergence-free u. The integral carries the normalized box measure,
-    matching the coefficient-sum norm convention.
-    """
-    _require_same_grid(u, v)
-    _require_same_grid(u, w)
-    grid = u.grid
-    K = grid.K
-    w_phys = np.fft.irfftn(
-        w.coeff * grid.cmask, s=grid.shape, axes=(1, 2, 3)
-    ) * grid.n_points
-    integrand = np.empty(grid.shape)
-    for xs, block in _physical_blocks(_workspace(grid), u, v):
-        n = block.shape[1]
-        np.einsum(
-            "ixyz,ijxyz,jxyz->xyz",
-            block[0:3],
-            block[3:12].reshape(3, 3, n, K, K),
-            w_phys[:, xs],
-            out=integrand[xs],
-        )
-    return float(integrand.mean())
-
-
-def nonlinear_term(u: SpectralVectorField, w: SpectralVectorField) -> SpectralVectorField:
-    """Leray-projected, dealiased convective term P_L[(u . grad) w].
-
-    The advecting field u should be divergence-free; the result is
-    divergence-free and zero-mean by construction. The product is formed
-    block by block in this thread's workspace; leray_project allocates
-    the returned field, so no workspace buffer escapes.
-    """
-    _require_same_grid(u, w)
-    grid = u.grid
-    K = grid.K
-    ws = _workspace(grid)
-    for xs, block in _physical_blocks(ws, u, w):
-        n = block.shape[1]
         np.einsum(
             "ixyz,ijxyz->jxyz",
             block[0:3],
@@ -519,7 +469,31 @@ def nonlinear_term(u: SpectralVectorField, w: SpectralVectorField) -> SpectralVe
     chat /= grid.n_points
     chat *= grid.cmask
     chat[:, 0, 0, 0] = 0.0
-    return leray_project(SpectralVectorField(grid, chat))
+    return chat
+
+
+def trilinear_b(
+    u: SpectralVectorField, v: SpectralVectorField, w: SpectralVectorField
+) -> float:
+    """Trilinear convection form b(u, v, w) = sum_ij int u_i d_i v_j w_j dx.
+
+    The coefficient pairing of the dealiased convective term with w, which
+    by Parseval equals the quadrature of the mask-truncated product
+    against w for zero-mean w. So it is Galerkin-equivalent, and b(u, w, w)
+    vanishes to round-off for divergence-free u. The integral carries the
+    normalized box measure, matching the coefficient-sum norm convention.
+    """
+    return inner_product(SpectralVectorField(u.grid, _convective(u, v)), w)
+
+
+def nonlinear_term(u: SpectralVectorField, w: SpectralVectorField) -> SpectralVectorField:
+    """Leray-projected, dealiased convective term P_L[(u . grad) w].
+
+    The advecting field u should be divergence-free; the result is
+    divergence-free and zero-mean by construction. leray_project
+    allocates the returned field, so no workspace buffer escapes.
+    """
+    return leray_project(SpectralVectorField(u.grid, _convective(u, w)))
 
 
 __all__ = [

@@ -42,21 +42,6 @@ class CheckResult:
     detail: str
 
 
-def _irfftn_factors(u: SpectralVectorField, v: SpectralVectorField) -> np.ndarray:
-    """Collocation values of u and grad v through one numpy irfftn.
-
-    The masked 12-channel stack times K**3: shape (12, K, K, K), u first,
-    then d v_j / d x_i at 3 + 3i + j.
-    """
-    grid = u.grid
-    stack = np.empty((12,) + grid.spectral_shape, dtype=np.complex128)
-    stack[0:3] = u.coeff * grid.mask
-    vc = v.coeff * grid.mask
-    for i, ki in enumerate(grid.kvec):
-        stack[3 + 3 * i : 6 + 3 * i] = (1j * ki) * vc
-    return np.fft.irfftn(stack, s=grid.shape, axes=(1, 2, 3)) * grid.n_points
-
-
 # References for the table-driven operators: the closed forms on the grid's
 # integer, float and bool arrays, which numpy casts to complex on every
 # call. The operators must reproduce them byte for byte.
@@ -74,11 +59,6 @@ def _leray_reference(w: SpectralVectorField) -> np.ndarray:
     out[1] = w.coeff[1] - grid.ky * dot
     out[2] = w.coeff[2] - grid.kz * dot
     return out
-
-
-def _truncation_reference(w: SpectralVectorField, filters: FilterParams) -> np.ndarray:
-    """Reference for FilterParams.apply."""
-    return w.coeff * hn_symbol(w.grid.ksq, filters.delta, filters.order)
 
 
 def _sobolev_reference(w: SpectralVectorField, s: float) -> float:
@@ -99,10 +79,19 @@ def _sobolev_reference(w: SpectralVectorField, s: float) -> float:
 
 
 def _nonlinear_reference(u: SpectralVectorField, w: SpectralVectorField) -> np.ndarray:
-    """Reference for spectral.nonlinear_term, from _irfftn_factors."""
+    """Reference for spectral.nonlinear_term, through one numpy irfftn.
+
+    The collocation values of u and grad w come from the masked 12-channel
+    stack times K**3: u first, then d w_j / d x_i at 3 + 3i + j.
+    """
     grid = u.grid
     K = grid.K
-    phys = _irfftn_factors(u, w)
+    stack = np.empty((12,) + grid.spectral_shape, dtype=np.complex128)
+    stack[0:3] = u.coeff * grid.mask
+    wc = w.coeff * grid.mask
+    for i, ki in enumerate(grid.kvec):
+        stack[3 + 3 * i : 6 + 3 * i] = (1j * ki) * wc
+    phys = np.fft.irfftn(stack, s=grid.shape, axes=(1, 2, 3)) * grid.n_points
     conv = np.einsum("ixyz,ijxyz->jxyz", phys[0:3], phys[3:12].reshape(3, 3, K, K, K))
     chat = np.fft.rfftn(conv, axes=(1, 2, 3)) / grid.n_points
     chat *= grid.mask
@@ -117,13 +106,14 @@ def _step_reference(
     grid = state.w.grid
 
     def truncate(coeff):
-        return _truncation_reference(SpectralVectorField(grid, coeff), params.filters)
+        field = SpectralVectorField(grid, coeff)
+        return truncation_hn(field, params.filters.delta, params.filters.order).coeff
 
     def explicit(coeff):
         w = SpectralVectorField(grid, coeff)
         out = -_nonlinear_reference(SpectralVectorField(grid, truncate(coeff)), w)
         if params.forcing is not None:
-            out = out + _truncation_reference(params.forcing, params.filters)
+            out = out + truncate(params.forcing.coeff)
         return out
 
     decay_half = np.exp(-params.nu * grid.ksq * (0.5 * dt))
@@ -311,7 +301,7 @@ def operator_checks(K: int = 16, seed: int = 0) -> list[CheckResult]:
     filters = FilterParams(delta, order)
     record(
         "FilterParams.apply equals the closed-form truncation",
-        _differing_words(filters.apply(raw).coeff, _truncation_reference(raw, filters)),
+        _differing_words(filters.apply(raw).coeff, truncation_hn(raw, delta, order).coeff),
         0,
     )
     model = ModelParams(

@@ -83,7 +83,6 @@ def absorb_ensemble():
             rho0_prime=math.sqrt(0.5),
             ensemble_size=8,
             template=template,
-            epsilon=0.05,
             base_seed=500,
         )
     finally:

@@ -206,6 +206,22 @@ class TestEnsembleProbe:
         assert report.passed
         assert all(m.entry_time == 0.0 for m in report.members)
 
+    def test_entry_slack_comes_from_the_template(self):
+        template = SolverConfig(
+            K=8, nu=1.0, delta=0.5, order=1, dt=0.02, T=1.0, epsilon=0.5,
+            forcing=FieldSpec(kind="random_spectrum", seed=60, target_norm=0.2),
+        )
+        report = ensemble_absorb_probe(
+            R=0.1, rho0_prime=0.5, ensemble_size=1, template=template
+        )
+        assert report.epsilon == 0.5
+
+    @pytest.mark.parametrize("epsilon", [float("nan"), -0.1, float("inf")])
+    def test_invalid_entry_slack_rejected(self, epsilon):
+        template = SolverConfig(K=8, nu=1.0, delta=0.5, order=1, epsilon=epsilon)
+        with pytest.raises(ValueError, match="epsilon must be finite and nonnegative"):
+            ensemble_absorb_probe(R=0.1, rho0_prime=0.5, ensemble_size=1, template=template)
+
     def test_forced_probe_passes_and_respects_envelope(self):
         template = SolverConfig(
             K=8, nu=1.0, delta=0.5, order=1, dt=0.02, T=1.0, sample_every=1,

@@ -104,8 +104,10 @@ class TestSimulateCommand:
         assert read_snapshot_meta(snap).K == 8
 
         resumed = FORCED_CONFIG.replace(
-            "ic = random_spectrum", f"ic = snapshot\nic_path = {snap}"
+            "ic = random_spectrum\nic_seed = 80\nic_target_norm = 1.0",
+            f"ic = snapshot\nic_path = {snap}",
         )
+        assert "ic_seed" not in resumed
         second = write(tmp_path, "second.cfg", resumed)
         final = tmp_path / "second.snap"
         code = cli_main(
@@ -212,6 +214,19 @@ class TestOtherCommands:
         cfg = write(tmp_path, "run.cfg", FORCED_CONFIG)
         assert cli_main(["absorb-probe", "--config", cfg, "--members", "2", flag, "nan"]) == 1
         assert f"{flag} must be finite, got nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, slack", [([], 0.5), (["--epsilon", "0.2"], 0.2)])
+    def test_absorb_probe_slack_from_config_or_flag(self, tmp_path, monkeypatch, flags, slack):
+        reports = []
+
+        def recording(**kwargs):
+            reports.append(ensemble_absorb_probe(**kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "ensemble_absorb_probe", recording)
+        cfg = write(tmp_path, "run.cfg", FORCED_CONFIG + "epsilon = 0.5\n")
+        assert cli_main(["absorb-probe", "--config", cfg, "--members", "1"] + flags) == 0
+        assert [r.epsilon for r in reports] == [slack]
 
     def test_absorb_probe_negative_epsilon_exits_1(self, tmp_path, capsys):
         cfg = write(tmp_path, "run.cfg", FORCED_CONFIG)

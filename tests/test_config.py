@@ -8,6 +8,7 @@ from deconvbox import (
     ConfigError,
     FieldSpec,
     FilterParams,
+    SolverConfig,
     divergence_error,
     generate_ic,
     format_config,
@@ -163,6 +164,28 @@ class TestParseConfig:
         assert exc.value.errors == [
             "ic_amplitude: expected three comma-separated finite numbers, got '0,nan,0'"
         ]
+
+
+    @pytest.mark.parametrize(
+        "extra, error",
+        [
+            ("ic = snapshot\nic_path = a\nic_seed = 2\n", "ic_seed: not a key of ic = snapshot"),
+            ("forcing_k = 1,0,0\n", "forcing_k: not a key of forcing = zero"),
+            ("ic = random_spectrum\nic_path = a\n", "ic_path: not a key of ic = random_spectrum"),
+        ],
+    )
+    def test_key_of_another_kind_rejected(self, extra, error):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(MINIMAL + extra)
+        assert exc.value.errors == [error]
+
+    @pytest.mark.parametrize("path", ["runs/a#1.snap", "a\nb.snap", " a.snap", "a.snap ", "a\rb"])
+    @pytest.mark.parametrize("prefix", ["ic", "forcing"])
+    def test_format_rejects_a_path_the_parser_cannot_read_back(self, prefix, path):
+        spec = FieldSpec(kind="snapshot", path=path)
+        config = SolverConfig(K=16, nu=1.0, delta=0.5, order=2, **{prefix: spec})
+        with pytest.raises(ValueError, match=f"^{prefix}_path: "):
+            format_config(config)
 
 
 class TestReadme:

@@ -4,12 +4,15 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
 import deconvbox
 
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(deconvbox.__path__))
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _package_imports() -> dict[str, list[str]]:
@@ -35,3 +38,26 @@ def test_package_imports_are_exported(name):
     module = importlib.import_module(f"deconvbox.{name}")
     imported = _package_imports().get(name, [])
     assert [n for n in imported if n not in module.__all__] == []
+
+
+def _lru_cached() -> set[str]:
+    """module.function for each function in the package that a cache decorates."""
+    found = set()
+    for path in Path(deconvbox.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                re.fullmatch(r"(functools\.)?(lru_cache|cache)(\(.*\))?", ast.unparse(d))
+                for d in node.decorator_list
+            ):
+                found.add(f"{path.stem}.{node.name}")
+    return found
+
+
+def test_readme_names_exactly_the_lru_caches():
+    # The Performance section's cache paragraph lists each cache as
+    # `module.function`; adding or deleting a cache must update it.
+    section = README.read_text(encoding="utf-8").split("\n## Performance", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    paragraph = next(p for p in section.split("\n\n") if "`functools.lru_cache`" in p)
+    named = set(re.findall(rf"`((?:{'|'.join(SUBMODULES)})\.\w+)`", paragraph))
+    assert named == _lru_cached()

@@ -161,6 +161,28 @@ class TestTrilinearForm:
         want = trilinear_collocation(u, v, w, points=8)
         assert got == pytest.approx(want, rel=1e-10)
 
+    @pytest.mark.parametrize(
+        "K, rule, points", [(6, "two_thirds", 24), (6, "none", 6), (8, "none", 8)]
+    )
+    def test_matches_collocation_oracle(self, K, rule, points):
+        # 3 divides K = 6, where the 2/3 cut is (K-1)//3. Without dealiasing
+        # the form is the aliased K-point quadrature, so the oracle sums on
+        # those points; under the 2/3 rule any finer quadrature is exact.
+        grid = make_grid(K, rule)
+        u, v, w = (random_div_free(grid, seed=s) for s in (13, 14, 15))
+        want = trilinear_collocation(u, v, w, points=points)
+        assert trilinear_b(u, v, w) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("rule", DEALIAS_RULES)
+    @pytest.mark.parametrize("K", [16, 32])
+    def test_pairs_the_steppers_convective_term(self, K, rule):
+        # Leray is self-adjoint and w divergence-free, so b(u, v, w) is the
+        # pairing of nonlinear_term(u, v) with w.
+        grid = make_grid(K, rule)
+        u, v, w = (random_div_free(grid, seed=s) for s in (40, 41, 42))
+        want = inner_product(nonlinear_term(u, v), w)
+        assert trilinear_b(u, v, w) == pytest.approx(want, rel=1e-12)
+
     def test_two_mode_fields_against_oracle(self, grid4):
         u = SpectralVectorField.from_modes(grid4, {(1, 0, 0): (0.0, 1.0, 0.0)})
         v = SpectralVectorField.from_modes(

@@ -1,9 +1,10 @@
 """The table-driven operators against their closed forms, byte for byte.
 
-The references in `deconvbox.verify` evaluate the closed forms on the
-grid's integer, float and bool arrays; the operators use the complex
-tables of the grid and of the table caches, and in-place updates. Bytes
-are compared, so a -0.0 where the reference has 0.0 fails too.
+The references in `deconvbox.verify` and `deconv.truncation_hn` evaluate
+the closed forms on the grid's integer, float and bool arrays; the
+operators use the complex tables of the grid and of the table caches, and
+in-place updates. Bytes are compared, so a -0.0 where the reference has
+0.0 fails too.
 """
 
 import numpy as np
@@ -23,20 +24,18 @@ from deconvbox import (
     step,
 )
 from deconvbox.config import FieldSpec, _random_raw
-from deconvbox.deconv import _hn_table
+from deconvbox.deconv import _hn_table, truncation_hn
 from deconvbox.solver import _half_decay, _squared_norms
 from deconvbox.spectral import (
     DEALIAS_RULES,
     SpectralVectorField,
     _grid,
-    _sobolev_weight,
     sobolev_norm,
 )
 from deconvbox.verify import (
     _leray_reference,
     _sobolev_reference,
     _step_reference,
-    _truncation_reference,
 )
 
 KS = (4, 6, 8, 12, 14, 16, 32)
@@ -87,7 +86,7 @@ class TestBytesEqualClosedForms:
     def test_filter_apply(self, K, rule, seed):
         raw = unmasked_field(make_grid(K, rule), np.random.default_rng(seed))
         filters = FilterParams(0.7, 3)
-        assert filters.apply(raw).coeff.tobytes() == _truncation_reference(raw, filters).tobytes()
+        assert filters.apply(raw).coeff.tobytes() == truncation_hn(raw, 0.7, 3).coeff.tobytes()
 
     @settings(max_examples=3, deadline=None)
     @given(seed=SEEDS)
@@ -129,7 +128,7 @@ def test_interleaved_models_use_their_own_tables():
         for model, state, dt in cases:
             assert_step_matches(state, model, dt)
             raw = unmasked_field(state.w.grid, rng)
-            want = _truncation_reference(raw, model.filters)
+            want = truncation_hn(raw, model.filters.delta, model.filters.order).coeff
             assert model.filters.apply(raw).coeff.tobytes() == want.tobytes()
             assert leray_project(raw).coeff.tobytes() == _leray_reference(raw).tobytes()
             assert_norms_match(state.w)
@@ -141,14 +140,13 @@ def test_interleaved_models_use_their_own_tables():
         lambda g: (g.kx, g.ky, g.kz, g.ksq, g.mask, g.mult),
         lambda g: (*g.ck, g.ksq_safe),
         lambda g: (g.cmask, g.col_flat, g.col_mask, *g.col_ik),
-        lambda g: (_sobolev_weight(g, 2.0), _sobolev_weight(g, -1.0)),
         lambda g: (_hn_table(g, 0.7, 3),),
         lambda g: (_half_decay(g, 0.3, 0.01),),
     ],
-    ids=["lattice", "complex_lattice", "mask", "sobolev_weight", "hn", "half_decay"],
+    ids=["lattice", "complex_lattice", "mask", "hn", "half_decay"],
 )
 def test_cached_tables_are_read_only(tables):
-    # The grid's tables and the three remaining table caches are shared
+    # The grid's tables and the two table caches are shared
     # by every run and thread at their key.
     for rule in DEALIAS_RULES:
         for table in tables(make_grid(8, rule)):
