@@ -329,26 +329,18 @@ def ensemble_absorb_probe(
         target = R * (i + 1) / ensemble_size
         state0 = initial_state(u0 * (target / hn_norm), model)
         w0_norm = sobolev_norm(state0.w, 0.0)
+        entry_time, stayed, max_ratio, blow_up = None, False, math.inf, None
         try:
             traj = simulate(member_config, initial=state0)
         except BlowUpError as err:
-            return ProbeMember(
-                index=i,
-                seed=seed,
-                w0_norm=w0_norm,
-                entry_time=None,
-                stayed_inside=False,
-                bound_ok=False,
-                max_bound_ratio=math.inf,
-                blow_up_time=err.t_last,
-                trajectory=err.trajectory if keep_trajectories else None,
-            )
-        inside = traj.h0_sq < rho0_prime**2
-        entry_idx = int(np.argmax(inside)) if inside.any() else None
-        entry_time = None if entry_idx is None else float(traj.t[entry_idx])
-        stayed = bool(inside[entry_idx:].all()) if entry_idx is not None else False
-        ratios = traj.h0_sq / traj.absorb_bound
-        max_ratio = float(ratios.max())
+            traj, blow_up = err.trajectory, err.t_last
+        else:
+            inside = traj.h0_sq < rho0_prime**2
+            if inside.any():
+                entry_idx = int(np.argmax(inside))
+                entry_time = float(traj.t[entry_idx])
+                stayed = bool(inside[entry_idx:].all())
+            max_ratio = float((traj.h0_sq / traj.absorb_bound).max())
         return ProbeMember(
             index=i,
             seed=seed,
@@ -357,7 +349,7 @@ def ensemble_absorb_probe(
             stayed_inside=stayed,
             bound_ok=max_ratio <= 1.0 + BOUND_TOLERANCE,
             max_bound_ratio=max_ratio,
-            blow_up_time=None,
+            blow_up_time=blow_up,
             trajectory=traj if keep_trajectories else None,
         )
 

@@ -57,7 +57,7 @@ class FilterParams:
 
         Byte-identical to truncation_hn(w, delta, order).
         """
-        return SpectralVectorField(w.grid, w.coeff * _hn_table(w.grid, self.delta, self.order))
+        return SpectralVectorField(w.grid, w.coeff * _hn_table(w.grid, self.delta, self.order)[0])
 
 
 def _scaled_k2(k2a: np.ndarray, delta: float) -> np.ndarray:
@@ -129,11 +129,10 @@ def van_cittert_apply(w: SpectralVectorField, delta: float, order: int) -> Spect
 
 
 @lru_cache(maxsize=16)
-def _hn_table(grid: WaveGrid, delta: float, order: int) -> np.ndarray:
-    """hn_symbol over the grid's lattice as a read-only complex128 table."""
+def _hn_table(grid: WaveGrid, delta: float, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """hn_symbol over the grid's lattice as read-only complex tables, full and retained."""
     table = hn_symbol(grid.ksq, delta, order).astype(np.complex128)
-    _read_only(table)
-    return table
+    return _read_only(table, table.reshape(-1)[grid.ret_flat])
 
 
 def smoothing_bound(delta: float, order: int) -> float:

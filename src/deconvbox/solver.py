@@ -25,13 +25,17 @@ from functools import lru_cache
 import numpy as np
 
 from .config import SolverConfig, generate_ic
-from .deconv import FilterParams
+from .deconv import FilterParams, _hn_table
 from .spectral import (
     SpectralVectorField,
     WaveGrid,
+    _convective,
+    _gather,
+    _leray,
     _mode_energy,
     _norm_from_energy,
     _read_only,
+    _scatter,
     divergence_error,
     inner_product,
     leray_project,
@@ -62,8 +66,8 @@ class BlowUpError(RuntimeError):
 class ModelParams:
     """Viscosity, filter parameters and steady forcing for the model.
 
-    `forcing` is a steady divergence-free, zero-mean field (None means
-    zero); its truncation H_N f is cached in `hn_forcing`.
+    `forcing` is a steady divergence-free, zero-mean field with no content on
+    masked modes (None means zero); its truncation H_N f is cached in `hn_forcing`.
     """
 
     nu: float
@@ -83,6 +87,12 @@ class ModelParams:
                 )
             if self.forcing.coeff[:, 0, 0, 0].any():
                 raise ValueError("forcing must have zero mean")
+            grid = self.forcing.grid
+            for i1, i2, k3 in np.argwhere(self.forcing.coeff.any(axis=0) & ~grid.mask)[:1]:
+                raise ValueError(
+                    f"forcing has content on mode ({grid.kx[i1, 0, 0]}, {grid.ky[0, i2, 0]}, "
+                    f"{k3}), which the dealias cut |k_i| <= {grid.cut} drops"
+                )
             self.hn_forcing = self.filters.apply(self.forcing)
 
 
@@ -152,21 +162,20 @@ def initial_state(
     return make_state(0.0, params.filters.apply(u0), params)
 
 
-def _explicit_part(state: SolverState, params: ModelParams) -> np.ndarray:
-    """Projected nonlinear term plus truncated forcing (everything but viscosity).
-
-    Built in place in the fresh array nonlinear_term returns.
-    """
-    out = nonlinear_term(state.hn_w, state.w).coeff
+def _explicit(hn_w: np.ndarray, w: np.ndarray, hn_f, grid: WaveGrid) -> np.ndarray:
+    """-P_L[(H_N w . grad) w] + H_N f on retained (3, M) arrays, in a new array."""
+    out = _leray(_convective(hn_w, w, grid), grid.ret_k, grid.ret_ksq_safe)
     np.negative(out, out=out)
-    if params.hn_forcing is not None:
-        np.add(out, params.hn_forcing.coeff, out=out)
+    if hn_f is not None:
+        np.add(out, hn_f, out=out)
     return out
 
 
 def rhs(state: SolverState, params: ModelParams) -> SpectralVectorField:
     """Full model right-hand side -P_L[(H_N w . grad) w] - nu A w + H_N f."""
-    expl = _explicit_part(state, params)
+    expl = -nonlinear_term(state.hn_w, state.w).coeff
+    if params.hn_forcing is not None:
+        expl += params.hn_forcing.coeff
     visc = params.nu * stokes_apply(state.w).coeff
     return SpectralVectorField(state.w.grid, expl - visc)
 
@@ -175,14 +184,18 @@ def step(state: SolverState, params: ModelParams, dt: float) -> SolverState:
     """Advance one step with the integrating-factor midpoint scheme.
 
     The viscous factor is exact; the explicit part is advanced with a
-    half-step predictor and a midpoint corrector. Raises `BlowUpError` if
-    any coefficient becomes non-finite.
+    half-step predictor and a midpoint corrector. Both stages run on the
+    retained modes; a mode the dealias mask drops only decays. Raises
+    `BlowUpError` if any coefficient becomes non-finite.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     grid = state.w.grid
     w = state.w.coeff
-    decay_half = _half_decay(grid, params.nu, dt)
+    decay_half, decay_r = _half_decay(grid, params.nu, dt)
+    hn_r = _hn_table(grid, params.filters.delta, params.filters.order)[1]
+    hn_f = None if params.hn_forcing is None else _gather(params.hn_forcing.coeff, grid)
+    w_r = _gather(w, grid)
     # In place, in the operand order of
     #   mid = decay_half * (w + (dt/2) k1)
     #   new = decay_half * (decay_half * w) + dt * (decay_half * k2),
@@ -190,30 +203,28 @@ def step(state: SolverState, params: ModelParams, dt: float) -> SolverState:
     # commute to the last bit in numpy's fused complex multiply, and
     # decay_half * decay_half applied as one factor rounds differently.
     with np.errstate(over="ignore", invalid="ignore"):
-        mid_coeff = _explicit_part(state, params)
-        np.multiply(0.5 * dt, mid_coeff, out=mid_coeff)
-        np.add(w, mid_coeff, out=mid_coeff)
-        np.multiply(decay_half, mid_coeff, out=mid_coeff)
-        mid = make_state(
-            state.t + 0.5 * dt, SpectralVectorField(grid, mid_coeff), params
-        )
-        k2 = _explicit_part(mid, params)
+        mid = _explicit(np.multiply(w_r, hn_r), w_r, hn_f, grid)
+        np.multiply(0.5 * dt, mid, out=mid)
+        np.add(w_r, mid, out=mid)
+        np.multiply(decay_r, mid, out=mid)
+        k2 = _explicit(np.multiply(mid, hn_r), mid, hn_f, grid)
         new_coeff = np.multiply(decay_half, w)
         np.multiply(decay_half, new_coeff, out=new_coeff)
-        np.multiply(decay_half, k2, out=k2)
+        new_r = _gather(new_coeff, grid)
+        np.multiply(decay_r, k2, out=k2)
         np.multiply(dt, k2, out=k2)
-        np.add(new_coeff, k2, out=new_coeff)
+        np.add(new_r, k2, out=new_r)
+        _scatter(new_r, new_coeff, grid)
     if not np.isfinite(new_coeff).all():
         raise BlowUpError(state.t)
     return make_state(state.t + dt, SpectralVectorField(grid, new_coeff), params)
 
 
 @lru_cache(maxsize=16)
-def _half_decay(grid: WaveGrid, nu: float, dt: float) -> np.ndarray:
-    """The half-step viscous factor exp(-nu |k|^2 dt / 2) as a read-only complex table."""
+def _half_decay(grid: WaveGrid, nu: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-nu |k|^2 dt / 2) as read-only complex tables, full and retained."""
     table = np.exp(-nu * grid.ksq * (0.5 * dt)).astype(np.complex128)
-    _read_only(table)
-    return table
+    return _read_only(table, table.reshape(-1)[grid.ret_flat])
 
 
 @dataclass(eq=False)

@@ -22,6 +22,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import itertools
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -66,12 +67,13 @@ class WaveGrid:
     mult : ndarray
         Lattice multiplicity of each stored mode (2 for interior k3
         columns that stand for a conjugate pair, else 1).
-    ck, ksq_safe, cmask : complex128 tables
-        kx, ky, kz; |k|^2 with the mean mode's 0 replaced by 1; mask.
-    col_flat, col_mask, col_ik : ndarray
-        For the pruned inverse, the (ky, kz) columns the mask keeps, laid out
-        (ky, kz, kx) (ky over 0..cut, K-cut..K-1; kz over 0..cut): the flat
-        rfft-layout index, the complex mask along kx and the factors 1j*k_i.
+    ck, ksq_safe : complex128 tables
+        kx, ky, kz; |k|^2 with the mean mode's 0 replaced by 1.
+    ret_flat : ndarray
+        Flat index of the M retained modes in the pruned inverse's column order
+        (ky, kz, kx): ky, kx over 0..cut, K-cut..K-1; kz over 0..cut. Mean first.
+    ret_k, ret_ik, ret_ksq_safe : complex128 tables over the retained modes
+        k_i, the derivative factors 1j*k_i, and ksq_safe.
     """
 
     K: int
@@ -85,10 +87,10 @@ class WaveGrid:
     mult: np.ndarray
     ck: tuple[np.ndarray, np.ndarray, np.ndarray]
     ksq_safe: np.ndarray
-    cmask: np.ndarray
-    col_flat: np.ndarray
-    col_mask: np.ndarray
-    col_ik: tuple[np.ndarray, np.ndarray, np.ndarray]
+    ret_flat: np.ndarray
+    ret_k: tuple[np.ndarray, np.ndarray, np.ndarray]
+    ret_ik: tuple[np.ndarray, np.ndarray, np.ndarray]
+    ret_ksq_safe: np.ndarray
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -118,9 +120,10 @@ def _wavenumbers(K: int) -> np.ndarray:
     return np.concatenate((np.arange(K // 2), np.arange(-(K // 2), 0))).astype(np.int64)
 
 
-def _read_only(*arrays: np.ndarray) -> None:
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for arr in arrays:
         arr.setflags(write=False)
+    return arrays
 
 
 def make_grid(K: int, dealias_rule: str = "two_thirds") -> WaveGrid:
@@ -166,9 +169,11 @@ def _grid(K: int, dealias_rule: str) -> WaveGrid:
     mult = np.ones((K, K, half), dtype=np.float64)
     mult[:, :, 1 : K // 2] = 2.0
 
-    iy = np.r_[0 : cut + 1, K - cut : K].reshape(-1, 1, 1)
-    iz = np.arange(cut + 1).reshape(1, -1, 1)
-    ix = np.arange(K).reshape(1, 1, K)
+    keep = np.r_[0 : cut + 1, K - cut : K]
+    iy, iz, ix = np.meshgrid(keep, np.arange(cut + 1), keep, indexing="ij")
+    ret_flat = ((ix * K + iy) * half + iz).ravel()
+    k_ret = tuple(k.ravel() for k in (k_line[ix], k_line[iy], iz))
+    ksq_safe = np.where(ksq > 0.0, ksq, 1.0).astype(np.complex128)
 
     grid = WaveGrid(
         K=K,
@@ -181,14 +186,14 @@ def _grid(K: int, dealias_rule: str) -> WaveGrid:
         mask=mask,
         mult=mult,
         ck=tuple(k.astype(np.complex128) for k in (kx, ky, kz)),
-        ksq_safe=np.where(ksq > 0.0, ksq, 1.0).astype(np.complex128),
-        cmask=mask.astype(np.complex128),
-        col_flat=(ix * K + iy) * half + iz,
-        col_mask=(np.abs(k_line[ix]) <= cut).astype(np.complex128),
-        col_ik=(1j * k_line[ix], 1j * k_line[iy], 1j * iz),
+        ksq_safe=ksq_safe,
+        ret_flat=ret_flat,
+        ret_k=tuple(k.astype(np.complex128) for k in k_ret),
+        ret_ik=tuple(1j * k for k in k_ret),
+        ret_ksq_safe=ksq_safe.reshape(-1)[ret_flat],
     )
-    _read_only(kx, ky, kz, ksq, mask, mult, *grid.ck, grid.ksq_safe, grid.cmask)
-    _read_only(grid.col_flat, grid.col_mask, *grid.col_ik)
+    _read_only(kx, ky, kz, ksq, mask, mult, *grid.ck, grid.ksq_safe, grid.ret_flat)
+    _read_only(*grid.ret_k, *grid.ret_ik, grid.ret_ksq_safe)
     return grid
 
 
@@ -289,9 +294,7 @@ class SpectralVectorField:
 
 
 def _require_same_grid(a: SpectralVectorField, b: SpectralVectorField) -> None:
-    if a.grid is not b.grid and (
-        a.grid.K != b.grid.K or a.grid.dealias_rule != b.grid.dealias_rule
-    ):
+    if a.grid is not b.grid and (a.grid.K, a.grid.dealias_rule) != (b.grid.K, b.grid.dealias_rule):
         raise ValueError("fields live on different grids")
 
 
@@ -331,14 +334,10 @@ def inner_product(u: SpectralVectorField, v: SpectralVectorField) -> float:
 def divergence_error(w: SpectralVectorField) -> float:
     """max_k |k . what(k)| relative to the H_1 scale of the field."""
     grid = w.grid
-    dot = (
-        grid.kx * w.coeff[0] + grid.ky * w.coeff[1] + grid.kz * w.coeff[2]
-    )
+    dot = grid.kx * w.coeff[0] + grid.ky * w.coeff[1] + grid.kz * w.coeff[2]
     worst = float(np.abs(dot).max())
     scale = sobolev_norm(w, 1.0)
-    if scale == 0.0:
-        return worst
-    return worst / scale
+    return worst if scale == 0.0 else worst / scale
 
 
 # -- operators ------------------------------------------------------------------
@@ -351,8 +350,11 @@ def leray_project(w_raw: SpectralVectorField) -> SpectralVectorField:
     untouched (it is zero for valid fields). Idempotent and self-adjoint.
     """
     grid = w_raw.grid
-    c = w_raw.coeff
-    k = grid.ck
+    return SpectralVectorField(grid, _leray(w_raw.coeff, grid.ck, grid.ksq_safe))
+
+
+def _leray(c: np.ndarray, k: tuple, ksq_safe: np.ndarray) -> np.ndarray:
+    """leray_project of (3, ...) coefficients, given their layout's k_i and ksq_safe tables."""
     # dot = (kx c0 + ky c1 + kz c2) / |k|^2, the operand order of the
     # closed form, so the bytes equal it.
     dot = np.multiply(k[0], c[0])
@@ -360,12 +362,28 @@ def leray_project(w_raw: SpectralVectorField) -> SpectralVectorField:
     dot += tmp
     np.multiply(k[2], c[2], out=tmp)
     dot += tmp
-    dot /= grid.ksq_safe
+    dot /= ksq_safe
     out = np.empty_like(c)
     for i in range(3):
         np.multiply(k[i], dot, out=tmp)
         np.subtract(c[i], tmp, out=out[i])
-    return SpectralVectorField(grid, out)
+    return out
+
+
+def _gather(coeff: np.ndarray, grid: WaveGrid) -> np.ndarray:
+    """The retained modes (3, M) of full-layout coefficients, in ret_flat order."""
+    return np.take(coeff.reshape(3, -1), grid.ret_flat, axis=1)
+
+
+def _scatter(ret: np.ndarray, out: np.ndarray, grid: WaveGrid) -> np.ndarray:
+    """Write retained (3, M) coefficients over out's retained modes, one (kx, ky)
+    quadrant at a time: several times faster than assigning through ret_flat."""
+    K, c = grid.K, grid.cut
+    box = ret.reshape(3, 2 * c + 1, c + 1, 2 * c + 1).transpose(0, 3, 1, 2)  # kx, ky, kz
+    halves = ((slice(0, c + 1), slice(0, c + 1)), (slice(K - c, K), slice(c + 1, None)))
+    for (full_x, ret_x), (full_y, ret_y) in itertools.product(halves, halves):
+        out[:, full_x, full_y, : c + 1] = box[:, ret_x, ret_y]
+    return out
 
 
 def stokes_apply(w: SpectralVectorField) -> SpectralVectorField:
@@ -385,8 +403,9 @@ class _Workspace:
     """One thread's buffers for the convective term at one (K, cut).
 
     Every call writes only the lines the dealias mask keeps, so the lines
-    it drops in by_ky and by_kz stay zero from allocation on. by_kz and
-    phys hold one block of `planes` x-planes; conv and chat are full size.
+    it drops in stack (the retained (ky, kz) columns), by_ky and by_kz stay
+    zero from allocation on. by_kz and phys hold one block of `planes`
+    x-planes; conv and chat are full size.
     """
 
     def __init__(self, grid: WaveGrid) -> None:
@@ -394,12 +413,13 @@ class _Workspace:
         half = K // 2 + 1
         self.key = (K, cut)
         self.planes = min(K, max(1, _BLOCK_BYTES // (12 * K * K * 8)))
-        self.stack = np.empty((12,) + grid.col_flat.shape, dtype=np.complex128)
+        self.stack = np.zeros((12, 2 * cut + 1, cut + 1, K), dtype=np.complex128)
         self.by_ky = np.zeros((12, K, cut + 1, K), dtype=np.complex128)
         self.by_kz = np.zeros((12, self.planes, K, half), dtype=np.complex128)
         self.phys = np.empty((12, self.planes, K, K))
         self.conv = np.empty((3, K, K, K))
         self.chat = np.empty((3, K, K, half), dtype=np.complex128)
+        self.out = np.empty((3, grid.ret_flat.size), dtype=np.complex128)
 
 
 # Probe members step on pool threads, so each thread gets its own buffers;
@@ -415,8 +435,9 @@ def _workspace(grid: WaveGrid) -> _Workspace:
     return ws
 
 
-def _convective(u: SpectralVectorField, v: SpectralVectorField) -> np.ndarray:
-    """Masked, mean-free coefficients of the dealiased product (u . grad) v.
+def _convective(u: np.ndarray, v: np.ndarray, grid: WaveGrid) -> np.ndarray:
+    """Retained, mean-free coefficients (3, M) of the dealiased (u . grad) v,
+    for retained coefficients u and v (3, M) in ret_flat order.
 
     The returned array is this thread's workspace buffer, overwritten by
     the next call on the thread: callers reduce it or copy out of it.
@@ -428,21 +449,21 @@ def _convective(u: SpectralVectorField, v: SpectralVectorField) -> np.ndarray:
     (u_i in channel i, d v_j / d x_i in channel 3 + 3i + j). Each pass
     transforms only the lines the mask leaves nonzero, along the
     contiguous last axis: the kx pass (once) the retained (ky, kz)
-    columns, the ky pass (per block) the kz <= cut planes.
+    columns, the ky pass (per block) the kz <= cut planes. The forward
+    transform is numpy's 3-channel rfftn; only its retained outputs are kept.
     """
-    _require_same_grid(u, v)
-    grid = u.grid
     K, c = grid.K, grid.cut
     ws = _workspace(grid)
     stack = ws.stack
-    # v's masked columns land in channels 3:6, which are differentiated
-    # last, in place. mode="clip" keeps take from buffering its output.
-    np.take(v.coeff.reshape(3, -1), grid.col_flat, axis=1, out=stack[3:6], mode="clip")
-    np.multiply(stack[3:6], grid.col_mask, out=stack[3:6])
-    for i in (2, 1, 0):
-        np.multiply(grid.col_ik[i], stack[3:6], out=stack[3 + 3 * i : 6 + 3 * i])
-    np.take(u.coeff.reshape(3, -1), grid.col_flat, axis=1, out=stack[0:3], mode="clip")
-    np.multiply(stack[0:3], grid.col_mask, out=stack[0:3])
+    # The retained kx of each column sit at 0..c and K-c..K-1 of the kx line.
+    shape = (3, 2 * c + 1, c + 1, 2 * c + 1)
+    u4, v4 = u.reshape(shape), v.reshape(shape)
+    ik4 = [ik.reshape(shape[1:]) for ik in grid.ret_ik]
+    halves = ((stack[..., : c + 1], slice(0, c + 1)), (stack[..., K - c :], slice(c + 1, None)))
+    for lines, kx in halves:
+        lines[0:3] = u4[..., kx]
+        for i in range(3):
+            np.multiply(ik4[i][..., kx], v4[..., kx], out=lines[3 + 3 * i : 6 + 3 * i])
 
     # kx pass into (x, kz, ky) order.
     view = ws.by_ky.transpose(0, 3, 2, 1)
@@ -466,10 +487,10 @@ def _convective(u: SpectralVectorField, v: SpectralVectorField) -> np.ndarray:
             out=ws.conv[:, xs],
         )
     chat = np.fft.rfftn(ws.conv, axes=(1, 2, 3), out=ws.chat)
-    chat /= grid.n_points
-    chat *= grid.cmask
-    chat[:, 0, 0, 0] = 0.0
-    return chat
+    out = np.take(chat.reshape(3, -1), grid.ret_flat, axis=1, out=ws.out, mode="clip")
+    out /= grid.n_points
+    out[:, 0] = 0.0
+    return out
 
 
 def trilinear_b(
@@ -483,17 +504,25 @@ def trilinear_b(
     vanishes to round-off for divergence-free u. The integral carries the
     normalized box measure, matching the coefficient-sum norm convention.
     """
-    return inner_product(SpectralVectorField(u.grid, _convective(u, v)), w)
+    _require_same_grid(u, v)
+    grid = u.grid
+    conv = _convective(_gather(u.coeff, grid), _gather(v.coeff, grid), grid)
+    full = _scatter(conv, np.zeros_like(w.coeff), grid)
+    return inner_product(SpectralVectorField(grid, full), w)
 
 
 def nonlinear_term(u: SpectralVectorField, w: SpectralVectorField) -> SpectralVectorField:
     """Leray-projected, dealiased convective term P_L[(u . grad) w].
 
     The advecting field u should be divergence-free; the result is
-    divergence-free and zero-mean by construction. leray_project
-    allocates the returned field, so no workspace buffer escapes.
+    divergence-free and zero-mean by construction, and +0.0 on the modes
+    the dealias mask drops.
     """
-    return leray_project(SpectralVectorField(u.grid, _convective(u, w)))
+    _require_same_grid(u, w)
+    grid = u.grid
+    conv = _convective(_gather(u.coeff, grid), _gather(w.coeff, grid), grid)
+    out = _leray(conv, grid.ret_k, grid.ret_ksq_safe)
+    return SpectralVectorField(grid, _scatter(out, np.zeros_like(w.coeff), grid))
 
 
 __all__ = [

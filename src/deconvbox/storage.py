@@ -80,19 +80,18 @@ def write_snapshot(state: SolverState, params: ModelParams, path) -> None:
     """Write the full state (half-spectrum) in the canonical mode ordering."""
     grid = state.w.grid
     header = _HEADER_STRUCT.pack(
-        SNAPSHOT_MAGIC,
-        SNAPSHOT_VERSION,
-        grid.K,
-        params.filters.order,
-        state.t,
-        params.nu,
-        params.filters.delta,
+        SNAPSHOT_MAGIC, SNAPSHOT_VERSION, grid.K, params.filters.order,
+        state.t, params.nu, params.filters.delta,
     )
-    # (k1, k2, k3, component), canonical order
-    payload = np.fft.fftshift(np.moveaxis(state.w.coeff, 0, -1), axes=(0, 1))
+    # (k1, k2, k3, component), canonical order: the k1 and k2 axes
+    # fftshifted, copied quadrant by quadrant.
+    view, h = np.moveaxis(state.w.coeff, 0, -1), grid.K // 2
+    payload = np.empty(view.shape, dtype="<c16")
+    for dst, src in ((slice(h), slice(h, None)), (slice(h, None), slice(h))):
+        payload[dst, :h], payload[dst, h:] = view[src, h:], view[src, :h]
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload.astype("<c16", copy=False).tobytes())
+        fh.write(payload)
 
 
 def read_snapshot_meta(path) -> SnapshotMeta:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -235,6 +236,29 @@ class TestEnsembleProbe:
             assert m.bound_ok
             assert m.max_bound_ratio <= 1.01
             assert m.stayed_inside
+
+    def test_two_members_digests_equal_on_one_and_two_threads(self, monkeypatch):
+        # Each pool thread steps in its own convective workspace.
+        template = SolverConfig(
+            K=12, nu=1.0, delta=0.5, order=1, dt=0.05, T=1.0,
+            forcing=FieldSpec(kind="random_spectrum", seed=63, target_norm=0.3),
+        )
+
+        def digests():
+            report = ensemble_absorb_probe(
+                R=1.0, rho0_prime=0.5, ensemble_size=2, template=template
+            )
+            return [
+                hashlib.sha256(
+                    b"".join(col.tobytes() for col in m.trajectory.columns().values())
+                ).hexdigest()
+                for m in report.members
+            ]
+
+        monkeypatch.setenv("DECONV_THREADS", "1")
+        serial = digests()
+        monkeypatch.setenv("DECONV_THREADS", "2")
+        assert digests() == serial
 
     def test_threads_do_not_change_results(self, monkeypatch):
         template = SolverConfig(

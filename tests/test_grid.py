@@ -98,3 +98,29 @@ def test_smallest_eigenvalue_degenerate_grid(grid8):
     starved = dataclasses.replace(grid8, mask=(grid8.ksq == 0.0))
     with pytest.raises(ValueError, match="degenerate"):
         smallest_eigenvalue(starved)
+
+
+@pytest.mark.parametrize("rule", ["two_thirds", "none"])
+@pytest.mark.parametrize("K", [4, 6, 8, 12, 18, 32])
+def test_retained_index_follows_the_pruned_inverse_columns(K, rule):
+    # ret_flat lists each retained mode once, the mean first, laid out as
+    # the pruned inverse's columns: (ky, kz, kx) with ky and kx over
+    # 0..cut, K-cut..K-1 and kz over 0..cut.
+    grid = make_grid(K, rule)
+    c = grid.cut
+    assert grid.ret_flat.size == grid.mask.sum()
+    assert np.unique(grid.ret_flat).size == grid.ret_flat.size
+    assert grid.ret_flat[0] == 0
+    assert grid.mask.reshape(-1)[grid.ret_flat].all()
+    ix, iy, iz = np.unravel_index(grid.ret_flat, grid.spectral_shape)
+    keep = list(range(c + 1)) + list(range(K - c, K))
+    shape = (2 * c + 1, c + 1, 2 * c + 1)
+    assert (iy.reshape(shape) == np.array(keep).reshape(-1, 1, 1)).all()
+    assert (iz.reshape(shape) == np.arange(c + 1).reshape(1, -1, 1)).all()
+    assert (ix.reshape(shape) == np.array(keep).reshape(1, 1, -1)).all()
+    k_line = np.array(exact_lattice(K))
+    for table, k in zip(grid.ret_k, (k_line[ix], k_line[iy], iz)):
+        assert np.array_equal(table, k)
+    for table, k in zip(grid.ret_ik, (k_line[ix], k_line[iy], iz)):
+        assert np.array_equal(table, 1j * k)
+    assert np.array_equal(grid.ret_ksq_safe, grid.ksq_safe.reshape(-1)[grid.ret_flat])

@@ -36,6 +36,34 @@ def params16():
     return ModelParams(nu=1.0, filters=FilterParams(1.0, 0))
 
 
+class TestModelParams:
+    @pytest.mark.parametrize(
+        "K, rule, index, amp, named",
+        [
+            # beyond the 2/3 cut 5, with its conjugate at (-7, 0, 0)
+            (16, "two_thirds", [(7, 0, 0), (9, 0, 0)], (0.0, 1.0, 0.0), r"\(7, 0, 0\).*<= 5"),
+            # without dealiasing only the Nyquist planes are masked
+            (8, "none", [(1, 0, 4)], (0.0, 1.0, 0.0), r"\(1, 0, 4\).*<= 3"),
+            (8, "none", [(0, 4, 1)], (1.0, 0.0, 0.0), r"\(0, -4, 1\).*<= 3"),
+        ],
+    )
+    def test_rejects_forcing_on_masked_modes(self, K, rule, index, amp, named):
+        grid = make_grid(K, rule)
+        forcing = shear(grid)
+        for i in index:
+            forcing.coeff[(slice(None),) + i] = amp
+        assert divergence_error(forcing) == 0.0
+        with pytest.raises(ValueError, match=named):
+            ModelParams(nu=1.0, filters=FilterParams(0.5, 1), forcing=forcing)
+
+    @pytest.mark.parametrize("rule", ["two_thirds", "none"])
+    def test_accepts_forcing_on_retained_modes(self, rule):
+        grid = make_grid(8, rule)
+        forcing = shear(grid)
+        forcing.coeff *= grid.mask  # signed zeros on the masked modes are no content
+        ModelParams(nu=1.0, filters=FilterParams(0.5, 1), forcing=forcing)
+
+
 class TestInitialState:
     def test_zero_data(self, grid16, params16):
         state = initial_state(SpectralVectorField.zeros(grid16), params16)

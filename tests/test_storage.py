@@ -8,6 +8,7 @@ from deconvbox import (
     FilterParams,
     ModelParams,
     SolverConfig,
+    SolverState,
     SpectralVectorField,
     Trajectory,
     initial_state,
@@ -84,6 +85,23 @@ class TestSnapshot:
         back = read_snapshot(path)
         assert np.array_equal(back.w.coeff, state.w.coeff)
         assert back.t == state.t
+
+    @pytest.mark.parametrize("rule", ["two_thirds", "none"])
+    @pytest.mark.parametrize("K", [8, 12, 16])
+    def test_payload_is_the_fftshifted_component_last_spectrum(self, tmp_path, K, rule):
+        # Distinct content on every stored mode, masked ones included, so a
+        # misplaced quadrant or component shows.
+        grid = make_grid(K, rule)
+        n = 3 * K * K * (K // 2 + 1)
+        coeff = (np.arange(n) + 1j * np.arange(n, 2 * n)).reshape((3,) + grid.spectral_shape)
+        w = SpectralVectorField(grid, coeff)
+        state = SolverState(t=0.25, w=w, hn_w=w)
+        path = tmp_path / "s.snap"
+        write_snapshot(state, ModelParams(nu=0.7, filters=FilterParams(0.5, 2)), path)
+        want = np.fft.fftshift(np.moveaxis(coeff, 0, -1), axes=(0, 1)).astype("<c16").tobytes()
+        blob = path.read_bytes()
+        assert len(blob) == _HEADER_STRUCT.size + len(want)
+        assert blob[_HEADER_STRUCT.size :] == want
 
     def test_meta_fields(self, tmp_path, grid8):
         state, params = self.make_state(grid8)

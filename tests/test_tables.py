@@ -16,6 +16,7 @@ from deconvbox import (
     FilterParams,
     ModelParams,
     SolverConfig,
+    SolverState,
     build_model,
     initial_state,
     leray_project,
@@ -100,6 +101,29 @@ class TestBytesEqualClosedForms:
         assert_step_matches(state, model, dt)
 
 
+@pytest.mark.parametrize("masked_content", [False, True])
+@pytest.mark.parametrize("rule", DEALIAS_RULES)
+@pytest.mark.parametrize("K", (8, 12, 18))
+def test_five_steps_equal_the_iterated_reference(K, rule, masked_content):
+    # The stepper runs its stages on the retained modes; every word of w
+    # and H_N w, retained or masked, stays the closed-form stepper's.
+    grid = make_grid(K, rule)
+    rng = np.random.default_rng(K)
+    model, state, dt = forced_start(grid, rng)
+    if masked_content:
+        coeff = state.w.coeff + rng.standard_normal(state.w.coeff.shape) * ~grid.mask
+        state = make_state(0.0, SpectralVectorField(grid, coeff), model)
+    ref = state
+    for _ in range(5):
+        state = step(state, model, dt)
+        want_w, want_hn_w = _step_reference(ref, model, dt)
+        assert state.w.coeff.tobytes() == want_w.tobytes()
+        assert state.hn_w.coeff.tobytes() == want_hn_w.tobytes()
+        ref = SolverState(
+            ref.t + dt, SpectralVectorField(grid, want_w), SpectralVectorField(grid, want_hn_w)
+        )
+
+
 def test_step_output_has_signed_zeros():
     # Why bytes are compared: the masked modes of a stepped state hold
     # -0.0 as well as 0.0, and the snapshot and benchmark digests hash them.
@@ -139,9 +163,9 @@ def test_interleaved_models_use_their_own_tables():
     [
         lambda g: (g.kx, g.ky, g.kz, g.ksq, g.mask, g.mult),
         lambda g: (*g.ck, g.ksq_safe),
-        lambda g: (g.cmask, g.col_flat, g.col_mask, *g.col_ik),
-        lambda g: (_hn_table(g, 0.7, 3),),
-        lambda g: (_half_decay(g, 0.3, 0.01),),
+        lambda g: (g.ret_flat, *g.ret_k, *g.ret_ik, g.ret_ksq_safe),
+        lambda g: _hn_table(g, 0.7, 3),
+        lambda g: _half_decay(g, 0.3, 0.01),
     ],
     ids=["lattice", "complex_lattice", "mask", "hn", "half_decay"],
 )
