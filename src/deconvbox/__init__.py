@@ -52,7 +52,6 @@ from .solver import (
     energy_refinement_study,
     initial_state,
     make_state,
-    rhs,
     simulate,
     simulate_with_state,
     step,

@@ -28,14 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import FieldSpec, SolverConfig, generate_ic
-from .solver import (
-    BlowUpError,
-    Trajectory,
-    _model_of,
-    _with_model,
-    initial_state,
-    simulate,
-)
+from .solver import BlowUpError, Trajectory, build_model, initial_state, simulate
 from .spectral import smallest_eigenvalue, sobolev_norm
 
 # Relative slack of a member's energy over its decay envelope before the
@@ -278,8 +271,8 @@ def _worker_count() -> int:
 
 
 def ensemble_absorb_probe(
-    R: float,
-    rho0_prime: float,
+    R: float | None,
+    rho0_prime: float | None,
     ensemble_size: int,
     template: SolverConfig,
     base_seed: int = 2024,
@@ -287,12 +280,15 @@ def ensemble_absorb_probe(
 ) -> ProbeReport:
     """Run an ensemble from B(0, R) and check absorption into B(0, rho0').
 
-    Members start from the template's initial-condition family (random
-    spectra get per-member seeds; a single-mode template is reused as a
-    fixed shape) rescaled so that ||H_N u0|| = R (i + 1) / ensemble_size
-    for member i, run to 2 T0, and are judged on (a) entering the slack
-    ball no later than T0 (1 + template.epsilon), (b) never leaving it
-    afterwards, and (c) staying below the per-member decay envelope within
+    `R = None` means 4 rho0 and `rho0_prime = None` means sqrt(2) rho0, with
+    rho0 = ||f|| / (nu lam1) from the template's model; under zero forcing
+    rho0 = 0, so both must then be given. Members start from the template's
+    initial-condition family (random spectra get per-member seeds; a
+    single-mode template is reused as a fixed shape) rescaled so that
+    ||H_N u0|| = R (i + 1) / ensemble_size for member i, run to 2 T0, and
+    are judged on (a) entering the slack ball no later than
+    T0 (1 + template.epsilon), (b) never leaving it afterwards, and
+    (c) staying below the per-member decay envelope within
     `BOUND_TOLERANCE`. Members run independently; DECONV_THREADS sets the
     worker count and never changes results. A blown-up member is recorded
     with its failure time and fails the probe.
@@ -302,19 +298,20 @@ def ensemble_absorb_probe(
     if not 0.0 <= template.epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and nonnegative, got {template.epsilon!r}")
     workers = _worker_count()
-    grid, model = _model_of(template)
+    grid, model = build_model(template)
     f_norm = sobolev_norm(model.forcing, 0.0) if model.forcing is not None else 0.0
-    params = AbsorbingParams(
-        nu=template.nu,
-        lambda1=smallest_eigenvalue(grid),
-        f_norm=f_norm,
-        rho0_prime=rho0_prime,
-        R=R,
-    )
+    params = AbsorbingParams(nu=model.nu, lambda1=smallest_eigenvalue(grid), f_norm=f_norm)
+    if f_norm == 0.0 and (R is None or rho0_prime is None):
+        raise ValueError(
+            "R and rho0_prime default to multiples of rho0 = 0 "
+            "(zero forcing requires explicit values)"
+        )
+    R = 4.0 * params.rho0 if R is None else R
+    rho0_prime = math.sqrt(2.0) * params.rho0 if rho0_prime is None else rho0_prime
+    params = replace(params, rho0_prime=rho0_prime, R=R)
     t0 = absorbing_time(params)
     horizon = max(2.0 * t0, 10.0 * template.dt)
-    # Members step with this grid and model instead of building their own.
-    member_config = _with_model(replace(template, T=horizon), grid, model)
+    member_config = replace(template, T=horizon)
 
     def run_member(i: int) -> ProbeMember:
         seed = base_seed + i

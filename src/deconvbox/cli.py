@@ -12,17 +12,11 @@ import math
 import sys
 from dataclasses import replace
 
-from .attractor import ensemble_absorb_probe, rho0
+from .attractor import ensemble_absorb_probe
 from .config import ConfigError, parse_config
 from .deconv import SymbolTable
-from .solver import (
-    BlowUpError,
-    _with_model,
-    build_model,
-    energy_refinement_study,
-    simulate_with_state,
-)
-from .spectral import make_grid, smallest_eigenvalue, sobolev_norm
+from .solver import BlowUpError, energy_refinement_study, simulate_with_state
+from .spectral import make_grid
 from .storage import write_snapshot, write_timeseries
 from .verify import run_operator_checks
 
@@ -39,9 +33,8 @@ def _load_config(path):
 
 def _cmd_simulate(args) -> int:
     config = _load_config(args.config)
-    grid, params = build_model(config)
     try:
-        traj, state = simulate_with_state(_with_model(config, grid, params))
+        traj, state = simulate_with_state(config)
     except BlowUpError as err:
         print(f"blow-up: solution lost finiteness after t = {err.t_last}", file=sys.stderr)
         if err.trajectory is not None and args.output:
@@ -51,7 +44,7 @@ def _cmd_simulate(args) -> int:
     write_timeseries(traj, args.output)
     print(f"{len(traj)} samples written to {args.output} (t final = {traj.t[-1]})")
     if args.snapshot_out:
-        write_snapshot(state, params, args.snapshot_out)
+        write_snapshot(state, state.model, args.snapshot_out)
         print(f"final state written to {args.snapshot_out}")
     return EXIT_OK
 
@@ -74,23 +67,11 @@ def _cmd_absorb_probe(args) -> int:
     config = _load_config(args.config)
     if args.epsilon is not None:
         config = replace(config, epsilon=args.epsilon)
-    grid, model = build_model(config)
-    f_norm = sobolev_norm(model.forcing, 0.0) if model.forcing is not None else 0.0
-    base = rho0(config.nu, smallest_eigenvalue(grid), f_norm)
-    R = args.radius if args.radius is not None else 4.0 * base
-    rho_prime = args.rho0_prime if args.rho0_prime is not None else math.sqrt(2.0) * base
-    if R <= 0.0 or rho_prime <= base:
-        raise ConfigError(
-            [
-                "absorb-probe: need a positive radius and rho0-prime above "
-                f"rho0 = {base} (zero forcing requires explicit values)"
-            ]
-        )
     report = ensemble_absorb_probe(
-        R=R,
-        rho0_prime=rho_prime,
+        R=args.radius,
+        rho0_prime=args.rho0_prime,
         ensemble_size=args.members,
-        template=_with_model(config, grid, model),
+        template=config,
         keep_trajectories=False,
     )
     print(

@@ -40,10 +40,8 @@ from .spectral import (
     inner_product,
     leray_project,
     make_grid,
-    nonlinear_term,
     smallest_eigenvalue,
     sobolev_norm,
-    stokes_apply,
 )
 
 DIVERGENCE_TOL = 1e-10
@@ -106,38 +104,22 @@ def build_model(config: SolverConfig) -> tuple[WaveGrid, ModelParams]:
     return grid, ModelParams(nu=config.nu, filters=filters, forcing=forcing)
 
 
-@dataclass(frozen=True)
-class _BuiltConfig(SolverConfig):
-    """A config carrying the grid and model built from it, so that a run
-    under it (a probe member, a CLI command) does not build them again."""
-
-    grid: WaveGrid | None = field(default=None, compare=False, repr=False)
-    model: ModelParams | None = field(default=None, compare=False, repr=False)
-
-
-def _with_model(config: SolverConfig, grid: WaveGrid, model: ModelParams) -> _BuiltConfig:
-    values = {f.name: getattr(config, f.name) for f in dataclasses.fields(SolverConfig)}
-    return _BuiltConfig(**values, grid=grid, model=model)
-
-
-def _model_of(config: SolverConfig) -> tuple[WaveGrid, ModelParams]:
-    """The grid and model a config carries, else build_model(config)."""
-    if isinstance(config, _BuiltConfig):
-        return config.grid, config.model
-    return build_model(config)
-
-
 @dataclass
 class SolverState:
-    """Time, the evolved field w, and the cached truncation H_N(w)."""
+    """Time, the evolved field w, and the model w evolves under."""
 
     t: float
     w: SpectralVectorField
-    hn_w: SpectralVectorField
+    model: ModelParams
+
+    @property
+    def hn_w(self) -> SpectralVectorField:
+        """The truncation H_N(w), computed from w on each access."""
+        return self.model.filters.apply(self.w)
 
 
 def make_state(t: float, w: SpectralVectorField, params: ModelParams) -> SolverState:
-    return SolverState(t=float(t), w=w, hn_w=params.filters.apply(w))
+    return SolverState(t=float(t), w=w, model=params)
 
 
 def initial_state(
@@ -169,15 +151,6 @@ def _explicit(hn_w: np.ndarray, w: np.ndarray, hn_f, grid: WaveGrid) -> np.ndarr
     if hn_f is not None:
         np.add(out, hn_f, out=out)
     return out
-
-
-def rhs(state: SolverState, params: ModelParams) -> SpectralVectorField:
-    """Full model right-hand side -P_L[(H_N w . grad) w] - nu A w + H_N f."""
-    expl = -nonlinear_term(state.hn_w, state.w).coeff
-    if params.hn_forcing is not None:
-        expl += params.hn_forcing.coeff
-    visc = params.nu * stokes_apply(state.w).coeff
-    return SpectralVectorField(state.w.grid, expl - visc)
 
 
 def step(state: SolverState, params: ModelParams, dt: float) -> SolverState:
@@ -330,27 +303,53 @@ def simulate(config, initial: SolverState | None = None) -> Trajectory:
     work integrals are accumulated with the trapezoid rule at every step
     regardless of the output cadence. A snapshot initial condition resumes
     at the stored time without re-applying the initial truncation; an
-    explicit `initial` state overrides the configured one.
+    explicit `initial` state overrides the configured one, and the run uses
+    its grid and model, which must be the ones `config` describes.
     """
     traj, _ = simulate_with_state(config, initial)
     return traj
+
+
+def _start_state(config: SolverConfig) -> SolverState:
+    """The configured initial state, under build_model(config)."""
+    grid, params = build_model(config)
+    if config.ic.kind == "snapshot":
+        from .storage import read_snapshot
+
+        return read_snapshot(config.ic.path, grid=grid, params=params)
+    u0 = generate_ic(config.ic, grid, params.filters)
+    return initial_state(u0, params, auto_project=config.auto_project_ic)
+
+
+def _require_model(config: SolverConfig, state: SolverState) -> SolverState:
+    """`state`, if its grid and model are the ones `config` describes."""
+    grid, model = state.w.grid, state.model
+    pairs = (
+        ("K", grid.K, config.K),
+        ("dealias", grid.dealias_rule, config.dealias),
+        ("nu", model.nu, config.nu),
+        ("delta", model.filters.delta, config.delta),
+        ("N", model.filters.order, config.order),
+        ("forced", model.forcing is not None, config.forcing.kind != "zero"),
+    )
+    differing = [
+        f"{name} = {have!r} in the state, {want!r} configured"
+        for name, have, want in pairs
+        if have != want
+    ]
+    if differing:
+        raise ValueError(
+            "initial state was made under a different model: " + "; ".join(differing)
+        )
+    return state
 
 
 def simulate_with_state(
     config, initial: SolverState | None = None
 ) -> tuple[Trajectory, SolverState]:
     """Like `simulate` but also returns the final solver state."""
-    grid, params = _model_of(config)
-
-    if initial is not None:
-        state = initial
-    elif config.ic.kind == "snapshot":
-        from .storage import read_snapshot
-
-        state = read_snapshot(config.ic.path, grid=grid, params=params)
-    else:
-        u0 = generate_ic(config.ic, grid, params.filters)
-        state = initial_state(u0, params, auto_project=config.auto_project_ic)
+    state = _start_state(config) if initial is None else _require_model(config, initial)
+    grid, params = state.w.grid, state.model
 
     lam1 = smallest_eigenvalue(grid)
     f_norm = sobolev_norm(params.forcing, 0.0) if params.forcing is not None else 0.0
@@ -410,11 +409,11 @@ def energy_refinement_study(config, levels: int = 3, factor: int = 2) -> Refinem
         raise ValueError("need at least two refinement levels")
     if not factor > 1:
         raise ValueError(f"refinement factor must exceed 1, got factor = {factor!r}")
-    grid, params = _model_of(config)
+    start = _start_state(config)
     dts, residuals = [], []
     for j in range(levels):
         dt_j = config.dt / factor**j
-        traj = simulate(_with_model(dataclasses.replace(config, dt=dt_j), grid, params))
+        traj = simulate(dataclasses.replace(config, dt=dt_j), initial=start)
         if len(traj) < 2:
             raise ValueError(f"horizon T = {config.T} takes no step of dt = {dt_j}")
         residual = abs(float(traj.energy_residual[-1]))
@@ -442,7 +441,6 @@ __all__ = [
     "build_model",
     "make_state",
     "initial_state",
-    "rhs",
     "step",
     "simulate",
     "simulate_with_state",

@@ -223,6 +223,26 @@ class TestEnsembleProbe:
         with pytest.raises(ValueError, match="epsilon must be finite and nonnegative"):
             ensemble_absorb_probe(R=0.1, rho0_prime=0.5, ensemble_size=1, template=template)
 
+    def test_default_radii_are_multiples_of_rho0(self):
+        template = SolverConfig(
+            K=8, nu=1.0, delta=0.5, order=1, dt=0.02, T=1.0, sample_every=4,
+            forcing=FieldSpec(kind="random_spectrum", seed=62, target_norm=0.5),
+        )
+        report = ensemble_absorb_probe(
+            R=None, rho0_prime=None, ensemble_size=1, template=template
+        )
+        assert report.rho0 > 0.0
+        assert report.R == 4.0 * report.rho0
+        assert report.rho0_prime == math.sqrt(2.0) * report.rho0
+
+    @pytest.mark.parametrize("R, rho0_prime", [(None, None), (1.0, None), (None, 0.5)])
+    def test_default_radii_need_forcing(self, R, rho0_prime):
+        template = SolverConfig(K=8, nu=1.0, delta=0.5, order=1)
+        with pytest.raises(ValueError, match="zero forcing requires explicit values"):
+            ensemble_absorb_probe(
+                R=R, rho0_prime=rho0_prime, ensemble_size=1, template=template
+            )
+
     def test_forced_probe_passes_and_respects_envelope(self):
         template = SolverConfig(
             K=8, nu=1.0, delta=0.5, order=1, dt=0.02, T=1.0, sample_every=1,

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,10 +19,9 @@ from deconvbox import (
     generate_ic,
     hn_symbol,
     initial_state,
-    inner_product,
     make_grid,
-    rhs,
     simulate,
+    simulate_with_state,
     sobolev_norm,
     step,
 )
@@ -93,28 +94,6 @@ class TestInitialState:
         # projection keeps only the transverse part, then H_N halves it
         np.testing.assert_allclose(state.w.coeff[:, 1, 0, 0], [0.0, 0.5, 0.0], atol=1e-15)
         assert divergence_error(state.w) <= 1e-13
-
-
-class TestRhs:
-    def test_rest_state(self, grid16, params16):
-        state = initial_state(SpectralVectorField.zeros(grid16), params16)
-        assert sobolev_norm(rhs(state, params16), 0.0) == 0.0
-
-    def test_pure_viscous_shear(self, grid16, params16):
-        # the shear mode self-advection vanishes, leaving rhs = -nu w
-        state = initial_state(shear(grid16), params16)
-        out = rhs(state, params16)
-        np.testing.assert_array_equal(out.coeff, -params16.nu * state.w.coeff)
-
-    def test_energy_identity(self, grid16):
-        f = random_div_free(grid16, seed=40, target=0.5)
-        params = ModelParams(nu=0.7, filters=FilterParams(0.5, 2), forcing=f)
-        state = initial_state(random_div_free(grid16, seed=41), params)
-        got = inner_product(rhs(state, params), state.w)
-        want = -params.nu * sobolev_norm(state.w, 1.0) ** 2 + inner_product(
-            params.hn_forcing, state.w
-        )
-        assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestStep:
@@ -238,6 +217,61 @@ class TestSimulate:
         hn = hn_symbol(grid16.ksq, 0.7, 0)
         g = g_symbol(grid16.ksq, 0.7)
         assert np.abs(hn - g).max() <= 1e-15
+
+
+class TestStateCarriesItsModel:
+    def test_hn_w_follows_a_replaced_w(self, grid16):
+        model = ModelParams(nu=0.5, filters=FilterParams(0.3, 4))
+        state = initial_state(random_div_free(grid16, seed=70), model)
+        other = random_div_free(grid16, seed=71)
+        got = dataclasses.replace(state, w=other).hn_w
+        assert got.coeff.tobytes() == model.filters.apply(other).coeff.tobytes()
+
+    def test_filter_applications_do_not_grow_with_steps(self, monkeypatch):
+        calls = []
+        original = FilterParams.apply
+
+        def counting(self, w):
+            calls.append(w)
+            return original(self, w)
+
+        monkeypatch.setattr(FilterParams, "apply", counting)
+        counts = []
+        for n_steps in (2, 6):
+            calls.clear()
+            cfg = SolverConfig(
+                K=8, nu=1.0, delta=0.5, order=1, dt=0.01, T=n_steps * 0.01,
+                ic=FieldSpec(kind="random_spectrum", seed=72, target_norm=1.0),
+                forcing=FieldSpec(kind="random_spectrum", seed=73, target_norm=0.5),
+            )
+            assert len(simulate(cfg)) == n_steps + 1
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize(
+        "changed, named",
+        [
+            (dict(K=16), "K = 8 in the state, 16 configured"),
+            (dict(dealias="none"), "dealias = 'two_thirds' in the state, 'none' configured"),
+            (dict(nu=5.0), "nu = 1.0 in the state, 5.0 configured"),
+            (dict(delta=0.25), "delta = 0.5 in the state, 0.25 configured"),
+            (dict(order=2), "N = 1 in the state, 2 configured"),
+            (
+                dict(forcing=FieldSpec(kind="random_spectrum", seed=75, target_norm=0.5)),
+                "forced = False in the state, True configured",
+            ),
+        ],
+        ids=["K", "dealias", "nu", "delta", "N", "forcing"],
+    )
+    def test_initial_state_of_another_model_rejected(self, changed, named):
+        cfg = SolverConfig(
+            K=8, nu=1.0, delta=0.5, order=1, dt=0.01, T=0.02,
+            ic=FieldSpec(kind="random_spectrum", seed=74, target_norm=1.0),
+        )
+        _, state = simulate_with_state(dataclasses.replace(cfg, T=0.0))
+        with pytest.raises(ValueError, match="different model: " + re.escape(named) + "$"):
+            simulate(dataclasses.replace(cfg, **changed), initial=state)
+        assert len(simulate(cfg, initial=state)) == 3
 
 
 class TestEnergyResidual:

@@ -95,9 +95,10 @@ class TestSnapshot:
         n = 3 * K * K * (K // 2 + 1)
         coeff = (np.arange(n) + 1j * np.arange(n, 2 * n)).reshape((3,) + grid.spectral_shape)
         w = SpectralVectorField(grid, coeff)
-        state = SolverState(t=0.25, w=w, hn_w=w)
+        model = ModelParams(nu=0.7, filters=FilterParams(0.5, 2))
+        state = SolverState(t=0.25, w=w, model=model)
         path = tmp_path / "s.snap"
-        write_snapshot(state, ModelParams(nu=0.7, filters=FilterParams(0.5, 2)), path)
+        write_snapshot(state, model, path)
         want = np.fft.fftshift(np.moveaxis(coeff, 0, -1), axes=(0, 1)).astype("<c16").tobytes()
         blob = path.read_bytes()
         assert len(blob) == _HEADER_STRUCT.size + len(want)
