@@ -36,7 +36,7 @@ state = initial_state(
 
 dt = 0.01
 for _ in range(50):
-    state = step(state, params, dt)
+    state = step(state, dt)
 
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "halfway.snap"
@@ -48,8 +48,8 @@ with tempfile.TemporaryDirectory() as tmp:
     resumed = read_snapshot(path, grid=grid, params=params)
     direct = state
     for _ in range(50):
-        direct = step(direct, params, dt)
-        resumed = step(resumed, params, dt)
+        direct = step(direct, dt)
+        resumed = step(resumed, dt)
 
     same = np.array_equal(direct.w.coeff, resumed.w.coeff)
     print(f"after 50 more steps on each path: bit-identical = {same}")

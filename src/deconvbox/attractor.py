@@ -64,12 +64,12 @@ class AbsorbingParams:
 
     def __post_init__(self) -> None:
         rho = rho0(self.nu, self.lambda1, self.f_norm)  # validates nu, lambda1
-        if self.rho0_prime is not None and not self.rho0_prime > rho:
+        if self.rho0_prime is not None and not rho < self.rho0_prime < math.inf:
             raise ValueError(
-                f"rho0_prime must exceed rho0 = {rho}, got {self.rho0_prime}"
+                f"rho0_prime must be finite and exceed rho0 = {rho}, got {self.rho0_prime!r}"
             )
-        if self.R is not None and not self.R > 0.0:
-            raise ValueError(f"R must be positive, got {self.R}")
+        if self.R is not None and not 0.0 < self.R < math.inf:
+            raise ValueError(f"R must be finite and positive, got {self.R!r}")
 
     @property
     def rho0(self) -> float:
@@ -299,9 +299,8 @@ def ensemble_absorb_probe(
         raise ValueError(f"epsilon must be finite and nonnegative, got {template.epsilon!r}")
     workers = _worker_count()
     grid, model = build_model(template)
-    f_norm = sobolev_norm(model.forcing, 0.0) if model.forcing is not None else 0.0
-    params = AbsorbingParams(nu=model.nu, lambda1=smallest_eigenvalue(grid), f_norm=f_norm)
-    if f_norm == 0.0 and (R is None or rho0_prime is None):
+    params = AbsorbingParams(nu=model.nu, lambda1=smallest_eigenvalue(grid), f_norm=model.f_norm)
+    if model.f_norm == 0.0 and (R is None or rho0_prime is None):
         raise ValueError(
             "R and rho0_prime default to multiples of rho0 = 0 "
             "(zero forcing requires explicit values)"

@@ -66,14 +66,8 @@ class SolverConfig:
 
 
 _BOOL_WORDS = {
-    "true": True,
-    "yes": True,
-    "on": True,
-    "1": True,
-    "false": False,
-    "no": False,
-    "off": False,
-    "0": False,
+    **dict.fromkeys(("true", "yes", "on", "1"), True),
+    **dict.fromkeys(("false", "no", "off", "0"), False),
 }
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -35,6 +35,7 @@ from .spectral import (
     _mode_energy,
     _norm_from_energy,
     _read_only,
+    _require_same_grid,
     _scatter,
     divergence_error,
     inner_product,
@@ -60,38 +61,65 @@ class BlowUpError(RuntimeError):
         self.trajectory = trajectory
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ModelParams:
     """Viscosity, filter parameters and steady forcing for the model.
 
     `forcing` is a steady divergence-free, zero-mean field with no content on
-    masked modes (None means zero); its truncation H_N f is cached in `hn_forcing`.
+    masked modes (None means zero). It is read once: the model keeps its
+    truncation H_N f in the full layout (`hn_forcing`) and as a read-only
+    retained (3, M) gather (`hn_forcing_r`), and its norm ||f|| (`f_norm`).
     """
 
     nu: float
     filters: FilterParams
-    forcing: SpectralVectorField | None = None
+    forcing: InitVar[SpectralVectorField | None] = None
     hn_forcing: SpectralVectorField | None = field(init=False, default=None, repr=False)
+    hn_forcing_r: np.ndarray | None = field(init=False, default=None, repr=False)
+    f_norm: float = field(init=False, default=0.0)
 
-    def __post_init__(self) -> None:
-        self.nu = float(self.nu)
-        if not self.nu > 0.0:
-            raise ValueError(f"viscosity must be positive, got {self.nu}")
-        if self.forcing is not None:
-            err = divergence_error(self.forcing)
-            if err > DIVERGENCE_TOL:
-                raise ValueError(
-                    f"forcing is not divergence-free (relative defect {err:.3e})"
-                )
-            if self.forcing.coeff[:, 0, 0, 0].any():
-                raise ValueError("forcing must have zero mean")
-            grid = self.forcing.grid
-            for i1, i2, k3 in np.argwhere(self.forcing.coeff.any(axis=0) & ~grid.mask)[:1]:
-                raise ValueError(
-                    f"forcing has content on mode ({grid.kx[i1, 0, 0]}, {grid.ky[0, i2, 0]}, "
-                    f"{k3}), which the dealias cut |k_i| <= {grid.cut} drops"
-                )
-            self.hn_forcing = self.filters.apply(self.forcing)
+    def __post_init__(self, forcing: SpectralVectorField | None) -> None:
+        nu = float(self.nu)
+        if not nu > 0.0:
+            raise ValueError(f"viscosity must be positive, got {nu}")
+        object.__setattr__(self, "nu", nu)
+        if forcing is None:
+            return
+        err = divergence_error(forcing)
+        if err > DIVERGENCE_TOL:
+            raise ValueError(f"forcing is not divergence-free (relative defect {err:.3e})")
+        if forcing.coeff[:, 0, 0, 0].any():
+            raise ValueError("forcing must have zero mean")
+        grid = forcing.grid
+        for i1, i2, k3 in np.argwhere(forcing.coeff.any(axis=0) & ~grid.mask)[:1]:
+            raise ValueError(
+                f"forcing has content on mode ({grid.kx[i1, 0, 0]}, {grid.ky[0, i2, 0]}, "
+                f"{k3}), which the dealias cut |k_i| <= {grid.cut} drops"
+            )
+        hn_forcing = self.filters.apply(forcing)
+        object.__setattr__(self, "hn_forcing", hn_forcing)
+        object.__setattr__(self, "hn_forcing_r", _read_only(_gather(hn_forcing.coeff, grid))[0])
+        object.__setattr__(self, "f_norm", sobolev_norm(forcing, 0.0))
+
+
+# The InitVar's default would stay behind as a class attribute that reads
+# None on every model, and dataclasses.replace would pass that None on as
+# the forcing; remove it so that a model has no `forcing` at all.
+del ModelParams.forcing
+
+
+def _model_fields(model: ModelParams) -> dict:
+    f = model.filters
+    return dict(nu=model.nu, delta=f.delta, N=f.order, forced=model.hn_forcing is not None)
+
+
+def _require_same_model(what: str, have: dict, want: dict, have_at: str, want_at: str) -> None:
+    """Raise `what: ...` naming each field of `have` whose value in `want` differs."""
+    differing = [
+        f"{k} = {v!r} {have_at}, {want[k]!r} {want_at}" for k, v in have.items() if v != want[k]
+    ]
+    if differing:
+        raise ValueError(f"{what}: " + "; ".join(differing))
 
 
 def build_model(config: SolverConfig) -> tuple[WaveGrid, ModelParams]:
@@ -119,6 +147,9 @@ class SolverState:
 
 
 def make_state(t: float, w: SpectralVectorField, params: ModelParams) -> SolverState:
+    """The state (t, w) under `params`; w must lie on the grid of a forced model."""
+    if params.hn_forcing is not None:
+        _require_same_grid(w.grid, params.hn_forcing.grid, "the field and the forcing")
     return SolverState(t=float(t), w=w, model=params)
 
 
@@ -153,8 +184,9 @@ def _explicit(hn_w: np.ndarray, w: np.ndarray, hn_f, grid: WaveGrid) -> np.ndarr
     return out
 
 
-def step(state: SolverState, params: ModelParams, dt: float) -> SolverState:
-    """Advance one step with the integrating-factor midpoint scheme.
+def step(state: SolverState, dt: float) -> SolverState:
+    """Advance one step under the state's model with the integrating-factor
+    midpoint scheme.
 
     The viscous factor is exact; the explicit part is advanced with a
     half-step predictor and a midpoint corrector. Both stages run on the
@@ -163,11 +195,11 @@ def step(state: SolverState, params: ModelParams, dt: float) -> SolverState:
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    grid = state.w.grid
+    grid, params = state.w.grid, state.model
     w = state.w.coeff
     decay_half, decay_r = _half_decay(grid, params.nu, dt)
     hn_r = _hn_table(grid, params.filters.delta, params.filters.order)[1]
-    hn_f = None if params.hn_forcing is None else _gather(params.hn_forcing.coeff, grid)
+    hn_f = params.hn_forcing_r
     w_r = _gather(w, grid)
     # In place, in the operand order of
     #   mid = decay_half * (w + (dt/2) k1)
@@ -290,9 +322,9 @@ def _squared_norms(w: SpectralVectorField, sampled: bool) -> tuple:
     return h1_sq, _norm_from_energy(amp2, w.grid, 0.0) ** 2, aw_sq
 
 
-def _work_rate(state: SolverState, params: ModelParams) -> float:
+def _work_rate(state: SolverState) -> float:
     """The forcing integrand (H_N f, w) of the energy balance."""
-    hn_f = params.hn_forcing
+    hn_f = state.model.hn_forcing
     return inner_product(hn_f, state.w) if hn_f is not None else 0.0
 
 
@@ -323,24 +355,15 @@ def _start_state(config: SolverConfig) -> SolverState:
 
 def _require_model(config: SolverConfig, state: SolverState) -> SolverState:
     """`state`, if its grid and model are the ones `config` describes."""
-    grid, model = state.w.grid, state.model
-    pairs = (
-        ("K", grid.K, config.K),
-        ("dealias", grid.dealias_rule, config.dealias),
-        ("nu", model.nu, config.nu),
-        ("delta", model.filters.delta, config.delta),
-        ("N", model.filters.order, config.order),
-        ("forced", model.forcing is not None, config.forcing.kind != "zero"),
+    grid = state.w.grid
+    _require_same_model(
+        "initial state was made under a different model",
+        dict(K=grid.K, dealias=grid.dealias_rule, **_model_fields(state.model)),
+        dict(K=config.K, dealias=config.dealias, nu=config.nu, delta=config.delta,
+             N=config.order, forced=config.forcing.kind != "zero"),
+        "in the state",
+        "configured",
     )
-    differing = [
-        f"{name} = {have!r} in the state, {want!r} configured"
-        for name, have, want in pairs
-        if have != want
-    ]
-    if differing:
-        raise ValueError(
-            "initial state was made under a different model: " + "; ".join(differing)
-        )
     return state
 
 
@@ -352,8 +375,7 @@ def simulate_with_state(
     grid, params = state.w.grid, state.model
 
     lam1 = smallest_eigenvalue(grid)
-    f_norm = sobolev_norm(params.forcing, 0.0) if params.forcing is not None else 0.0
-    rho0_sq = (f_norm / (params.nu * lam1)) ** 2
+    rho0_sq = (params.f_norm / (params.nu * lam1)) ** 2
 
     dt = config.dt
     n_steps = max(0, math.ceil(config.T / dt - 1e-12))
@@ -369,15 +391,15 @@ def simulate_with_state(
 
     builder = _TrajectoryBuilder(rho0_sq, params.nu * lam1)
     norms = _squared_norms(state.w, sampled=True)
-    h1_prev, work_prev = norms[0], _work_rate(state, params)
+    h1_prev, work_prev = norms[0], _work_rate(state)
     builder.record(state, norms)
     try:
         for i in range(1, n_steps + 1):
-            state = step(state, params, dt)
+            state = step(state, dt)
             sampled = i % config.sample_every == 0 or i == n_steps
             with np.errstate(over="ignore", invalid="ignore"):
                 norms = _squared_norms(state.w, sampled)
-                h1_new, work_new = norms[0], _work_rate(state, params)
+                h1_new, work_new = norms[0], _work_rate(state)
             if not (math.isfinite(h1_new) and math.isfinite(work_new)):
                 raise BlowUpError(state.t - dt)
             builder.accumulate(dt, h1_prev, work_prev, h1_new, work_new, params.nu)
@@ -403,16 +425,14 @@ class RefinementStudy:
         return float(np.mean(self.orders))
 
 
-def energy_refinement_study(config, levels: int = 3, factor: int = 2) -> RefinementStudy:
-    """Run at dt / factor**j for j < levels; report |energy_residual(T)| at each."""
+def energy_refinement_study(config, levels: int = 3) -> RefinementStudy:
+    """Run at dt / 2**j for j < levels; report |energy_residual(T)| at each."""
     if levels < 2:
         raise ValueError("need at least two refinement levels")
-    if not factor > 1:
-        raise ValueError(f"refinement factor must exceed 1, got factor = {factor!r}")
     start = _start_state(config)
     dts, residuals = [], []
     for j in range(levels):
-        dt_j = config.dt / factor**j
+        dt_j = config.dt / 2**j
         traj = simulate(dataclasses.replace(config, dt=dt_j), initial=start)
         if len(traj) < 2:
             raise ValueError(f"horizon T = {config.T} takes no step of dt = {dt_j}")
@@ -425,7 +445,7 @@ def energy_refinement_study(config, levels: int = 3, factor: int = 2) -> Refinem
         dts.append(dt_j)
         residuals.append(residual)
     orders = tuple(
-        float(np.log(residuals[j] / residuals[j + 1]) / np.log(factor))
+        float(np.log(residuals[j] / residuals[j + 1]) / np.log(2))
         for j in range(levels - 1)
     )
     return RefinementStudy(dts=tuple(dts), residuals=tuple(residuals), orders=orders)

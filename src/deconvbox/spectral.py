@@ -157,13 +157,8 @@ def _grid(K: int, dealias_rule: str) -> WaveGrid:
     kx = k_line.reshape(K, 1, 1)
     ky = k_line.reshape(1, K, 1)
     kz = np.arange(half, dtype=np.int64).reshape(1, 1, half)
-    ksq = (kx.astype(np.float64)) ** 2 + (ky.astype(np.float64)) ** 2 + (
-        kz.astype(np.float64)
-    ) ** 2
-    if dealias_rule == "two_thirds":
-        cut = (K - 1) // 3
-    else:
-        cut = K // 2 - 1
+    ksq = (kx**2 + ky**2 + kz**2).astype(np.float64)  # exact: small integers
+    cut = (K - 1) // 3 if dealias_rule == "two_thirds" else K // 2 - 1
     mask = (np.abs(kx) <= cut) & (np.abs(ky) <= cut) & (np.abs(kz) <= cut)
 
     mult = np.ones((K, K, half), dtype=np.float64)
@@ -278,7 +273,7 @@ class SpectralVectorField:
         return SpectralVectorField(self.grid, self.coeff.copy())
 
     def __sub__(self, other: "SpectralVectorField") -> "SpectralVectorField":
-        _require_same_grid(self, other)
+        _require_same_grid(self.grid, other.grid)
         return SpectralVectorField(self.grid, self.coeff - other.coeff)
 
     def __mul__(self, scalar: float) -> "SpectralVectorField":
@@ -293,9 +288,13 @@ class SpectralVectorField:
         )
 
 
-def _require_same_grid(a: SpectralVectorField, b: SpectralVectorField) -> None:
-    if a.grid is not b.grid and (a.grid.K, a.grid.dealias_rule) != (b.grid.K, b.grid.dealias_rule):
-        raise ValueError("fields live on different grids")
+def _require_same_grid(a: WaveGrid, b: WaveGrid, what: str = "fields") -> None:
+    """Reject grids of differing K or dealias rule, naming both; O(1) on one grid."""
+    if a is not b and (a.K, a.dealias_rule) != (b.K, b.dealias_rule):
+        raise ValueError(
+            f"{what} live on different grids: K = {a.K} ({a.dealias_rule}) "
+            f"and K = {b.K} ({b.dealias_rule})"
+        )
 
 
 # -- norms and inner products --------------------------------------------------
@@ -326,7 +325,7 @@ def _norm_from_energy(amp2: np.ndarray, grid: WaveGrid, s: SobolevIndex) -> floa
 
 def inner_product(u: SpectralVectorField, v: SpectralVectorField) -> float:
     """Volume-normalized L2 inner product, sum_k Re(uhat(k) . conj(vhat(k)))."""
-    _require_same_grid(u, v)
+    _require_same_grid(u.grid, v.grid)
     dots = np.real(u.coeff * np.conj(v.coeff)).sum(axis=0)
     return float((dots * u.grid.mult).sum())
 
@@ -504,7 +503,7 @@ def trilinear_b(
     vanishes to round-off for divergence-free u. The integral carries the
     normalized box measure, matching the coefficient-sum norm convention.
     """
-    _require_same_grid(u, v)
+    _require_same_grid(u.grid, v.grid)
     grid = u.grid
     conv = _convective(_gather(u.coeff, grid), _gather(v.coeff, grid), grid)
     full = _scatter(conv, np.zeros_like(w.coeff), grid)
@@ -518,7 +517,7 @@ def nonlinear_term(u: SpectralVectorField, w: SpectralVectorField) -> SpectralVe
     divergence-free and zero-mean by construction, and +0.0 on the modes
     the dealias mask drops.
     """
-    _require_same_grid(u, w)
+    _require_same_grid(u.grid, w.grid)
     grid = u.grid
     conv = _convective(_gather(u.coeff, grid), _gather(w.coeff, grid), grid)
     out = _leray(conv, grid.ret_k, grid.ret_ksq_safe)

@@ -17,7 +17,14 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .deconv import FilterParams
-from .solver import ModelParams, SolverState, Trajectory, make_state
+from .solver import (
+    ModelParams,
+    SolverState,
+    Trajectory,
+    _model_fields,
+    _require_same_model,
+    make_state,
+)
 from .spectral import SpectralVectorField, WaveGrid, make_grid
 
 TIMESERIES_COLUMNS = tuple(f.name for f in fields(Trajectory))
@@ -77,7 +84,15 @@ class SnapshotMeta:
 
 
 def write_snapshot(state: SolverState, params: ModelParams, path) -> None:
-    """Write the full state (half-spectrum) in the canonical mode ordering."""
+    """Write the full state (half-spectrum) in the canonical mode ordering.
+
+    `params` goes into the header, so it must be `state.model`: each field
+    that differs (nu, delta, N, forced) is rejected with both values.
+    """
+    _require_same_model(
+        "params are not the state's model",
+        _model_fields(state.model), _model_fields(params), "in the state", "given",
+    )
     grid = state.w.grid
     header = _HEADER_STRUCT.pack(
         SNAPSHOT_MAGIC, SNAPSHOT_VERSION, grid.K, params.filters.order,
@@ -132,22 +147,14 @@ def read_snapshot(
     if params is None:
         params = ModelParams(nu=meta.nu, filters=FilterParams(meta.delta, meta.order))
     else:
-        pairs = (
-            ("nu", meta.nu, params.nu),
-            ("delta", meta.delta, params.filters.delta),
-            ("N", meta.order, params.filters.order),
+        _require_same_model(
+            "snapshot was written under a different model",
+            {"nu": meta.nu, "delta": meta.delta, "N": meta.order},
+            _model_fields(params),
+            "stored",
+            "requested",
         )
-        differing = [
-            f"{name} = {stored!r} stored, {given!r} requested"
-            for name, stored, given in pairs
-            if stored != given
-        ]
-        if differing:
-            raise ValueError(
-                "snapshot was written under a different model: " + "; ".join(differing)
-            )
-    n_modes = grid.K * grid.K * (grid.K // 2 + 1)
-    expected = n_modes * 3 * 16
+    expected = 3 * 16 * math.prod(grid.spectral_shape)  # components x complex128 bytes
     with open(path, "rb") as fh:
         fh.seek(_HEADER_STRUCT.size)
         blob = fh.read()

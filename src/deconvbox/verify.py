@@ -101,10 +101,14 @@ def _nonlinear_reference(u: SpectralVectorField, w: SpectralVectorField) -> np.n
 
 
 def _step_reference(
-    state: SolverState, params: ModelParams, dt: float
+    state: SolverState, forcing: SpectralVectorField | None, dt: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Reference for solver.step: the new w and H_N w; masked modes only decay."""
-    grid = state.w.grid
+    """Reference for solver.step: the new w and H_N w; masked modes only decay.
+
+    `forcing` is the raw f the state's model was built from, so that the
+    reference truncates it itself instead of reading the model's H_N f.
+    """
+    grid, params = state.w.grid, state.model
 
     def truncate(coeff):
         field = SpectralVectorField(grid, coeff)
@@ -113,8 +117,8 @@ def _step_reference(
     def explicit(coeff):
         w = SpectralVectorField(grid, coeff)
         out = -_nonlinear_reference(SpectralVectorField(grid, truncate(coeff)), w)
-        if params.forcing is not None:
-            out = out + truncate(params.forcing.coeff)
+        if forcing is not None:
+            out = out + truncate(forcing.coeff)
         return out
 
     decay_half = np.exp(-params.nu * grid.ksq * (0.5 * dt))
@@ -130,6 +134,10 @@ def _differing_words(got: np.ndarray, want: np.ndarray) -> int:
     a = np.ascontiguousarray(got).view(np.uint64)
     b = np.ascontiguousarray(want).view(np.uint64)
     return int(np.count_nonzero(a != b))
+
+
+def _rel(defect: float, scale: float) -> float:
+    return defect / max(scale, 1e-300)
 
 
 def operator_checks(K: int = 16, seed: int = 0) -> list[CheckResult]:
@@ -149,70 +157,40 @@ def operator_checks(K: int = 16, seed: int = 0) -> list[CheckResult]:
     v = _random_raw(grid, rng)
 
     pa = leray_project(a)
-    ppa = leray_project(pa)
-    record(
-        "leray projection idempotent",
-        sobolev_norm(ppa - pa, 0.0) / max(sobolev_norm(a, 0.0), 1e-300),
-        1e-12,
-    )
-    lhs = inner_product(pa, b)
-    rhs_ = inner_product(a, leray_project(b))
-    record(
-        "leray projection self-adjoint",
-        abs(lhs - rhs_) / max(abs(lhs), abs(rhs_), 1e-300),
-        1e-12,
-    )
-    div = np.abs(
-        grid.kx * pa.coeff[0] + grid.ky * pa.coeff[1] + grid.kz * pa.coeff[2]
-    ).max()
+    idem = _rel(sobolev_norm(leray_project(pa) - pa, 0.0), sobolev_norm(a, 0.0))
+    record("leray projection idempotent", idem, 1e-12)
+    lhs, rhs = inner_product(pa, b), inner_product(a, leray_project(b))
+    record("leray projection self-adjoint", _rel(abs(lhs - rhs), max(abs(lhs), abs(rhs))), 1e-12)
+    div = np.abs(grid.kx * pa.coeff[0] + grid.ky * pa.coeff[1] + grid.kz * pa.coeff[2]).max()
     scale = np.abs(np.sqrt(grid.ksq) * np.abs(pa.coeff).max(axis=0)).max()
-    record("projected field divergence-free per mode", div / max(scale, 1e-300), 1e-13)
+    record("projected field divergence-free per mode", _rel(div, scale), 1e-13)
 
     plain = float(((np.abs(a.coeff) ** 2).sum(axis=0) * grid.mult).sum())
-    record(
-        "H0 norm equals plain coefficient sum",
-        abs(sobolev_norm(a, 0.0) ** 2 - plain) / max(plain, 1e-300),
-        1e-13,
-    )
+    h0_rel = _rel(abs(sobolev_norm(a, 0.0) ** 2 - plain), plain)
+    record("H0 norm equals plain coefficient sum", h0_rel, 1e-13)
     grad_sq = 0.0
     for ki in grid.kvec:
         grad = SpectralVectorField(grid, (1j * ki) * a.coeff)
         grad_sq += sobolev_norm(grad, 0.0) ** 2
-    record(
-        "H1 norm equals gradient norm",
-        abs(sobolev_norm(a, 1.0) ** 2 - grad_sq) / max(grad_sq, 1e-300),
-        1e-12,
-    )
-    record(
-        "H2 norm equals Stokes image norm",
-        abs(sobolev_norm(a, 2.0) - sobolev_norm(stokes_apply(a), 0.0))
-        / max(sobolev_norm(a, 2.0), 1e-300),
-        1e-12,
-    )
+    h1_rel = _rel(abs(sobolev_norm(a, 1.0) ** 2 - grad_sq), grad_sq)
+    record("H1 norm equals gradient norm", h1_rel, 1e-12)
+    h2, stokes = sobolev_norm(a, 2.0), sobolev_norm(stokes_apply(a), 0.0)
+    record("H2 norm equals Stokes image norm", _rel(abs(h2 - stokes), h2), 1e-12)
 
-    cancel = abs(trilinear_b(u, w, w))
-    record(
-        "trilinear form b(u, w, w) cancels",
-        cancel / max(sobolev_norm(u, 0.0) * sobolev_norm(w, 1.0) * sobolev_norm(w, 0.0), 1e-300),
-        1e-12,
-    )
+    scale_b = sobolev_norm(u, 0.0) * sobolev_norm(w, 1.0) * sobolev_norm(w, 0.0)
+    record("trilinear form b(u, w, w) cancels", _rel(abs(trilinear_b(u, w, w)), scale_b), 1e-12)
     anti = abs(trilinear_b(u, v, w) + trilinear_b(u, w, v))
     scale3 = sobolev_norm(u, 0.0) * (
         sobolev_norm(v, 1.0) * sobolev_norm(w, 0.0)
         + sobolev_norm(w, 1.0) * sobolev_norm(v, 0.0)
     )
-    record("trilinear form antisymmetric in last slots", anti / max(scale3, 1e-300), 1e-12)
+    record("trilinear form antisymmetric in last slots", _rel(anti, scale3), 1e-12)
 
     delta, order = 0.7, 3
     filtered = helmholtz_filter(w, delta)
-    resid = (
-        delta**2 * stokes_apply(filtered).coeff + filtered.coeff - w.coeff
-    )
-    record(
-        "helmholtz filter residual per mode",
-        float(np.abs(resid).max()) / max(float(np.abs(w.coeff).max()), 1e-300),
-        1e-14,
-    )
+    resid = delta**2 * stokes_apply(filtered).coeff + filtered.coeff - w.coeff
+    resid_rel = _rel(float(np.abs(resid).max()), float(np.abs(w.coeff).max()))
+    record("helmholtz filter residual per mode", resid_rel, 1e-14)
 
     ksel = grid.ksq[grid.mask]
     g = g_symbol(ksel, delta)
@@ -243,10 +221,7 @@ def operator_checks(K: int = 16, seed: int = 0) -> list[CheckResult]:
     for n in (0, 1, 5, 20):
         series = van_cittert_apply(w, delta, n)
         closed = truncation_hn(w, delta, n)
-        rel = max(
-            rel,
-            sobolev_norm(series - closed, 0.0) / max(sobolev_norm(closed, 0.0), 1e-300),
-        )
+        rel = max(rel, _rel(sobolev_norm(series - closed, 0.0), sobolev_norm(closed, 0.0)))
     record("series deconvolution matches closed form", rel, 1e-12)
 
     hw = truncation_hn(w, delta, order)
@@ -257,13 +232,13 @@ def operator_checks(K: int = 16, seed: int = 0) -> list[CheckResult]:
         leray_project,
     ):
         d = truncation_hn(op(w), delta, order) - op(hw)
-        comm = max(comm, sobolev_norm(d, 0.0) / max(sobolev_norm(hw, 0.0), 1e-300))
+        comm = max(comm, _rel(sobolev_norm(d, 0.0), sobolev_norm(hw, 0.0)))
     record("truncation commutes with filter, Laplacian, projection", comm, 1e-14)
 
     contr = 0.0
     for s in (0.0, 1.0, 2.0):
         ns, nw = sobolev_norm(hw, s), sobolev_norm(w, s)
-        contr = max(contr, (ns - nw) / max(nw, 1e-300))
+        contr = max(contr, _rel(ns - nw, nw))
     record("truncation contracts every Sobolev norm", max(contr, 0.0), 1e-12)
 
     measured = smoothing_constant(delta, order, grid)
@@ -310,10 +285,11 @@ def operator_checks(K: int = 16, seed: int = 0) -> list[CheckResult]:
         )
         words = _differing_words(nonlinear_term(p, q).coeff, _nonlinear_reference(p, q))
         record("convective term equals its closed form" + label, words, 0)
-        model = ModelParams(nu=0.3, filters=filters, forcing=leray_project(_random_raw(g, rng)))
+        forcing = leray_project(_random_raw(g, rng))
+        model = ModelParams(nu=0.3, filters=filters, forcing=forcing)
         start = make_state(0.0, leray_project(_random_raw(g, rng)), model)
-        got = step(start, model, 0.01)
-        want_w, want_hn_w = _step_reference(start, model, 0.01)
+        got = step(start, 0.01)
+        want_w, want_hn_w = _step_reference(start, forcing, 0.01)
         words = _differing_words(got.w.coeff, want_w) + _differing_words(got.hn_w.coeff, want_hn_w)
         record("one step equals the closed-form stepper" + label, words, 0)
     return results

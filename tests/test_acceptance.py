@@ -167,7 +167,7 @@ def test_05_exact_single_mode_solution():
     w0 = state.w.coeff.copy()
     dt, worst = 0.01, 0.0
     for i in range(1, 201):
-        state = step(state, params, dt)
+        state = step(state, dt)
         if i % 10 == 0:
             exact = w0 * math.exp(-params.nu * state.t)
             worst = max(worst, np.abs(state.w.coeff - exact).max() / np.abs(exact).max())
@@ -315,14 +315,14 @@ def test_12_determinism_and_resume(tmp_path):
     params = ModelParams(nu=0.5, filters=filters, forcing=forcing)
     state = initial_state(generate_ic(cfg.ic, grid, filters), params)
     for _ in range(10):
-        state = step(state, params, cfg.dt)
+        state = step(state, cfg.dt)
     path = tmp_path / "mid.snap"
     write_snapshot(state, params, path)
     resumed = read_snapshot(path, grid=grid, params=params)
     direct = state
     for _ in range(10):
-        direct = step(direct, params, cfg.dt)
-        resumed = step(resumed, params, cfg.dt)
+        direct = step(direct, cfg.dt)
+        resumed = step(resumed, cfg.dt)
     resume_ok = np.array_equal(direct.w.coeff, resumed.w.coeff) and direct.t == resumed.t
 
     ok = rerun_ok and resume_ok

@@ -76,6 +76,13 @@ class TestAbsorbingTime:
         with pytest.raises(ValueError, match="rho0_prime"):
             AbsorbingParams(nu=1.0, lambda1=1.0, f_norm=1.0, rho0_prime=1.0, R=2.0)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["rho0_prime", "R"])
+    def test_radii_must_be_finite(self, name, value):
+        radii = {"rho0_prime": 2.0, "R": 3.0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be finite and .*, got {value!r}$"):
+            AbsorbingParams(nu=1.0, lambda1=1.0, f_norm=1.0, **radii)
+
 
 class TestUniformGronwall:
     def test_unit_values(self):
@@ -222,6 +229,13 @@ class TestEnsembleProbe:
         template = SolverConfig(K=8, nu=1.0, delta=0.5, order=1, epsilon=epsilon)
         with pytest.raises(ValueError, match="epsilon must be finite and nonnegative"):
             ensemble_absorb_probe(R=0.1, rho0_prime=0.5, ensemble_size=1, template=template)
+
+    @pytest.mark.parametrize("name", ["rho0_prime", "R"])
+    def test_infinite_radius_rejected_by_name(self, name):
+        template = SolverConfig(K=8, nu=1.0, delta=0.5, order=1)
+        radii = {"R": 0.1, "rho0_prime": 0.5, name: math.inf}
+        with pytest.raises(ValueError, match=f"^{name} must be finite and .*, got inf$"):
+            ensemble_absorb_probe(ensemble_size=1, template=template, **radii)
 
     def test_default_radii_are_multiples_of_rho0(self):
         template = SolverConfig(

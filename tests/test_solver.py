@@ -25,6 +25,7 @@ from deconvbox import (
     sobolev_norm,
     step,
 )
+from deconvbox import solver
 from oracles import hermitian_defect, random_div_free
 
 
@@ -64,6 +65,32 @@ class TestModelParams:
         forcing.coeff *= grid.mask  # signed zeros on the masked modes are no content
         ModelParams(nu=1.0, filters=FilterParams(0.5, 1), forcing=forcing)
 
+    @pytest.mark.parametrize(
+        "name", ["nu", "filters", "forcing", "hn_forcing", "hn_forcing_r", "f_norm"]
+    )
+    def test_fields_cannot_be_assigned(self, grid16, name):
+        model = ModelParams(
+            nu=1.0, filters=FilterParams(0.5, 1), forcing=random_div_free(grid16, seed=60)
+        )
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(model, name, None)
+
+    def test_keeps_what_runs_read_and_not_the_forcing(self, grid16):
+        forcing = random_div_free(grid16, seed=61, target=0.3)
+        model = ModelParams(nu=1.0, filters=FilterParams(0.5, 1), forcing=forcing)
+        assert not hasattr(model, "forcing")
+        assert model.f_norm == sobolev_norm(forcing, 0.0)
+        hn_f = model.filters.apply(forcing).coeff
+        assert model.hn_forcing.coeff.tobytes() == hn_f.tobytes()
+        assert model.hn_forcing_r.tobytes() == hn_f.reshape(3, -1)[:, grid16.ret_flat].tobytes()
+        assert not model.hn_forcing_r.flags.writeable
+        with pytest.raises(AttributeError):  # not a silently unforced copy
+            dataclasses.replace(model, nu=2.0)
+        again = dataclasses.replace(model, nu=2.0, forcing=forcing)
+        assert again.hn_forcing_r.tobytes() == model.hn_forcing_r.tobytes()
+        unforced = ModelParams(nu=1.0, filters=FilterParams(0.5, 1))
+        assert (unforced.hn_forcing, unforced.hn_forcing_r, unforced.f_norm) == (None, None, 0.0)
+
 
 class TestInitialState:
     def test_zero_data(self, grid16, params16):
@@ -83,6 +110,18 @@ class TestInitialState:
             state = initial_state(u0, params)
             assert sobolev_norm(state.w, 0.0) <= sobolev_norm(u0, 0.0)
 
+    @pytest.mark.parametrize("K, rule", [(16, "two_thirds"), (8, "none")])
+    def test_rejects_a_field_off_the_forced_grid(self, K, rule):
+        forcing = random_div_free(make_grid(8), seed=62, target=0.3)
+        model = ModelParams(nu=1.0, filters=FilterParams(0.5, 1), forcing=forcing)
+        u0 = random_div_free(make_grid(K, rule), seed=63)
+        named = (
+            f"the field and the forcing live on different grids: K = {K} ({rule}) "
+            "and K = 8 (two_thirds)"
+        )
+        with pytest.raises(ValueError, match="^" + re.escape(named) + "$"):
+            initial_state(u0, model)
+
     def test_rejects_divergent_data(self, grid16, params16):
         bad = SpectralVectorField.from_modes(grid16, {(1, 0, 0): (1.0, 1.0, 0.0)})
         with pytest.raises(ValueError, match="divergence-free"):
@@ -99,7 +138,7 @@ class TestInitialState:
 class TestStep:
     def test_rest_state_stays(self, grid16, params16):
         state = initial_state(SpectralVectorField.zeros(grid16), params16)
-        new = step(state, params16, 0.1)
+        new = step(state, 0.1)
         assert sobolev_norm(new.w, 0.0) == 0.0
         assert new.t == pytest.approx(0.1)
 
@@ -108,7 +147,7 @@ class TestStep:
         w0 = state.w.coeff.copy()
         dt = 0.05
         for _ in range(40):
-            state = step(state, params16, dt)
+            state = step(state, dt)
         exact = w0 * math.exp(-params16.nu * state.t)
         rel = np.abs(state.w.coeff - exact).max() / np.abs(exact).max()
         assert rel <= 1e-12
@@ -127,7 +166,7 @@ class TestStep:
         def run(dt):
             state = initial_state(u0, params)
             for _ in range(round(T / dt)):
-                state = step(state, params, dt)
+                state = step(state, dt)
             return state.w
 
         ref = run(dt0 / 64)
@@ -139,14 +178,14 @@ class TestStep:
     def test_rejects_bad_dt(self, grid16, params16):
         state = initial_state(shear(grid16), params16)
         with pytest.raises(ValueError):
-            step(state, params16, 0.0)
+            step(state, 0.0)
 
     def test_invariants_preserved_over_steps(self, grid16):
         f = random_div_free(grid16, seed=42, target=0.3)
         params = ModelParams(nu=0.2, filters=FilterParams(0.5, 2), forcing=f)
         state = initial_state(random_div_free(grid16, seed=43), params)
         for _ in range(20):
-            state = step(state, params, 0.02)
+            state = step(state, 0.02)
         assert divergence_error(state.w) <= 1e-13
         assert np.all(state.w.coeff[:, 0, 0, 0] == 0.0)
         scale = np.abs(state.w.coeff).max()
@@ -157,7 +196,7 @@ class TestStep:
         state = initial_state(random_div_free(grid16, seed=44, target=2.0), params)
         prev = sobolev_norm(state.w, 0.0) ** 2
         for _ in range(30):
-            state = step(state, params, 0.01)
+            state = step(state, 0.01)
             cur = sobolev_norm(state.w, 0.0) ** 2
             assert cur <= prev + 1e-8 * prev
             prev = cur
@@ -220,6 +259,37 @@ class TestSimulate:
 
 
 class TestStateCarriesItsModel:
+    def test_step_keeps_the_state_model(self, grid16):
+        f = random_div_free(grid16, seed=64, target=0.3)
+        model = ModelParams(nu=0.2, filters=FilterParams(0.5, 2), forcing=f)
+        state = initial_state(random_div_free(grid16, seed=65), model)
+        new = step(state, 0.01)
+        assert new.model is state.model
+        assert step(new, 0.01).model is model
+
+    def test_simulate_gathers_only_the_evolved_field(self, monkeypatch):
+        # The retained H_N f is gathered once, when the model is built; each
+        # step gathers w and the new state, never the forcing.
+        calls = []
+        original = solver._gather
+
+        def counting(coeff, grid):
+            calls.append(coeff)
+            return original(coeff, grid)
+
+        cfg = SolverConfig(
+            K=8, nu=1.0, delta=0.5, order=1, dt=0.01, T=0.0,
+            ic=FieldSpec(kind="random_spectrum", seed=76, target_norm=1.0),
+            forcing=FieldSpec(kind="random_spectrum", seed=77, target_norm=0.5),
+        )
+        _, start = simulate_with_state(cfg)
+        monkeypatch.setattr(solver, "_gather", counting)
+        for n_steps in (2, 6):
+            calls.clear()
+            simulate(dataclasses.replace(cfg, T=n_steps * 0.01), initial=start)
+            assert len(calls) == 2 * n_steps
+            assert not any(c is start.model.hn_forcing.coeff for c in calls)
+
     def test_hn_w_follows_a_replaced_w(self, grid16):
         model = ModelParams(nu=0.5, filters=FilterParams(0.3, 4))
         state = initial_state(random_div_free(grid16, seed=70), model)
@@ -284,12 +354,6 @@ class TestEnergyResidual:
         cfg = SolverConfig(K=8, nu=1.0, delta=1.0, order=0, dt=0.01, T=0.0)
         with pytest.raises(ValueError, match="no step"):
             energy_refinement_study(cfg, levels=2)
-
-    @pytest.mark.parametrize("factor", [1, 0])
-    def test_refinement_factor_must_exceed_1(self, factor):
-        cfg = SolverConfig(K=8, nu=1.0, delta=1.0, order=0, dt=0.01, T=0.05)
-        with pytest.raises(ValueError, match="factor"):
-            energy_refinement_study(cfg, levels=2, factor=factor)
 
     def test_zero_residual_has_no_order(self):
         cfg = SolverConfig(K=8, nu=1.0, delta=1.0, order=0, dt=0.01, T=0.05)

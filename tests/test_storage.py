@@ -194,16 +194,44 @@ class TestResume:
         state = initial_state(random_div_free(grid8, seed=seed), params)
         dt = 0.01
         for _ in range(split):
-            state = step(state, params, dt)
+            state = step(state, dt)
         path = tmp_path_factory.mktemp("resume") / "mid.snap"
         write_snapshot(state, params, path)
         resumed = read_snapshot(path, grid=grid8, params=params)
         direct = state
         for _ in range(12 - split):
-            direct = step(direct, params, dt)
-            resumed = step(resumed, params, dt)
+            direct = step(direct, dt)
+            resumed = step(resumed, dt)
         assert np.array_equal(direct.w.coeff, resumed.w.coeff)
         assert direct.t == resumed.t
+
+    @pytest.mark.parametrize(
+        "nu, delta, order, forced, named",
+        [
+            (2.0, 0.5, 1, False, "nu = 0.4 in the state, 2.0 given"),
+            (0.4, 0.9, 1, False, "delta = 0.5 in the state, 0.9 given"),
+            (0.4, 0.5, 3, False, "N = 1 in the state, 3 given"),
+            (0.4, 0.5, 1, True, "forced = False in the state, True given"),
+        ],
+        ids=["nu", "delta", "N", "forced"],
+    )
+    def test_write_under_other_params_rejected(
+        self, tmp_path, grid8, nu, delta, order, forced, named
+    ):
+        params = ModelParams(nu=0.4, filters=FilterParams(0.5, 1))
+        state = initial_state(random_div_free(grid8, seed=75), params)
+        forcing = random_div_free(grid8, seed=76, target=0.3) if forced else None
+        other = ModelParams(nu=nu, filters=FilterParams(delta, order), forcing=forcing)
+        path = tmp_path / "s.snap"
+        with pytest.raises(ValueError) as exc:
+            write_snapshot(state, other, path)
+        assert str(exc.value) == "params are not the state's model: " + named
+        assert not path.exists()
+        same = ModelParams(nu=0.4, filters=FilterParams(0.5, 1))
+        write_snapshot(state, same, path)
+        assert read_snapshot(path, grid=grid8, params=same).w.coeff.tobytes() == (
+            state.w.coeff.tobytes()
+        )
 
     def test_resume_under_different_model_rejected(self, tmp_path, grid8):
         params = ModelParams(nu=0.4, filters=FilterParams(0.5, 1))

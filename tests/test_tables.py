@@ -49,15 +49,14 @@ def unmasked_field(grid, rng):
 
 
 def forced_start(grid, rng, nu=0.3, dt=0.01, delta=0.7, order=3):
-    model = ModelParams(
-        nu=nu, filters=FilterParams(delta, order), forcing=leray_project(_random_raw(grid, rng))
-    )
-    return model, make_state(0.0, leray_project(_random_raw(grid, rng)), model), dt
+    forcing = leray_project(_random_raw(grid, rng))
+    model = ModelParams(nu=nu, filters=FilterParams(delta, order), forcing=forcing)
+    return forcing, make_state(0.0, leray_project(_random_raw(grid, rng)), model), dt
 
 
-def assert_step_matches(state, model, dt):
-    got = step(state, model, dt)
-    want_w, want_hn_w = _step_reference(state, model, dt)
+def assert_step_matches(state, forcing, dt):
+    got = step(state, dt)
+    want_w, want_hn_w = _step_reference(state, forcing, dt)
     assert got.w.coeff.tobytes() == want_w.tobytes()
     assert got.hn_w.coeff.tobytes() == want_hn_w.tobytes()
 
@@ -97,8 +96,8 @@ class TestBytesEqualClosedForms:
     @settings(max_examples=3, deadline=None)
     @given(seed=SEEDS)
     def test_step(self, K, rule, seed):
-        model, state, dt = forced_start(make_grid(K, rule), np.random.default_rng(seed))
-        assert_step_matches(state, model, dt)
+        forcing, state, dt = forced_start(make_grid(K, rule), np.random.default_rng(seed))
+        assert_step_matches(state, forcing, dt)
 
 
 @pytest.mark.parametrize("masked_content", [False, True])
@@ -109,14 +108,15 @@ def test_five_steps_equal_the_iterated_reference(K, rule, masked_content):
     # and H_N w, retained or masked, stays the closed-form stepper's.
     grid = make_grid(K, rule)
     rng = np.random.default_rng(K)
-    model, state, dt = forced_start(grid, rng)
+    forcing, state, dt = forced_start(grid, rng)
+    model = state.model
     if masked_content:
         coeff = state.w.coeff + rng.standard_normal(state.w.coeff.shape) * ~grid.mask
         state = make_state(0.0, SpectralVectorField(grid, coeff), model)
     ref = state
     for _ in range(5):
-        state = step(state, model, dt)
-        want_w, want_hn_w = _step_reference(ref, model, dt)
+        state = step(state, dt)
+        want_w, want_hn_w = _step_reference(ref, forcing, dt)
         assert state.w.coeff.tobytes() == want_w.tobytes()
         assert state.hn_w.coeff.tobytes() == want_hn_w.tobytes()
         ref = SolverState(ref.t + dt, SpectralVectorField(grid, want_w), model)
@@ -125,8 +125,8 @@ def test_five_steps_equal_the_iterated_reference(K, rule, masked_content):
 def test_step_output_has_signed_zeros():
     # Why bytes are compared: the masked modes of a stepped state hold
     # -0.0 as well as 0.0, and the snapshot and benchmark digests hash them.
-    model, state, dt = forced_start(make_grid(16), np.random.default_rng(5))
-    w = step(state, model, dt).w.coeff
+    _, state, dt = forced_start(make_grid(16), np.random.default_rng(5))
+    w = step(state, dt).w.coeff
     zeros = np.concatenate([w.real[w.real == 0.0], w.imag[w.imag == 0.0]])
     assert np.signbit(zeros).any() and not np.signbit(zeros).all()
 
@@ -147,9 +147,9 @@ def test_interleaved_models_use_their_own_tables():
     ]
     cases = [forced_start(make_grid(K, rule), rng, **keys) for rule, keys in variants]
     for _ in range(2):
-        for model, state, dt in cases:
-            assert_step_matches(state, model, dt)
-            raw = unmasked_field(state.w.grid, rng)
+        for forcing, state, dt in cases:
+            assert_step_matches(state, forcing, dt)
+            model, raw = state.model, unmasked_field(state.w.grid, rng)
             want = truncation_hn(raw, model.filters.delta, model.filters.order).coeff
             assert model.filters.apply(raw).coeff.tobytes() == want.tobytes()
             assert leray_project(raw).coeff.tobytes() == _leray_reference(raw).tobytes()
@@ -201,5 +201,5 @@ def test_a_run_builds_one_grid(rule):
     _grid.cache_clear()
     grid, model = build_model(config)
     state = initial_state(leray_project(_random_raw(grid, np.random.default_rng(4))), model)
-    step(state, model, 0.01)
+    step(state, 0.01)
     assert _grid.cache_info().currsize == 1
