@@ -34,11 +34,11 @@ from .spectral import (
     _leray,
     _mode_energy,
     _norm_from_energy,
+    _quadrants,
     _read_only,
     _require_same_grid,
     _scatter,
     divergence_error,
-    inner_product,
     leray_project,
     make_grid,
     smallest_eigenvalue,
@@ -80,8 +80,8 @@ class ModelParams:
 
     def __post_init__(self, forcing: SpectralVectorField | None) -> None:
         nu = float(self.nu)
-        if not nu > 0.0:
-            raise ValueError(f"viscosity must be positive, got {nu}")
+        if not 0.0 < nu < math.inf:
+            raise ValueError(f"viscosity must be positive and finite, got {nu}")
         object.__setattr__(self, "nu", nu)
         if forcing is None:
             return
@@ -91,10 +91,10 @@ class ModelParams:
         if forcing.coeff[:, 0, 0, 0].any():
             raise ValueError("forcing must have zero mean")
         grid = forcing.grid
-        for i1, i2, k3 in np.argwhere(forcing.coeff.any(axis=0) & ~grid.mask)[:1]:
+        for mode in _first_mode(forcing.coeff.any(axis=0) & ~grid.mask, grid):
             raise ValueError(
-                f"forcing has content on mode ({grid.kx[i1, 0, 0]}, {grid.ky[0, i2, 0]}, "
-                f"{k3}), which the dealias cut |k_i| <= {grid.cut} drops"
+                f"forcing has content on mode {mode}, which the dealias cut "
+                f"|k_i| <= {grid.cut} drops"
             )
         hn_forcing = self.filters.apply(forcing)
         object.__setattr__(self, "hn_forcing", hn_forcing)
@@ -106,6 +106,18 @@ class ModelParams:
 # None on every model, and dataclasses.replace would pass that None on as
 # the forcing; remove it so that a model has no `forcing` at all.
 del ModelParams.forcing
+
+
+def _first_mode(flags: np.ndarray, grid: WaveGrid) -> list:
+    """The signed wavevector (k1, k2, k3) of the first True entry of flags, if any."""
+    return [(int(grid.kx[i1, 0, 0]), int(grid.ky[0, i2, 0]), int(k3))
+            for i1, i2, k3 in np.argwhere(flags)[:1]]
+
+
+def _require_finite(w: SpectralVectorField, what: str) -> None:
+    """Reject a field with a non-finite coefficient, naming its first mode."""
+    for mode in _first_mode(~np.isfinite(w.coeff).all(axis=0), w.grid):
+        raise ValueError(f"{what} has a non-finite coefficient at mode {mode}")
 
 
 def _model_fields(model: ModelParams) -> dict:
@@ -162,6 +174,7 @@ def initial_state(
     rejected unless `auto_project` is set, in which case they are
     Leray-projected first.
     """
+    _require_finite(u0, "initial condition")
     err = divergence_error(u0)
     if err > DIVERGENCE_TOL:
         if not auto_project:
@@ -323,9 +336,17 @@ def _squared_norms(w: SpectralVectorField, sampled: bool) -> tuple:
 
 
 def _work_rate(state: SolverState) -> float:
-    """The forcing integrand (H_N f, w) of the energy balance."""
-    hn_f = state.model.hn_forcing
-    return inner_product(hn_f, state.w) if hn_f is not None else 0.0
+    """The forcing integrand (H_N f, w) of the energy balance. H_N f is zero
+    off the retained quadrants, so only they are paired, into the zero array
+    inner_product would sum: the bytes equal inner_product(H_N f, w)."""
+    hn_f, grid = state.model.hn_forcing, state.w.grid
+    if hn_f is None:
+        return 0.0
+    dots = np.zeros(grid.spectral_shape)
+    for q, _ in _quadrants(grid):
+        pair = np.real(hn_f.coeff[q] * np.conj(state.w.coeff[q])).sum(axis=0)
+        np.multiply(pair, grid.mult[q], out=dots[q])
+    return float(dots.sum())
 
 
 def simulate(config, initial: SolverState | None = None) -> Trajectory:

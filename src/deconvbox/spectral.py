@@ -374,14 +374,22 @@ def _gather(coeff: np.ndarray, grid: WaveGrid) -> np.ndarray:
     return np.take(coeff.reshape(3, -1), grid.ret_flat, axis=1)
 
 
+def _quadrants(grid: WaveGrid):
+    """Each retained (kx, ky) quadrant's index in the full layout, paired with its
+    index in a retained (3, M) array viewed as (3, kx, ky, kz)."""
+    K, c = grid.K, grid.cut
+    halves = ((slice(0, c + 1), slice(0, c + 1)), (slice(K - c, K), slice(c + 1, None)))
+    for (full_x, ret_x), (full_y, ret_y) in itertools.product(halves, halves):
+        yield (..., full_x, full_y, slice(0, c + 1)), (..., ret_x, ret_y, slice(None))
+
+
 def _scatter(ret: np.ndarray, out: np.ndarray, grid: WaveGrid) -> np.ndarray:
     """Write retained (3, M) coefficients over out's retained modes, one (kx, ky)
     quadrant at a time: several times faster than assigning through ret_flat."""
-    K, c = grid.K, grid.cut
+    c = grid.cut
     box = ret.reshape(3, 2 * c + 1, c + 1, 2 * c + 1).transpose(0, 3, 1, 2)  # kx, ky, kz
-    halves = ((slice(0, c + 1), slice(0, c + 1)), (slice(K - c, K), slice(c + 1, None)))
-    for (full_x, ret_x), (full_y, ret_y) in itertools.product(halves, halves):
-        out[:, full_x, full_y, : c + 1] = box[:, ret_x, ret_y]
+    for full, part in _quadrants(grid):
+        out[full] = box[part]
     return out
 
 
@@ -401,10 +409,11 @@ def smallest_eigenvalue(grid: WaveGrid) -> float:
 class _Workspace:
     """One thread's buffers for the convective term at one (K, cut).
 
-    Every call writes only the lines the dealias mask keeps, so the lines
-    it drops in stack (the retained (ky, kz) columns), by_ky and by_kz stay
-    zero from allocation on. by_kz and phys hold one block of `planes`
-    x-planes; conv and chat are full size.
+    `line` holds one channel's retained (ky, kz) columns at a time, with
+    a zero middle kx range, and is transformed in place. Every call writes
+    only the lines the dealias mask keeps, so the lines it drops in by_ky
+    and by_kz stay zero from allocation on. by_kz and phys hold one block
+    of `planes` x-planes; conv and chat are full size.
     """
 
     def __init__(self, grid: WaveGrid) -> None:
@@ -412,7 +421,7 @@ class _Workspace:
         half = K // 2 + 1
         self.key = (K, cut)
         self.planes = min(K, max(1, _BLOCK_BYTES // (12 * K * K * 8)))
-        self.stack = np.zeros((12, 2 * cut + 1, cut + 1, K), dtype=np.complex128)
+        self.line = np.empty((2 * cut + 1, cut + 1, K), dtype=np.complex128)
         self.by_ky = np.zeros((12, K, cut + 1, K), dtype=np.complex128)
         self.by_kz = np.zeros((12, self.planes, K, half), dtype=np.complex128)
         self.phys = np.empty((12, self.planes, K, K))
@@ -447,27 +456,31 @@ def _convective(u: np.ndarray, v: np.ndarray, grid: WaveGrid) -> np.ndarray:
     byte-identical to its planes of irfftn of the masked 12-channel stack
     (u_i in channel i, d v_j / d x_i in channel 3 + 3i + j). Each pass
     transforms only the lines the mask leaves nonzero, along the
-    contiguous last axis: the kx pass (once) the retained (ky, kz)
-    columns, the ky pass (per block) the kz <= cut planes. The forward
-    transform is numpy's 3-channel rfftn; only its retained outputs are kept.
+    contiguous last axis: the kx pass (once, one channel at a time) the
+    retained (ky, kz) columns, the ky pass (per block) the kz <= cut planes.
+    The forward transform is numpy's 3-channel rfftn; only its retained
+    outputs are kept.
     """
     K, c = grid.K, grid.cut
     ws = _workspace(grid)
-    stack = ws.stack
     # The retained kx of each column sit at 0..c and K-c..K-1 of the kx line.
     shape = (3, 2 * c + 1, c + 1, 2 * c + 1)
     u4, v4 = u.reshape(shape), v.reshape(shape)
     ik4 = [ik.reshape(shape[1:]) for ik in grid.ret_ik]
-    halves = ((stack[..., : c + 1], slice(0, c + 1)), (stack[..., K - c :], slice(c + 1, None)))
-    for lines, kx in halves:
-        lines[0:3] = u4[..., kx]
-        for i in range(3):
-            np.multiply(ik4[i][..., kx], v4[..., kx], out=lines[3 + 3 * i : 6 + 3 * i])
-
-    # kx pass into (x, kz, ky) order.
-    view = ws.by_ky.transpose(0, 3, 2, 1)
-    np.fft.ifft(stack[:, : c + 1], axis=-1, out=view[:, : c + 1])
-    np.fft.ifft(stack[:, c + 1 :], axis=-1, out=view[:, K - c :])
+    line = ws.line
+    halves = ((line[..., : c + 1], slice(0, c + 1)), (line[..., K - c :], slice(c + 1, None)))
+    view = ws.by_ky.transpose(0, 3, 2, 1)  # (channel, ky, kz, x)
+    for ch in range(12):
+        i, j = divmod(ch - 3, 3)
+        line[..., c + 1 : K - c] = 0.0
+        for lines, kx in halves:
+            if ch < 3:
+                lines[...] = u4[ch, ..., kx]
+            else:
+                np.multiply(ik4[i][..., kx], v4[j, ..., kx], out=lines)
+        # kx pass in place, then into (x, kz, ky) order.
+        np.fft.ifft(line, axis=-1, out=line)
+        view[ch, : c + 1], view[ch, K - c :] = line[: c + 1], line[c + 1 :]
     by_kz = ws.by_kz.transpose(0, 1, 3, 2)
     for x0 in range(0, K, ws.planes):
         n = min(ws.planes, K - x0)

@@ -22,6 +22,7 @@ from .solver import (
     SolverState,
     Trajectory,
     _model_fields,
+    _require_finite,
     _require_same_model,
     make_state,
 )
@@ -134,7 +135,8 @@ def read_snapshot(
     K is built. Given `params`, the stored nu, delta and N must equal its
     values exactly (each differing field is rejected with both values);
     without them the stored filter parameters build the truncation cache.
-    The payload must have exactly the size the resolution implies.
+    The payload must have exactly the size the resolution implies, and
+    finite coefficients.
     """
     meta = read_snapshot_meta(path)
     if grid is None:
@@ -167,7 +169,9 @@ def read_snapshot(
     coeff = np.ascontiguousarray(
         np.moveaxis(np.fft.ifftshift(payload, axes=(0, 1)), -1, 0), dtype=np.complex128
     )
-    return make_state(meta.t, SpectralVectorField(grid, coeff), params)
+    w = SpectralVectorField(grid, coeff)
+    _require_finite(w, "snapshot payload")
+    return make_state(meta.t, w, params)
 
 
 __all__ = [

@@ -58,6 +58,12 @@ class TestModelParams:
         with pytest.raises(ValueError, match=named):
             ModelParams(nu=1.0, filters=FilterParams(0.5, 1), forcing=forcing)
 
+    @pytest.mark.parametrize("nu", [0.0, -1.0, math.inf, -math.inf, math.nan])
+    def test_rejects_a_viscosity_not_positive_and_finite(self, nu):
+        with pytest.raises(ValueError) as exc:
+            ModelParams(nu=nu, filters=FilterParams(0.5, 1))
+        assert str(exc.value) == f"viscosity must be positive and finite, got {nu}"
+
     @pytest.mark.parametrize("rule", ["two_thirds", "none"])
     def test_accepts_forcing_on_retained_modes(self, rule):
         grid = make_grid(8, rule)
@@ -121,6 +127,19 @@ class TestInitialState:
         )
         with pytest.raises(ValueError, match="^" + re.escape(named) + "$"):
             initial_state(u0, model)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(math.nan, 0.0)])
+    def test_rejects_non_finite_data_naming_the_mode(self, grid16, params16, bad):
+        # A NaN passes the divergence check (nan > tol is False); the first
+        # non-finite mode in the stored (kx, ky, kz) order is named.
+        u0 = random_div_free(grid16, seed=64)
+        u0.coeff[2, -3, 2, 1] = bad
+        u0.coeff[0, 4, -1, 0] = bad
+        with pytest.raises(ValueError) as exc:
+            initial_state(u0, params16, auto_project=True)
+        assert str(exc.value) == (
+            "initial condition has a non-finite coefficient at mode (4, -1, 0)"
+        )
 
     def test_rejects_divergent_data(self, grid16, params16):
         bad = SpectralVectorField.from_modes(grid16, {(1, 0, 0): (1.0, 1.0, 0.0)})

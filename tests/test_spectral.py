@@ -7,13 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deconvbox import (
+    FilterParams,
+    ModelParams,
     SpectralVectorField,
     divergence_error,
     inner_product,
     leray_project,
     make_grid,
+    make_state,
     nonlinear_term,
     sobolev_norm,
+    step,
     stokes_apply,
     trilinear_b,
 )
@@ -21,6 +25,7 @@ from deconvbox.spectral import (
     DEALIAS_RULES,
     _mode_energy,
     _norm_from_energy,
+    _Workspace,
 )
 from deconvbox.verify import _nonlinear_reference
 from oracles import hermitian_defect, random_div_free, trilinear_collocation
@@ -250,6 +255,65 @@ class TestDealiasedInverse:
         u, v = random_pair(grid, seed)
         assert nonlinear_term(u, v).coeff.tobytes() == _nonlinear_reference(u, v).tobytes()
 
+    # One example per rule: the reference irfftn of the full 12-channel stack
+    # is the slow part at K=64.
+    @pytest.mark.parametrize("rule", DEALIAS_RULES)
+    @settings(max_examples=1, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_bytes_equal_numpy_irfftn_at_k64(self, rule, seed):
+        grid = make_grid(64, rule)
+        u, v = random_pair(grid, seed)
+        assert nonlinear_term(u, v).coeff.tobytes() == _nonlinear_reference(u, v).tobytes()
+
+
+def shifted(w, n):
+    """w(x - 2 pi n / K): a shift by whole grid points is an exact lattice phase."""
+    grid = w.grid
+    k_dot_n = grid.kx * n[0] + grid.ky * n[1] + grid.kz * n[2]
+    return SpectralVectorField(grid, w.coeff * np.exp(-2j * np.pi * k_dot_n / grid.K))
+
+
+def swapped(w):
+    """w with x and y exchanged: its first two components and the kx, ky axes."""
+    return SpectralVectorField(w.grid, w.coeff[[1, 0, 2]].transpose(0, 2, 1, 3).copy())
+
+
+def assert_close(got, want, rel=1e-13):
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+class TestGridSymmetries:
+    # The box is invariant under shifts by whole grid points and under x <-> y,
+    # so both must commute with the discrete convective term and with a step
+    # under the transformed forcing; a layout slip in the pruned transforms
+    # (a swapped half, a wrong-signed derivative factor) breaks one of them.
+    @pytest.mark.parametrize("rule", DEALIAS_RULES)
+    @pytest.mark.parametrize("K", [12, 16, 18])
+    @settings(max_examples=3, deadline=None)
+    @given(seed=st.integers(0, 2**16), n=st.tuples(*[st.integers(0, 17)] * 3))
+    def test_nonlinear_term_commutes(self, K, rule, seed, n):
+        grid = make_grid(K, rule)
+        u, w = random_div_free(grid, seed), random_div_free(grid, seed + 1)
+        for transform in (lambda f: shifted(f, n), swapped):
+            got = nonlinear_term(transform(u), transform(w)).coeff
+            assert_close(got, transform(nonlinear_term(u, w)).coeff)
+
+    @pytest.mark.parametrize("rule", DEALIAS_RULES)
+    @pytest.mark.parametrize("K", [12, 16, 18])
+    @settings(max_examples=3, deadline=None)
+    @given(seed=st.integers(0, 2**16), n=st.tuples(*[st.integers(0, 17)] * 3))
+    def test_step_commutes_under_the_transformed_forcing(self, K, rule, seed, n):
+        grid = make_grid(K, rule)
+        forcing, w = random_div_free(grid, seed, 0.5), random_div_free(grid, seed + 1)
+
+        def stepped(f, w0):
+            model = ModelParams(nu=0.3, filters=FilterParams(0.5, 2), forcing=f)
+            return step(make_state(0.0, w0, model), 0.05).w
+
+        for transform in (lambda f: shifted(f, n), swapped):
+            got = stepped(transform(forcing), transform(w)).coeff
+            assert_close(got, transform(stepped(forcing, w)).coeff)
+
 
 class TestWorkspace:
     def test_concurrent_threads_match_serial_calls(self):
@@ -279,6 +343,16 @@ class TestWorkspace:
         assert not any(t.is_alive() for t in threads)
         for i in range(2):
             assert results[i] == [serial[i]] * 6
+
+    def test_k64_buffers_hold_no_column_stack(self):
+        # The kx pass fills one channel at a time: no (12, 2c+1, c+1, K)
+        # stack of every channel's columns sits beside the other buffers,
+        # which with one totalled 45,255,456 B at K=64.
+        grid = make_grid(64)
+        c = grid.cut
+        arrays = [a for a in vars(_Workspace(grid)).values() if isinstance(a, np.ndarray)]
+        assert all(a.shape != (12, 2 * c + 1, c + 1, 64) for a in arrays)
+        assert sum(a.nbytes for a in arrays) <= 45_255_456 - 9 * 2**20
 
     def test_grid_switches_rebuild_the_workspace(self):
         for K, rule in [(16, "two_thirds"), (16, "none"), (32, "two_thirds"), (16, "two_thirds")]:

@@ -150,6 +150,32 @@ class TestSnapshot:
                 read(path)
             assert str(exc.value) == f"snapshot header field t is not finite ({t!r})"
 
+    @pytest.mark.parametrize("nu", [float("inf"), float("nan")])
+    def test_non_finite_viscosity_rejected(self, tmp_path, grid8, nu):
+        state, params = self.make_state(grid8)
+        path = tmp_path / "s.snap"
+        write_snapshot(state, params, path)
+        blob = path.read_bytes()
+        header = list(_HEADER_STRUCT.unpack(blob[: _HEADER_STRUCT.size]))
+        header[5] = nu
+        path.write_bytes(_HEADER_STRUCT.pack(*header) + blob[_HEADER_STRUCT.size :])
+        with pytest.raises(ValueError) as exc:
+            read_snapshot(path)
+        assert str(exc.value) == f"viscosity must be positive and finite, got {nu}"
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, -float("inf"))])
+    def test_non_finite_payload_rejected(self, tmp_path, grid8, bad):
+        state, params = self.make_state(grid8)
+        # Component 1 of modes (3, 0, 1) and (-2, 1, 0): the first in the
+        # in-memory (kx, ky, kz) index order is named (kx = -2 sits at 6).
+        for i1, i2, k3 in ((3, 0, 1), (-2 % 8, 1, 0)):
+            state.w.coeff[1, i1, i2, k3] = bad
+        path = tmp_path / "s.snap"
+        write_snapshot(state, params, path)
+        with pytest.raises(ValueError) as exc:
+            read_snapshot(path, grid=grid8, params=params)
+        assert str(exc.value) == "snapshot payload has a non-finite coefficient at mode (3, 0, 1)"
+
     def test_grid_mismatch_reports_both_resolutions(self, tmp_path, grid8):
         state, params = self.make_state(grid8)
         path = tmp_path / "s.snap"

@@ -19,6 +19,7 @@ from deconvbox import (
     SolverState,
     build_model,
     initial_state,
+    inner_product,
     leray_project,
     make_grid,
     make_state,
@@ -26,7 +27,7 @@ from deconvbox import (
 )
 from deconvbox.config import FieldSpec, _random_raw
 from deconvbox.deconv import _hn_table, truncation_hn
-from deconvbox.solver import _half_decay, _squared_norms
+from deconvbox.solver import _half_decay, _squared_norms, _work_rate
 from deconvbox.spectral import (
     DEALIAS_RULES,
     SpectralVectorField,
@@ -120,6 +121,21 @@ def test_five_steps_equal_the_iterated_reference(K, rule, masked_content):
         assert state.w.coeff.tobytes() == want_w.tobytes()
         assert state.hn_w.coeff.tobytes() == want_hn_w.tobytes()
         ref = SolverState(ref.t + dt, SpectralVectorField(grid, want_w), model)
+
+
+@pytest.mark.parametrize("rule", DEALIAS_RULES)
+@pytest.mark.parametrize("K", (8, 12, 18, 64))
+def test_work_rate_equals_the_full_layout_pairing(K, rule):
+    # The work rate pairs only the retained quadrants of H_N f and w; its
+    # bytes are inner_product's, for w with content on the masked modes too
+    # and for w = 0.
+    grid = make_grid(K, rule)
+    rng = np.random.default_rng(K)
+    model = forced_start(grid, rng)[1].model
+    for w in (unmasked_field(grid, rng), SpectralVectorField.zeros(grid)):
+        want = inner_product(model.hn_forcing, w)
+        got = _work_rate(make_state(0.0, w, model))
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_step_output_has_signed_zeros():
