@@ -320,7 +320,7 @@ def ensemble_absorb_probe(
             spec = replace(template.ic, seed=seed, target_norm=1.0)
         else:
             spec = FieldSpec(kind="random_spectrum", seed=seed, target_norm=1.0)
-        u0 = generate_ic(spec, grid, model.filters)
+        u0 = generate_ic(spec, grid)
         hn_norm = sobolev_norm(model.filters.apply(u0), 0.0)
         target = R * (i + 1) / ensemble_size
         state0 = initial_state(u0 * (target / hn_norm), model)

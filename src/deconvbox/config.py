@@ -20,8 +20,11 @@ from .spectral import (
     DEALIAS_RULES,
     SpectralVectorField,
     WaveGrid,
-    leray_project,
-    sobolev_norm,
+    _gather,
+    _leray,
+    _mode_energy,
+    _norm_from_energy,
+    _scatter,
 )
 
 
@@ -266,30 +269,35 @@ def _random_raw(grid: WaveGrid, rng: np.random.Generator) -> SpectralVectorField
     return SpectralVectorField(grid, coeff)
 
 
-def _random_spectrum_field(
-    spec: FieldSpec, grid: WaveGrid
-) -> SpectralVectorField:
+def _random_spectrum_field(spec: FieldSpec, grid: WaveGrid) -> SpectralVectorField:
     """Seeded, divergence-free random field with a banded energy profile.
 
-    Per-mode energy follows kappa^p * exp(-2 kappa^2 / kappa0^2) with
-    kappa0 = K/6 unless overridden; the whole field is rescaled afterwards
-    so its H0 norm hits the target exactly.
+    Per-mode energy follows kappa^p * exp(-2 kappa^2 / kappa0^2), kappa0 = K/6
+    unless overridden, rescaled so that the H0 norm hits the target exactly. Only
+    the draw's M retained modes are worked on, in the full-layout form's operand
+    order, so their words equal that form's; the masked modes hold +0.0.
     """
-    coeff = _random_raw(grid, np.random.default_rng(spec.seed)).coeff
+    draw, shape = np.random.default_rng(spec.seed).standard_normal, (3,) + grid.spectral_shape
+    coeff = _gather(draw(shape), grid) + 1j * _gather(draw(shape), grid)
+    # Hermitian symmetry on the k3 = 0 plane, here (3, ky, kx) and closed under -k.
+    n, ret = 2 * grid.cut + 1, grid.ret_flat
+    flip = -np.arange(n) % n
+    plane = coeff.reshape(3, n, -1, n)[:, :, 0]
+    plane[...] = 0.5 * (plane + np.conj(plane[:, flip][:, :, flip]))
+    coeff *= grid.mask.reshape(-1)[ret]
+    coeff[:, 0] = 0.0
     kappa0 = spec.cutoff if spec.cutoff is not None else grid.K / 6.0
-    kappa = np.sqrt(grid.ksq)
-    profile = np.where(
-        grid.ksq > 0.0,
-        kappa**spec.exponent * np.exp(-2.0 * grid.ksq / kappa0**2),
-        0.0,
-    )
-    coeff *= np.sqrt(profile)
-
-    out = leray_project(SpectralVectorField(grid, coeff))
-    norm = sobolev_norm(out, 0.0)
+    ksq = grid.ksq.reshape(-1)[ret]
+    amp2 = np.where(ksq > 0.0, np.sqrt(ksq) ** spec.exponent * np.exp(-2.0 * ksq / kappa0**2), 0.0)
+    coeff *= np.sqrt(amp2)
+    out = _leray(coeff, grid.ret_k, grid.ret_ksq_safe)
+    # sobolev_norm's bytes: the mode energies summed whole in the full layout.
+    energy = _mode_energy(out, grid.mult.reshape(-1)[ret])
+    norm = _norm_from_energy(_scatter(energy, np.zeros(grid.spectral_shape), grid), grid, 0.0)
     if norm == 0.0:
         raise ValueError("random field vanished; grid too small for the profile")
-    return out * (spec.target_norm / norm)
+    scaled = out * (spec.target_norm / norm)
+    return SpectralVectorField(grid, _scatter(scaled, np.zeros(shape, np.complex128), grid))
 
 
 def generate_ic(
@@ -298,8 +306,8 @@ def generate_ic(
     """Build the divergence-free, zero-mean field described by `spec`.
 
     Serves both initial conditions and steady forcings. Deterministic for a
-    fixed seed. `filters` is accepted for config plumbing (snapshot headers
-    carry filter parameters) and does not alter generated fields.
+    fixed seed. `filters` is ignored; it is kept for callers that still
+    pass one (bench/workloads.py).
     """
     if spec.kind == "zero":
         return SpectralVectorField.zeros(grid)

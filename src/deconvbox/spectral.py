@@ -302,14 +302,14 @@ def _require_same_grid(a: WaveGrid, b: WaveGrid, what: str = "fields") -> None:
 
 def sobolev_norm(w: SpectralVectorField, s: SobolevIndex) -> float:
     """H_s norm (sum_k |k|^(2s) |what(k)|^2)^(1/2) over the nonzero lattice."""
-    return _norm_from_energy(_mode_energy(w), w.grid, s)
+    return _norm_from_energy(_mode_energy(w.coeff, w.grid.mult), w.grid, s)
 
 
-def _mode_energy(w: SpectralVectorField) -> np.ndarray:
-    """sum_i |what_i(k)|^2 per stored mode, times the lattice multiplicity."""
-    amp2 = np.real(w.coeff * np.conj(w.coeff)).sum(axis=0)
-    amp2 *= w.grid.mult
-    amp2[0, 0, 0] = 0.0  # the norms sum over the nonzero lattice
+def _mode_energy(coeff: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """sum_i |c_i(k)|^2 per mode of (3, ...) coefficients, mean first, times `mult`."""
+    amp2 = np.real(coeff * np.conj(coeff)).sum(axis=0)
+    amp2 *= mult
+    amp2.flat[0] = 0.0  # the norms sum over the nonzero lattice
     return amp2
 
 
@@ -332,10 +332,14 @@ def inner_product(u: SpectralVectorField, v: SpectralVectorField) -> float:
 
 def divergence_error(w: SpectralVectorField) -> float:
     """max_k |k . what(k)| relative to the H_1 scale of the field."""
+    return _divergence_error(w, sobolev_norm(w, 1.0))
+
+
+def _divergence_error(w: SpectralVectorField, scale: float) -> float:
+    """divergence_error of w, given its H_1 norm `scale`."""
     grid = w.grid
     dot = grid.kx * w.coeff[0] + grid.ky * w.coeff[1] + grid.kz * w.coeff[2]
     worst = float(np.abs(dot).max())
-    scale = sobolev_norm(w, 1.0)
     return worst if scale == 0.0 else worst / scale
 
 
@@ -384,10 +388,10 @@ def _quadrants(grid: WaveGrid):
 
 
 def _scatter(ret: np.ndarray, out: np.ndarray, grid: WaveGrid) -> np.ndarray:
-    """Write retained (3, M) coefficients over out's retained modes, one (kx, ky)
+    """Write retained (..., M) values over out's retained modes, one (kx, ky)
     quadrant at a time: several times faster than assigning through ret_flat."""
     c = grid.cut
-    box = ret.reshape(3, 2 * c + 1, c + 1, 2 * c + 1).transpose(0, 3, 1, 2)  # kx, ky, kz
+    box = np.moveaxis(ret.reshape(ret.shape[:-1] + (2 * c + 1, c + 1, 2 * c + 1)), -1, -3)
     for full, part in _quadrants(grid):
         out[full] = box[part]
     return out

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _random_raw
+from .config import FieldSpec, _random_raw, generate_ic
 from .deconv import (
     FilterParams,
     g_symbol,
@@ -77,6 +77,17 @@ def _sobolev_reference(w: SpectralVectorField, s: float) -> float:
         amp2[0, 0, 0] = 0.0
         total = (amp2 * kern).sum()
     return float(np.sqrt(total))
+
+
+def _random_spectrum_reference(spec: FieldSpec, grid) -> SpectralVectorField:
+    """Reference for config's random_spectrum kind: the full-layout closed form."""
+    coeff = _random_raw(grid, np.random.default_rng(spec.seed)).coeff
+    kappa0 = spec.cutoff if spec.cutoff is not None else grid.K / 6.0
+    ksq = grid.ksq
+    amp2 = np.where(ksq > 0.0, np.sqrt(ksq) ** spec.exponent * np.exp(-2.0 * ksq / kappa0**2), 0.0)
+    coeff *= np.sqrt(amp2)
+    out = SpectralVectorField(grid, _leray_reference(SpectralVectorField(grid, coeff)))
+    return out * (spec.target_norm / _sobolev_reference(out, 0.0))
 
 
 def _nonlinear_reference(u: SpectralVectorField, w: SpectralVectorField) -> np.ndarray:
@@ -271,12 +282,16 @@ def operator_checks(K: int = 16, seed: int = 0) -> list[CheckResult]:
         _differing_words(filters.apply(raw).coeff, truncation_hn(raw, delta, order).coeff),
         0,
     )
-    # The convective term, pruned inverse included, and one step against
-    # their closed forms through numpy's irfftn, under both dealias rules
-    # (under 'none' only the Nyquist planes are masked). Unmasked input
-    # also exercises the mask.
+    # The generator, the convective term, pruned inverse included, and one
+    # step against their closed forms (through numpy's irfftn), under both
+    # dealias rules (under 'none' only the Nyquist planes are masked).
+    # Unmasked input also exercises the mask.
+    spec = FieldSpec(kind="random_spectrum", seed=seed, exponent=3.0, cutoff=K / 4.0)
+    generated = 0
     for rule in DEALIAS_RULES:
         g = make_grid(K, rule)
+        want = np.where(g.mask, _random_spectrum_reference(spec, g).coeff, 0.0)
+        generated += _differing_words(generate_ic(spec, g).coeff, want)
         label = "" if rule == "two_thirds" else f" (dealias {rule})"
         shape = (3,) + g.spectral_shape
         p, q = (
@@ -292,6 +307,7 @@ def operator_checks(K: int = 16, seed: int = 0) -> list[CheckResult]:
         want_w, want_hn_w = _step_reference(start, forcing, 0.01)
         words = _differing_words(got.w.coeff, want_w) + _differing_words(got.hn_w.coeff, want_hn_w)
         record("one step equals the closed-form stepper" + label, words, 0)
+    record("random_spectrum field equals its full-layout closed form", generated, 0)
     return results
 
 

@@ -17,6 +17,8 @@ from deconvbox import (
     sobolev_norm,
 )
 from deconvbox.config import FIELD_KINDS, _FIELD_PREFIXES, _KIND_KEYS, _TOP_KEYS
+from deconvbox.spectral import DEALIAS_RULES
+from deconvbox.verify import _random_spectrum_reference
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -253,6 +255,34 @@ class TestGenerateIC:
             FieldSpec(kind="random_spectrum", seed=7), grid16, FilterParams(0.5, 1)
         )
         assert sobolev_norm(w, 0.0) > 0.0
+
+    @pytest.mark.parametrize("K", [8, 12, 16, 18, 32])
+    @pytest.mark.parametrize("rule", DEALIAS_RULES)
+    @pytest.mark.parametrize(
+        "seed, exponent, cutoff, target",
+        [(0, 4.0, None, 1.0), (9, 2.0, 3.0, 2.5), (10, 0.5, 1.5, 0.3), (11, 6.0, 40.0, 1.0)],
+    )
+    def test_random_equals_the_full_layout_reference(self, K, rule, seed, exponent, cutoff, target):
+        # The generator works on the retained modes only; every retained
+        # word and the norm's bytes equal the full-layout closed form's, and
+        # the masked modes hold +0.0 where the reference has signed zeros.
+        grid = make_grid(K, rule)
+        spec = FieldSpec(
+            kind="random_spectrum", seed=seed, exponent=exponent, cutoff=cutoff,
+            target_norm=target,
+        )
+        got, want = generate_ic(spec, grid), _random_spectrum_reference(spec, grid)
+
+        def words(field):
+            return np.take(field.coeff.reshape(3, -1), grid.ret_flat, axis=1).view(np.uint64)
+
+        assert np.array_equal(words(got), words(want))
+        assert np.float64(sobolev_norm(got, 0.0)).tobytes() == (
+            np.float64(sobolev_norm(want, 0.0)).tobytes()
+        )
+        masked = np.ascontiguousarray(got.coeff[:, ~grid.mask])
+        assert masked.size and not masked.view(np.uint64).any()
+        assert np.array_equal(got.coeff, want.coeff)
 
     def test_spectrum_profile_is_banded(self, grid16):
         # the default profile peaks well below the mask cutoff, so the

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -275,6 +276,71 @@ class TestSimulate:
         hn = hn_symbol(grid16.ksq, 0.7, 0)
         g = g_symbol(grid16.ksq, 0.7)
         assert np.abs(hn - g).max() <= 1e-15
+
+
+def cfl_warnings(cfg, state):
+    """The messages of the warnings a run from `state` raises."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        simulate(cfg, initial=state)
+    return [str(w.message) for w in caught]
+
+
+class TestCflCertificate:
+    SINGLE = FieldSpec(kind="single_mode", mode=(1, -2, 1), amplitude=(2.0, 1.0, 0.0))
+
+    @pytest.mark.parametrize("rule", ["two_thirds", "none"])
+    def test_bound_covers_the_grid_maximum(self, rule):
+        grid = make_grid(12, rule)
+        rng = np.random.default_rng(70)
+        shape = (3,) + grid.spectral_shape
+        # Unmasked and not Hermitian on the k3 = 0 and Nyquist planes too.
+        raw = SpectralVectorField(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        fields = [raw] + [random_div_free(grid, seed=s, target=3.0) for s in (71, 72)]
+        for u in fields:
+            assert np.abs(u.to_physical()).max(axis=(1, 2, 3)).max() <= solver._velocity_bound(u)
+
+    @pytest.mark.parametrize("mode", [(1, 0, 0), (2, -3, 0), (1, -2, 1), (3, 3, 3)])
+    def test_bound_is_tight_on_a_single_mode(self, grid16, mode):
+        k = np.asarray(mode, dtype=float)
+        amp = np.cross(k, (0.3, 1.0, -0.7))  # real: the cosine peaks on the grid
+        u = SpectralVectorField.from_modes(grid16, {mode: amp})
+        umax = float(np.abs(u.to_physical()).max())
+        assert umax == pytest.approx(2.0 * np.abs(amp).max(), rel=1e-14)
+        assert solver._velocity_bound(u) == pytest.approx(umax, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "ic", [SINGLE, FieldSpec(kind="random_spectrum", seed=73, target_norm=4.0)]
+    )
+    def test_warns_exactly_when_the_exact_check_does(self, ic):
+        cfg = SolverConfig(K=8, nu=1.0, delta=0.5, order=1, T=0.0, ic=ic)
+        state = solver._start_state(cfg)
+        umax = float(np.abs(state.hn_w.to_physical()).max())
+        crossing = 1.0 / (umax * cfg.K)
+        bound = solver._velocity_bound(state.hn_w)
+        factors = (0.5, 0.9, 0.999, 1.0 - 1e-12, 1.0, 1.0 + 1e-9, 1.001, 1.5, 4.0)
+        assert bound > umax * (1.0 + 1e-3) or ic is self.SINGLE
+        for dt in [f * crossing for f in factors] + [f / (bound * cfg.K) for f in factors]:
+            cfl = dt * umax * cfg.K
+            want = [f"advisory CFL number {cfl:.2f} exceeds 1; the run may be inaccurate"]
+            assert cfl_warnings(dataclasses.replace(cfg, dt=dt), state) == want * (cfl > 1.0)
+
+    def test_certified_run_makes_no_transform(self, monkeypatch):
+        calls = []
+        to_physical = SpectralVectorField.to_physical
+
+        def counted(self):
+            calls.append(self)
+            return to_physical(self)
+
+        monkeypatch.setattr(SpectralVectorField, "to_physical", counted)
+        cfg = SolverConfig(K=8, nu=1.0, delta=0.5, order=1, T=0.0, ic=self.SINGLE)
+        state = solver._start_state(cfg)
+        certified = 0.99 / (solver._velocity_bound(state.hn_w) * cfg.K)
+        assert cfl_warnings(dataclasses.replace(cfg, dt=certified), state) == []
+        assert calls == []
+        cfl_warnings(dataclasses.replace(cfg, dt=certified * 1.02), state)
+        assert len(calls) == 1
 
 
 class TestStateCarriesItsModel:

@@ -75,7 +75,7 @@ class TestSobolevNorm:
         rng = np.random.default_rng(7)
         shape = (3,) + grid8.spectral_shape
         w = SpectralVectorField(grid8, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        amp2 = _mode_energy(w)
+        amp2 = _mode_energy(w.coeff, grid8.mult)
         before = amp2.tobytes()
         amp2.setflags(write=False)
         for s in (-1.0, 0.0, 1.0, 2.0):
