@@ -22,8 +22,8 @@ from .spectral import (
     WaveGrid,
     _gather,
     _leray,
-    _mode_energy,
     _norm_from_energy,
+    _retained_energy,
     _scatter,
 )
 
@@ -291,9 +291,7 @@ def _random_spectrum_field(spec: FieldSpec, grid: WaveGrid) -> SpectralVectorFie
     amp2 = np.where(ksq > 0.0, np.sqrt(ksq) ** spec.exponent * np.exp(-2.0 * ksq / kappa0**2), 0.0)
     coeff *= np.sqrt(amp2)
     out = _leray(coeff, grid.ret_k, grid.ret_ksq_safe)
-    # sobolev_norm's bytes: the mode energies summed whole in the full layout.
-    energy = _mode_energy(out, grid.mult.reshape(-1)[ret])
-    norm = _norm_from_energy(_scatter(energy, np.zeros(grid.spectral_shape), grid), grid, 0.0)
+    norm = _norm_from_energy(_retained_energy(out, grid), grid, 0.0)
     if norm == 0.0:
         raise ValueError("random field vanished; grid too small for the profile")
     scaled = out * (spec.target_norm / norm)

@@ -35,12 +35,10 @@ from .spectral import (
     _leray,
     _mode_energy,
     _norm_from_energy,
-    _quadrants,
     _read_only,
     _require_same_grid,
+    _retained_energy,
     _scatter,
-    divergence_error,
-    leray_project,
     make_grid,
     smallest_eigenvalue,
 )
@@ -87,16 +85,12 @@ class ModelParams:
             return
         grid = forcing.grid
         amp2 = _mode_energy(forcing.coeff, grid.mult)
-        err = _divergence_error(forcing, _norm_from_energy(amp2, grid, 1.0))
+        err = _divergence_error(forcing.coeff, grid.ck, _norm_from_energy(amp2, grid, 1.0))
         if err > DIVERGENCE_TOL:
             raise ValueError(f"forcing is not divergence-free (relative defect {err:.3e})")
         if forcing.coeff[:, 0, 0, 0].any():
             raise ValueError("forcing must have zero mean")
-        for mode in _first_mode(forcing.coeff.any(axis=0) & ~grid.mask, grid):
-            raise ValueError(
-                f"forcing has content on mode {mode}, which the dealias cut "
-                f"|k_i| <= {grid.cut} drops"
-            )
+        _require_fits(forcing, "forcing")
         hn_forcing = self.filters.apply(forcing)
         object.__setattr__(self, "hn_forcing", hn_forcing)
         object.__setattr__(self, "hn_forcing_r", _read_only(_gather(hn_forcing.coeff, grid))[0])
@@ -111,14 +105,21 @@ del ModelParams.forcing
 
 def _first_mode(flags: np.ndarray, grid: WaveGrid) -> list:
     """The signed wavevector (k1, k2, k3) of the first True entry of flags, if any."""
-    return [(int(grid.kx[i1, 0, 0]), int(grid.ky[0, i2, 0]), int(k3))
-            for i1, i2, k3 in np.argwhere(flags)[:1]]
+    first = np.argwhere(flags)[:1] if flags.any() else ()  # argwhere is the slower pass
+    return [(int(grid.kx[i1, 0, 0]), int(grid.ky[0, i2, 0]), int(k3)) for i1, i2, k3 in first]
 
 
-def _require_finite(w: SpectralVectorField, what: str) -> None:
-    """Reject a field with a non-finite coefficient, naming its first mode."""
+def _require_fits(w: SpectralVectorField, what: str, model: "ModelParams | None" = None):
+    """Reject a field with a non-finite coefficient or with content (-0.0 is none) on a mode
+    the dealias mask drops, naming the first such mode, or off a forced model's grid."""
     for mode in _first_mode(~np.isfinite(w.coeff).all(axis=0), w.grid):
         raise ValueError(f"{what} has a non-finite coefficient at mode {mode}")
+    if model is not None and model.hn_forcing is not None:
+        _require_same_grid(w.grid, model.hn_forcing.grid, "the field and the forcing")
+    for mode in _first_mode(w.coeff.any(axis=0) & ~w.grid.mask, w.grid):
+        raise ValueError(
+            f"{what} has content on mode {mode}, which the dealias cut |k_i| <= {w.grid.cut} drops"
+        )
 
 
 def _model_fields(model: ModelParams) -> dict:
@@ -147,11 +148,24 @@ def build_model(config: SolverConfig) -> tuple[WaveGrid, ModelParams]:
 
 @dataclass
 class SolverState:
-    """Time, the evolved field w, and the model w evolves under."""
+    """Time, the evolved field w, and the model w evolves under.
+
+    A state that `step` or `initial_state` made holds only w's retained
+    coefficients (3, M); it builds w, +0.0 on the masked modes, when w is
+    first read. A w that was given or read is the field the next step starts from.
+    """
 
     t: float
     w: SpectralVectorField
     model: ModelParams
+
+    def __getattr__(self, name: str):
+        if name != "w" or "_ret" not in vars(self):
+            raise AttributeError(f"'SolverState' object has no attribute {name!r}")
+        grid, w_r = vars(self).pop("_ret")  # from now on w is the state's field
+        zeros = np.zeros((3,) + grid.spectral_shape, dtype=np.complex128)
+        self.w = SpectralVectorField(grid, _scatter(w_r, zeros, grid))
+        return self.w
 
     @property
     def hn_w(self) -> SpectralVectorField:
@@ -159,10 +173,27 @@ class SolverState:
         return self.model.filters.apply(self.w)
 
 
+def _retained_state(t: float, grid: WaveGrid, w_r: np.ndarray, model: ModelParams) -> SolverState:
+    """The state at t under model whose w has retained coefficients w_r, unbuilt."""
+    state = object.__new__(SolverState)
+    state.t, state.model, state._ret = t, model, (grid, w_r)
+    return state
+
+
+def _retained(state: SolverState) -> tuple[WaveGrid, np.ndarray]:
+    """The grid and w's retained (3, M) coefficients: stored, or gathered from a w that was
+    given or read, which must fit the model."""
+    if "w" not in vars(state):
+        return state._ret
+    w = state.w
+    _require_fits(w, "the state's field", state.model)
+    return w.grid, _gather(w.coeff, w.grid)
+
+
 def make_state(t: float, w: SpectralVectorField, params: ModelParams) -> SolverState:
-    """The state (t, w) under `params`; w must lie on the grid of a forced model."""
-    if params.hn_forcing is not None:
-        _require_same_grid(w.grid, params.hn_forcing.grid, "the field and the forcing")
+    """The state (t, w) under `params`. w must be finite, hold no content on a mode the
+    dealias mask drops and lie on the grid of a forced model."""
+    _require_fits(w, "the state's field", params)
     return SolverState(t=float(t), w=w, model=params)
 
 
@@ -175,18 +206,22 @@ def initial_state(
     rejected unless `auto_project` is set, in which case they are
     Leray-projected first.
     """
-    _require_finite(u0, "initial condition")
-    err = divergence_error(u0)
+    grid = u0.grid
+    _require_fits(u0, "initial condition", params)
+    u_r = _gather(u0.coeff, grid)
+    h1 = _norm_from_energy(_retained_energy(u_r, grid), grid, 1.0)
+    err = _divergence_error(u_r, grid.ret_k, h1)
     if err > DIVERGENCE_TOL:
         if not auto_project:
             raise ValueError(
                 f"initial condition is not divergence-free (relative defect "
                 f"{err:.3e}); pass auto_project=True to project it"
             )
-        u0 = leray_project(u0)
-    if u0.coeff[:, 0, 0, 0].any():
+        u_r = _leray(u_r, grid.ret_k, grid.ret_ksq_safe)
+    if u_r[:, 0].any():
         raise ValueError("initial condition must have zero mean")
-    return make_state(0.0, params.filters.apply(u0), params)
+    hn_r = _hn_table(grid, params.filters.delta, params.filters.order)[1]
+    return _retained_state(0.0, grid, u_r * hn_r, params)
 
 
 def _explicit(hn_w: np.ndarray, w: np.ndarray, hn_f, grid: WaveGrid) -> np.ndarray:
@@ -203,18 +238,17 @@ def step(state: SolverState, dt: float) -> SolverState:
     midpoint scheme.
 
     The viscous factor is exact; the explicit part is advanced with a
-    half-step predictor and a midpoint corrector. Both stages run on the
-    retained modes; a mode the dealias mask drops only decays. Raises
+    half-step predictor and a midpoint corrector. The step runs on the
+    retained modes only and returns a state that holds them. Raises
     `BlowUpError` if any coefficient becomes non-finite.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    grid, params = state.w.grid, state.model
-    w = state.w.coeff
-    decay_half, decay_r = _half_decay(grid, params.nu, dt)
+    params = state.model
+    grid, w_r = _retained(state)
+    decay_r = _half_decay(grid, params.nu, dt)
     hn_r = _hn_table(grid, params.filters.delta, params.filters.order)[1]
     hn_f = params.hn_forcing_r
-    w_r = _gather(w, grid)
     # In place, in the operand order of
     #   mid = decay_half * (w + (dt/2) k1)
     #   new = decay_half * (decay_half * w) + dt * (decay_half * k2),
@@ -227,23 +261,21 @@ def step(state: SolverState, dt: float) -> SolverState:
         np.add(w_r, mid, out=mid)
         np.multiply(decay_r, mid, out=mid)
         k2 = _explicit(np.multiply(mid, hn_r), mid, hn_f, grid)
-        new_coeff = np.multiply(decay_half, w)
-        np.multiply(decay_half, new_coeff, out=new_coeff)
-        new_r = _gather(new_coeff, grid)
+        new_r = np.multiply(decay_r, w_r)
+        np.multiply(decay_r, new_r, out=new_r)
         np.multiply(decay_r, k2, out=k2)
         np.multiply(dt, k2, out=k2)
         np.add(new_r, k2, out=new_r)
-        _scatter(new_r, new_coeff, grid)
-    if not np.isfinite(new_coeff).all():
+    if not np.isfinite(new_r).all():
         raise BlowUpError(state.t)
-    return make_state(state.t + dt, SpectralVectorField(grid, new_coeff), params)
+    return _retained_state(state.t + dt, grid, new_r, params)
 
 
 @lru_cache(maxsize=16)
-def _half_decay(grid: WaveGrid, nu: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """exp(-nu |k|^2 dt / 2) as read-only complex tables, full and retained."""
-    table = np.exp(-nu * grid.ksq * (0.5 * dt)).astype(np.complex128)
-    return _read_only(table, table.reshape(-1)[grid.ret_flat])
+def _half_decay(grid: WaveGrid, nu: float, dt: float) -> np.ndarray:
+    """exp(-nu |k|^2 dt / 2) over the retained modes, as a read-only complex table."""
+    ksq = grid.ksq.reshape(-1)[grid.ret_flat]
+    return _read_only(np.exp(-nu * ksq * (0.5 * dt)).astype(np.complex128))[0]
 
 
 @dataclass(eq=False)
@@ -322,32 +354,30 @@ class _TrajectoryBuilder:
         return Trajectory(*(cols[:, j] for j in range(8)))
 
 
-def _squared_norms(w: SpectralVectorField, sampled: bool) -> tuple:
-    """(||w||_1^2, ||w||^2, ||A w||^2) from one mode-energy pass.
+def _squared_norms(amp2: np.ndarray, grid: WaveGrid, sampled: bool) -> tuple:
+    """(||w||_1^2, ||w||^2, ||A w||^2) from w's full-layout mode energies amp2.
 
     The last two are None unless `sampled`. Each equals
     sobolev_norm(w, s) ** 2 to the bit.
     """
-    amp2 = _mode_energy(w.coeff, w.grid.mult)
-    h1_sq = _norm_from_energy(amp2, w.grid, 1.0) ** 2
+    h1_sq = _norm_from_energy(amp2, grid, 1.0) ** 2
     if not sampled:
         return h1_sq, None, None
-    aw_sq = _norm_from_energy(amp2, w.grid, 2.0) ** 2
-    return h1_sq, _norm_from_energy(amp2, w.grid, 0.0) ** 2, aw_sq
+    aw_sq = _norm_from_energy(amp2, grid, 2.0) ** 2
+    return h1_sq, _norm_from_energy(amp2, grid, 0.0) ** 2, aw_sq
 
 
 def _work_rate(state: SolverState) -> float:
-    """The forcing integrand (H_N f, w) of the energy balance. H_N f is zero
-    off the retained quadrants, so only they are paired, into the zero array
+    """The forcing integrand (H_N f, w) of the energy balance. H_N f and w are zero
+    off the retained modes, so only those are paired, into the zero array
     inner_product would sum: the bytes equal inner_product(H_N f, w)."""
-    hn_f, grid = state.model.hn_forcing, state.w.grid
+    hn_f = state.model.hn_forcing_r
     if hn_f is None:
         return 0.0
-    dots = np.zeros(grid.spectral_shape)
-    for q, _ in _quadrants(grid):
-        pair = np.real(hn_f.coeff[q] * np.conj(state.w.coeff[q])).sum(axis=0)
-        np.multiply(pair, grid.mult[q], out=dots[q])
-    return float(dots.sum())
+    grid, w_r = _retained(state)
+    pair = np.real(hn_f * np.conj(w_r)).sum(axis=0)
+    pair *= grid.ret_mult
+    return float(_scatter(pair, np.zeros(grid.spectral_shape), grid).sum())
 
 
 def simulate(config, initial: SolverState | None = None) -> Trajectory:
@@ -375,32 +405,35 @@ def _start_state(config: SolverConfig) -> SolverState:
     return initial_state(u0, params, auto_project=config.auto_project_ic)
 
 
-def _require_model(config: SolverConfig, state: SolverState) -> SolverState:
-    """`state`, if its grid and model are the ones `config` describes."""
-    grid = state.w.grid
+def _require_model(config: SolverConfig, grid: WaveGrid, model: ModelParams) -> None:
+    """Reject a grid and model that are not the ones `config` describes."""
     _require_same_model(
         "initial state was made under a different model",
-        dict(K=grid.K, dealias=grid.dealias_rule, **_model_fields(state.model)),
+        dict(K=grid.K, dealias=grid.dealias_rule, **_model_fields(model)),
         dict(K=config.K, dealias=config.dealias, nu=config.nu, delta=config.delta,
              N=config.order, forced=config.forcing.kind != "zero"),
         "in the state",
         "configured",
     )
-    return state
 
 
-def _velocity_bound(u: SpectralVectorField) -> float:
+def _velocity_bound(u: SpectralVectorField | np.ndarray, mult: np.ndarray | None = None) -> float:
     """B = max_i sum_k mult |u_i(k)| >= max_x |u_i(x)|: irfftn adds each stored mode once
-    or as a conjugate pair and ignores the imaginary parts of the k3 = 0 and Nyquist bins."""
-    return float(np.max(np.abs(u.coeff).reshape(3, -1) @ u.grid.mult.reshape(-1)))
+    or as a conjugate pair and ignores the imaginary parts of the k3 = 0 and Nyquist bins;
+    u is a field, or (3, M) retained coefficients with their multiplicities `mult`."""
+    if mult is None:
+        u, mult = u.coeff, u.grid.mult
+    return float(np.max(np.abs(u).reshape(3, -1) @ mult.reshape(-1)))
 
 
 def simulate_with_state(
     config, initial: SolverState | None = None
 ) -> tuple[Trajectory, SolverState]:
     """Like `simulate` but also returns the final solver state."""
-    state = _start_state(config) if initial is None else _require_model(config, initial)
-    grid, params = state.w.grid, state.model
+    state = _start_state(config) if initial is None else initial
+    params = state.model
+    grid, w_r = _retained(state)
+    _require_model(config, grid, params)
 
     lam1 = smallest_eigenvalue(grid)
     rho0_sq = (params.f_norm / (params.nu * lam1)) ** 2
@@ -408,15 +441,17 @@ def simulate_with_state(
     dt = config.dt
     n_steps = max(0, math.ceil(config.T / dt - 1e-12))
 
-    # No local holds H_N w: it would stay alive, full size, for the whole run.
-    if dt * _velocity_bound(state.hn_w) * grid.K > 1.0 - 1e-9:
+    hn_r = _hn_table(grid, params.filters.delta, params.filters.order)[1]
+    if dt * _velocity_bound(w_r * hn_r, grid.ret_mult) * grid.K > 1.0 - 1e-9:
         cfl = dt * float(np.abs(state.hn_w.to_physical()).max()) * grid.K
         if cfl > 1.0:
             msg = f"advisory CFL number {cfl:.2f} exceeds 1; the run may be inaccurate"
             warnings.warn(msg, RuntimeWarning, stacklevel=2)
 
+    # The run keeps only retained coefficients: no step builds a full-layout w.
+    state = _retained_state(state.t, grid, w_r, params)
     builder = _TrajectoryBuilder(rho0_sq, params.nu * lam1)
-    norms = _squared_norms(state.w, sampled=True)
+    norms = _squared_norms(_retained_energy(w_r, grid), grid, sampled=True)
     h1_prev, work_prev = norms[0], _work_rate(state)
     builder.record(state, norms)
     try:
@@ -424,7 +459,7 @@ def simulate_with_state(
             state = step(state, dt)
             sampled = i % config.sample_every == 0 or i == n_steps
             with np.errstate(over="ignore", invalid="ignore"):
-                norms = _squared_norms(state.w, sampled)
+                norms = _squared_norms(_retained_energy(_retained(state)[1], grid), grid, sampled)
                 h1_new, work_new = norms[0], _work_rate(state)
             if not (math.isfinite(h1_new) and math.isfinite(work_new)):
                 raise BlowUpError(state.t - dt)

@@ -74,6 +74,8 @@ class WaveGrid:
         (ky, kz, kx): ky, kx over 0..cut, K-cut..K-1; kz over 0..cut. Mean first.
     ret_k, ret_ik, ret_ksq_safe : complex128 tables over the retained modes
         k_i, the derivative factors 1j*k_i, and ksq_safe.
+    ret_mult : ndarray
+        mult over the retained modes.
     """
 
     K: int
@@ -91,6 +93,7 @@ class WaveGrid:
     ret_k: tuple[np.ndarray, np.ndarray, np.ndarray]
     ret_ik: tuple[np.ndarray, np.ndarray, np.ndarray]
     ret_ksq_safe: np.ndarray
+    ret_mult: np.ndarray
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -186,9 +189,10 @@ def _grid(K: int, dealias_rule: str) -> WaveGrid:
         ret_k=tuple(k.astype(np.complex128) for k in k_ret),
         ret_ik=tuple(1j * k for k in k_ret),
         ret_ksq_safe=ksq_safe.reshape(-1)[ret_flat],
+        ret_mult=mult.reshape(-1)[ret_flat],
     )
     _read_only(kx, ky, kz, ksq, mask, mult, *grid.ck, grid.ksq_safe, grid.ret_flat)
-    _read_only(*grid.ret_k, *grid.ret_ik, grid.ret_ksq_safe)
+    _read_only(*grid.ret_k, *grid.ret_ik, grid.ret_ksq_safe, grid.ret_mult)
     return grid
 
 
@@ -313,6 +317,12 @@ def _mode_energy(coeff: np.ndarray, mult: np.ndarray) -> np.ndarray:
     return amp2
 
 
+def _retained_energy(c: np.ndarray, grid: WaveGrid) -> np.ndarray:
+    """_mode_energy of retained (3, M) coefficients, written into a zeroed full layout:
+    a norm summed from it is sobolev_norm's bytes for the field with +0.0 on masked modes."""
+    return _scatter(_mode_energy(c, grid.ret_mult), np.zeros(grid.spectral_shape), grid)
+
+
 def _norm_from_energy(amp2: np.ndarray, grid: WaveGrid, s: SobolevIndex) -> float:
     """The H_s norm from _mode_energy's array."""
     if s == 0:
@@ -332,14 +342,13 @@ def inner_product(u: SpectralVectorField, v: SpectralVectorField) -> float:
 
 def divergence_error(w: SpectralVectorField) -> float:
     """max_k |k . what(k)| relative to the H_1 scale of the field."""
-    return _divergence_error(w, sobolev_norm(w, 1.0))
+    return _divergence_error(w.coeff, w.grid.ck, sobolev_norm(w, 1.0))
 
 
-def _divergence_error(w: SpectralVectorField, scale: float) -> float:
-    """divergence_error of w, given its H_1 norm `scale`."""
-    grid = w.grid
-    dot = grid.kx * w.coeff[0] + grid.ky * w.coeff[1] + grid.kz * w.coeff[2]
-    worst = float(np.abs(dot).max())
+def _divergence_error(c: np.ndarray, k: tuple, scale: float) -> float:
+    """divergence_error of (3, ...) coefficients, given their layout's k_i tables and
+    their H_1 norm `scale`."""
+    worst = float(np.abs(k[0] * c[0] + k[1] * c[1] + k[2] * c[2]).max())
     return worst if scale == 0.0 else worst / scale
 
 
@@ -378,22 +387,14 @@ def _gather(coeff: np.ndarray, grid: WaveGrid) -> np.ndarray:
     return np.take(coeff.reshape(3, -1), grid.ret_flat, axis=1)
 
 
-def _quadrants(grid: WaveGrid):
-    """Each retained (kx, ky) quadrant's index in the full layout, paired with its
-    index in a retained (3, M) array viewed as (3, kx, ky, kz)."""
-    K, c = grid.K, grid.cut
-    halves = ((slice(0, c + 1), slice(0, c + 1)), (slice(K - c, K), slice(c + 1, None)))
-    for (full_x, ret_x), (full_y, ret_y) in itertools.product(halves, halves):
-        yield (..., full_x, full_y, slice(0, c + 1)), (..., ret_x, ret_y, slice(None))
-
-
 def _scatter(ret: np.ndarray, out: np.ndarray, grid: WaveGrid) -> np.ndarray:
     """Write retained (..., M) values over out's retained modes, one (kx, ky)
     quadrant at a time: several times faster than assigning through ret_flat."""
-    c = grid.cut
+    K, c = grid.K, grid.cut
     box = np.moveaxis(ret.reshape(ret.shape[:-1] + (2 * c + 1, c + 1, 2 * c + 1)), -1, -3)
-    for full, part in _quadrants(grid):
-        out[full] = box[part]
+    halves = ((slice(0, c + 1), slice(0, c + 1)), (slice(K - c, K), slice(c + 1, None)))
+    for (full_x, ret_x), (full_y, ret_y) in itertools.product(halves, halves):
+        out[..., full_x, full_y, : c + 1] = box[..., ret_x, ret_y, :]
     return out
 
 

@@ -22,9 +22,8 @@ from .solver import (
     SolverState,
     Trajectory,
     _model_fields,
-    _require_finite,
+    _require_fits,
     _require_same_model,
-    make_state,
 )
 from .spectral import SpectralVectorField, WaveGrid, make_grid
 
@@ -135,8 +134,8 @@ def read_snapshot(
     K is built. Given `params`, the stored nu, delta and N must equal its
     values exactly (each differing field is rejected with both values);
     without them the stored filter parameters build the truncation cache.
-    The payload must have exactly the size the resolution implies, and
-    finite coefficients.
+    The payload must have exactly the size the resolution implies, finite
+    coefficients and no content on a mode the dealias mask drops.
     """
     meta = read_snapshot_meta(path)
     if grid is None:
@@ -170,8 +169,8 @@ def read_snapshot(
         np.moveaxis(np.fft.ifftshift(payload, axes=(0, 1)), -1, 0), dtype=np.complex128
     )
     w = SpectralVectorField(grid, coeff)
-    _require_finite(w, "snapshot payload")
-    return make_state(meta.t, w, params)
+    _require_fits(w, "snapshot payload", params)
+    return SolverState(t=meta.t, w=w, model=params)
 
 
 __all__ = [

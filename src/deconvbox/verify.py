@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import FieldSpec, _random_raw, generate_ic
+from .config import FieldSpec, SolverConfig, _random_raw, generate_ic
 from .deconv import (
     FilterParams,
     g_symbol,
@@ -22,7 +22,9 @@ from .deconv import (
     truncation_hn,
     van_cittert_apply,
 )
-from .solver import ModelParams, SolverState, make_state, step
+from .solver import (
+    ModelParams, SolverState, _TrajectoryBuilder, make_state, simulate_with_state, step
+)
 from .spectral import (
     DEALIAS_RULES,
     SpectralVectorField,
@@ -30,6 +32,7 @@ from .spectral import (
     leray_project,
     make_grid,
     nonlinear_term,
+    smallest_eigenvalue,
     sobolev_norm,
     stokes_apply,
     trilinear_b,
@@ -114,7 +117,7 @@ def _nonlinear_reference(u: SpectralVectorField, w: SpectralVectorField) -> np.n
 def _step_reference(
     state: SolverState, forcing: SpectralVectorField | None, dt: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Reference for solver.step: the new w and H_N w; masked modes only decay.
+    """Reference for solver.step: the new w and H_N w; masked modes hold +0.0.
 
     `forcing` is the raw f the state's model was built from, so that the
     reference truncates it itself instead of reading the model's H_N f.
@@ -135,9 +138,32 @@ def _step_reference(
     decay_half = np.exp(-params.nu * grid.ksq * (0.5 * dt))
     w = state.w.coeff
     mid = decay_half * (w + (0.5 * dt) * explicit(w))
-    decayed = decay_half * (decay_half * w)
-    new = np.where(grid.mask, decayed + dt * (decay_half * explicit(mid)), decayed)
+    stepped = decay_half * (decay_half * w) + dt * (decay_half * explicit(mid))
+    new = np.where(grid.mask, stepped, 0.0)
     return new, truncate(new)
+
+
+def _simulate_reference(config, start: SolverState, forcing: SpectralVectorField | None):
+    """Reference for solver.simulate_with_state from `start`: _step_reference in the full
+    layout, sobolev_norm, inner_product, and _TrajectoryBuilder's trapezoid sums."""
+    grid, model, dt = start.w.grid, start.model, config.dt
+    f = model.filters
+    hn_f = None if forcing is None else truncation_hn(forcing, f.delta, f.order)
+    lam1 = smallest_eigenvalue(grid)
+    builder = _TrajectoryBuilder((model.f_norm / (model.nu * lam1)) ** 2, model.nu * lam1)
+    state, n_steps, prev = start, max(0, int(np.ceil(config.T / dt - 1e-12))), None
+    for i in range(n_steps + 1):
+        if i:
+            new = SpectralVectorField(grid, _step_reference(state, forcing, dt)[0])
+            state = SolverState(state.t + dt, new, model)
+        norms = [sobolev_norm(state.w, s) ** 2 for s in (1.0, 0.0, 2.0)]
+        rate = (norms[0], 0.0 if hn_f is None else inner_product(hn_f, state.w))
+        if prev:
+            builder.accumulate(dt, *prev, *rate, model.nu)
+        prev = rate
+        if i % config.sample_every == 0 or i == n_steps:
+            builder.record(state, norms)
+    return builder.build(), state
 
 
 def _differing_words(got: np.ndarray, want: np.ndarray) -> int:
@@ -287,7 +313,7 @@ def operator_checks(K: int = 16, seed: int = 0) -> list[CheckResult]:
     # dealias rules (under 'none' only the Nyquist planes are masked).
     # Unmasked input also exercises the mask.
     spec = FieldSpec(kind="random_spectrum", seed=seed, exponent=3.0, cutoff=K / 4.0)
-    generated = 0
+    generated = simulated = 0
     for rule in DEALIAS_RULES:
         g = make_grid(K, rule)
         want = np.where(g.mask, _random_spectrum_reference(spec, g).coeff, 0.0)
@@ -307,6 +333,13 @@ def operator_checks(K: int = 16, seed: int = 0) -> list[CheckResult]:
         want_w, want_hn_w = _step_reference(start, forcing, 0.01)
         words = _differing_words(got.w.coeff, want_w) + _differing_words(got.hn_w.coeff, want_hn_w)
         record("one step equals the closed-form stepper" + label, words, 0)
+        # A short run from a generated field (CFL number below 1), sampled at steps 0, 2, 3.
+        start = make_state(0.0, generate_ic(spec, g), model)
+        config = SolverConfig(K, 0.3, delta, order, rule, T=0.03, sample_every=2, forcing=spec)
+        runs = (simulate_with_state(config, start), _simulate_reference(config, start, forcing))
+        got, want = ([*traj.columns().values(), final.w.coeff] for traj, final in runs)
+        simulated += sum(map(_differing_words, got, want))
+    record("short simulate equals its full-layout reference", simulated, 0)
     record("random_spectrum field equals its full-layout closed form", generated, 0)
     return results
 

@@ -8,7 +8,7 @@ Intentionally slow; keep the inputs small.
 
 import numpy as np
 
-from deconvbox import FieldSpec, SpectralVectorField, generate_ic
+from deconvbox import FieldSpec, SpectralVectorField, generate_ic, make_grid
 
 
 def random_div_free(grid, seed, target=1.0):
@@ -16,6 +16,18 @@ def random_div_free(grid, seed, target=1.0):
     return generate_ic(
         FieldSpec(kind="random_spectrum", seed=seed, target_norm=target), grid
     )
+
+
+def masked_shear(rule, value):
+    """A divergence-free shear on a grid of `rule` holding `value` on component 1 of one
+    mode the dealias mask drops, and the pattern naming that mode and the cut."""
+    K, index, named = {
+        "two_thirds": (16, (7, 0, 0), r"\(7, 0, 0\), which the dealias cut \|k_i\| <= 5 drops$"),
+        "none": (8, (1, 0, 4), r"\(1, 0, 4\), which the dealias cut \|k_i\| <= 3 drops$"),
+    }[rule]
+    field = SpectralVectorField.from_modes(make_grid(K, rule), {(1, 0, 0): (0.0, 1.0, 0.0)})
+    field.coeff[(1,) + index] = value
+    return field, named
 
 
 def eval_modes_on_grid(grid, coeff, points):

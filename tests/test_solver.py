@@ -12,6 +12,7 @@ from deconvbox import (
     FilterParams,
     ModelParams,
     SolverConfig,
+    SolverState,
     SpectralVectorField,
     Trajectory,
     divergence_error,
@@ -21,13 +22,14 @@ from deconvbox import (
     hn_symbol,
     initial_state,
     make_grid,
+    make_state,
     simulate,
     simulate_with_state,
     sobolev_norm,
     step,
 )
 from deconvbox import solver
-from oracles import hermitian_defect, random_div_free
+from oracles import hermitian_defect, masked_shear, random_div_free
 
 
 def shear(grid, amp=(0.0, 1.0, 0.0)):
@@ -343,6 +345,43 @@ class TestCflCertificate:
         assert len(calls) == 1
 
 
+class TestMaskedContent:
+    # Each entry point that takes a caller's field rejects content on a mode
+    # the dealias mask drops, naming the first such mode and the cut, since
+    # a step keeps only the retained modes. -0.0 is no content.
+    @pytest.mark.parametrize("rule", ["two_thirds", "none"])
+    def test_rejected_naming_the_mode_and_the_cut(self, rule):
+        u, named = masked_shear(rule, 1.0)
+        model = ModelParams(nu=1.0, filters=FilterParams(0.5, 1))
+        with pytest.raises(ValueError, match="^initial condition has content on mode " + named):
+            initial_state(u, model)
+        field_named = "^the state's field has content on mode " + named
+        with pytest.raises(ValueError, match=field_named):
+            make_state(0.0, u, model)
+        state = initial_state(masked_shear(rule, 0.0)[0], model)
+        for given in (SolverState(0.0, u, model), dataclasses.replace(state, w=u)):
+            with pytest.raises(ValueError, match=field_named):
+                step(given, 0.01)
+        state.w.coeff[...] = u.coeff  # a read w, mutated
+        with pytest.raises(ValueError, match=field_named):
+            step(state, 0.01)
+
+    @pytest.mark.parametrize("rule", ["two_thirds", "none"])
+    def test_negative_zero_is_no_content(self, rule):
+        u, _ = masked_shear(rule, -0.0)
+        model = ModelParams(nu=1.0, filters=FilterParams(0.5, 1))
+        for state in (initial_state(u, model), make_state(0.0, u, model)):
+            w = step(state, 0.01).w.coeff
+            assert not np.ascontiguousarray(w[:, ~u.grid.mask]).view(np.uint64).any()
+
+    def test_step_starts_from_a_read_and_mutated_w(self, grid16):
+        model = ModelParams(nu=0.5, filters=FilterParams(0.3, 4))
+        state = initial_state(random_div_free(grid16, seed=66), model)
+        state.w.coeff[1, 1, 0, 0] += 0.1  # transverse to k = (1, 0, 0)
+        want = step(make_state(state.t, state.w.copy(), model), 0.01).w.coeff
+        assert step(state, 0.01).w.coeff.tobytes() == want.tobytes()
+
+
 class TestStateCarriesItsModel:
     def test_step_keeps_the_state_model(self, grid16):
         f = random_div_free(grid16, seed=64, target=0.3)
@@ -351,29 +390,6 @@ class TestStateCarriesItsModel:
         new = step(state, 0.01)
         assert new.model is state.model
         assert step(new, 0.01).model is model
-
-    def test_simulate_gathers_only_the_evolved_field(self, monkeypatch):
-        # The retained H_N f is gathered once, when the model is built; each
-        # step gathers w and the new state, never the forcing.
-        calls = []
-        original = solver._gather
-
-        def counting(coeff, grid):
-            calls.append(coeff)
-            return original(coeff, grid)
-
-        cfg = SolverConfig(
-            K=8, nu=1.0, delta=0.5, order=1, dt=0.01, T=0.0,
-            ic=FieldSpec(kind="random_spectrum", seed=76, target_norm=1.0),
-            forcing=FieldSpec(kind="random_spectrum", seed=77, target_norm=0.5),
-        )
-        _, start = simulate_with_state(cfg)
-        monkeypatch.setattr(solver, "_gather", counting)
-        for n_steps in (2, 6):
-            calls.clear()
-            simulate(dataclasses.replace(cfg, T=n_steps * 0.01), initial=start)
-            assert len(calls) == 2 * n_steps
-            assert not any(c is start.model.hn_forcing.coeff for c in calls)
 
     def test_hn_w_follows_a_replaced_w(self, grid16):
         model = ModelParams(nu=0.5, filters=FilterParams(0.3, 4))

@@ -23,7 +23,7 @@ from deconvbox import (
     write_timeseries,
 )
 from deconvbox.storage import _HEADER_STRUCT, SNAPSHOT_MAGIC, TIMESERIES_HEADER
-from oracles import random_div_free
+from oracles import masked_shear, random_div_free
 
 
 def forced_run(K=8, T=0.1, seed=70):
@@ -201,13 +201,29 @@ class TestSnapshot:
         coeff.imag = -0.0
         params = ModelParams(nu=0.5, filters=FilterParams(0.3, 1))
         path = tmp_path / "s.snap"
-        write_snapshot(make_state(0.0, SpectralVectorField(grid, coeff), params), params, path)
+        write_snapshot(SolverState(0.0, SpectralVectorField(grid, coeff), params), params, path)
         payload = np.frombuffer(path.read_bytes()[_HEADER_STRUCT.size :], dtype="<c16")
         keys = [tuple(row) for row in payload.real.reshape(-1, 3).astype(np.int64).tolist()]
         assert len(keys) == coeff[0].size
         assert all(a < b for a, b in zip(keys, keys[1:]))
+        # Masked modes may hold no content, so only the retained ones read back.
+        coeff *= grid.mask
+        write_snapshot(make_state(0.0, SpectralVectorField(grid, coeff), params), params, path)
         back = read_snapshot(path, grid=grid, params=params)
         assert back.w.coeff.tobytes() == coeff.tobytes()
+
+    @pytest.mark.parametrize("rule", ["two_thirds", "none"])
+    def test_masked_content_rejected(self, tmp_path, rule):
+        params = ModelParams(nu=0.7, filters=FilterParams(0.5, 2))
+        path = tmp_path / "s.snap"
+        u, named = masked_shear(rule, 1.0)
+        write_snapshot(SolverState(0.25, u, params), params, path)
+        with pytest.raises(ValueError, match="^snapshot payload has content on mode " + named):
+            read_snapshot(path, grid=u.grid, params=params)
+        zero = masked_shear(rule, -0.0)[0]  # -0.0 is no content
+        write_snapshot(SolverState(0.25, zero, params), params, path)
+        back = read_snapshot(path, grid=zero.grid, params=params)
+        assert back.w.coeff.tobytes() == zero.coeff.tobytes()
 
 
 class TestResume:

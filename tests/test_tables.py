@@ -7,6 +7,8 @@ in-place updates. Bytes are compared, so a -0.0 where the reference has
 0.0 fails too.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,8 +25,10 @@ from deconvbox import (
     leray_project,
     make_grid,
     make_state,
+    simulate_with_state,
     step,
 )
+from deconvbox import solver
 from deconvbox.config import FieldSpec, _random_raw
 from deconvbox.deconv import _hn_table, truncation_hn
 from deconvbox.solver import _half_decay, _squared_norms, _work_rate
@@ -32,10 +36,12 @@ from deconvbox.spectral import (
     DEALIAS_RULES,
     SpectralVectorField,
     _grid,
+    _mode_energy,
     sobolev_norm,
 )
 from deconvbox.verify import (
     _leray_reference,
+    _simulate_reference,
     _sobolev_reference,
     _step_reference,
 )
@@ -63,10 +69,11 @@ def assert_step_matches(state, forcing, dt):
 
 
 def assert_norms_match(w):
-    h1_sq, h0_sq, aw_sq = _squared_norms(w, sampled=True)
+    amp2 = _mode_energy(w.coeff, w.grid.mult)
+    h1_sq, h0_sq, aw_sq = _squared_norms(amp2, w.grid, sampled=True)
     want = [_sobolev_reference(w, s) ** 2 for s in (1.0, 0.0, 2.0)]
     assert np.array([h1_sq, h0_sq, aw_sq]).tobytes() == np.array(want).tobytes()
-    assert _squared_norms(w, sampled=False) == (h1_sq, None, None)
+    assert _squared_norms(amp2, w.grid, sampled=False) == (h1_sq, None, None)
     for s in (-1.0, 0.0, 0.5, 1.0, 2.0):
         assert np.float64(sobolev_norm(w, s)).tobytes() == np.float64(
             _sobolev_reference(w, s)
@@ -105,15 +112,21 @@ class TestBytesEqualClosedForms:
 @pytest.mark.parametrize("rule", DEALIAS_RULES)
 @pytest.mark.parametrize("K", (8, 12, 18))
 def test_five_steps_equal_the_iterated_reference(K, rule, masked_content):
-    # The stepper runs its stages on the retained modes; every word of w
-    # and H_N w, retained or masked, stays the closed-form stepper's.
+    # The stepper runs on the retained modes only; every word of w and
+    # H_N w stays the closed-form stepper's, which holds +0.0 on masked
+    # modes. A state with content there is rejected, not stepped.
     grid = make_grid(K, rule)
     rng = np.random.default_rng(K)
     forcing, state, dt = forced_start(grid, rng)
     model = state.model
     if masked_content:
         coeff = state.w.coeff + rng.standard_normal(state.w.coeff.shape) * ~grid.mask
-        state = make_state(0.0, SpectralVectorField(grid, coeff), model)
+        masked = SpectralVectorField(grid, coeff)
+        with pytest.raises(ValueError, match=r"the state's field has content on mode"):
+            make_state(0.0, masked, model)
+        with pytest.raises(ValueError, match=r"the state's field has content on mode"):
+            step(SolverState(0.0, masked, model), dt)
+        return
     ref = state
     for _ in range(5):
         state = step(state, dt)
@@ -123,28 +136,69 @@ def test_five_steps_equal_the_iterated_reference(K, rule, masked_content):
         ref = SolverState(ref.t + dt, SpectralVectorField(grid, want_w), model)
 
 
+@pytest.mark.parametrize("sample_every", [1, 3])
+@pytest.mark.parametrize("rule", DEALIAS_RULES)
+@pytest.mark.parametrize("K", (8, 12, 18))
+def test_simulate_equals_the_full_layout_reference(K, rule, sample_every, monkeypatch):
+    # A run steps retained coefficients only: every time-series column is the
+    # full-layout reference loop's bytes, and the final w holds its retained
+    # words and +0.0 on the masked modes, where the start may hold -0.0.
+    # A run gathers once (the start's w) and builds no field per step.
+    grid = make_grid(K, rule)
+    forcing, start, dt = forced_start(grid, np.random.default_rng(K))
+    start = make_state(0.0, start.w * 0.02, start.model)  # CFL number below 1
+    config = SolverConfig(
+        K=K, nu=0.3, delta=0.7, order=3, dealias=rule, dt=dt, sample_every=sample_every,
+        forcing=FieldSpec(kind="random_spectrum"),
+    )
+    gathers, fields = [], []
+    gather, post_init = solver._gather, SpectralVectorField.__post_init__
+    monkeypatch.setattr(solver, "_gather", lambda *a: gathers.append(a[0]) or gather(*a))
+    monkeypatch.setattr(
+        SpectralVectorField, "__post_init__", lambda self: fields.append(1) or post_init(self)
+    )
+    built = {}
+    for n_steps in (0, 7):
+        gathers.clear()
+        fields.clear()
+        traj, final = simulate_with_state(dataclasses.replace(config, T=n_steps * dt), start)
+        assert len(gathers) == 1 and gathers[0] is start.w.coeff
+        built[n_steps] = len(fields)
+    assert built[7] == built[0]
+    want, want_final = _simulate_reference(dataclasses.replace(config, T=7 * dt), start, forcing)
+    for name, column in traj.columns().items():
+        assert column.tobytes() == getattr(want, name).tobytes(), name
+    w, want_w = final.w.coeff, want_final.w.coeff
+    assert w[:, grid.mask].tobytes() == want_w[:, grid.mask].tobytes()
+    assert not np.ascontiguousarray(w[:, ~grid.mask]).view(np.uint64).any()
+    assert final.t == want_final.t
+
+
 @pytest.mark.parametrize("rule", DEALIAS_RULES)
 @pytest.mark.parametrize("K", (8, 12, 18, 64))
 def test_work_rate_equals_the_full_layout_pairing(K, rule):
-    # The work rate pairs only the retained quadrants of H_N f and w; its
-    # bytes are inner_product's, for w with content on the masked modes too
-    # and for w = 0.
+    # The work rate pairs only the retained modes of H_N f and w; its bytes
+    # are inner_product's, for w with -0.0 on the masked modes and for w = 0.
     grid = make_grid(K, rule)
     rng = np.random.default_rng(K)
     model = forced_start(grid, rng)[1].model
-    for w in (unmasked_field(grid, rng), SpectralVectorField.zeros(grid)):
+    masked = SpectralVectorField(grid, unmasked_field(grid, rng).coeff * grid.mask)
+    for w in (masked, SpectralVectorField.zeros(grid)):
         want = inner_product(model.hn_forcing, w)
         got = _work_rate(make_state(0.0, w, model))
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
-def test_step_output_has_signed_zeros():
-    # Why bytes are compared: the masked modes of a stepped state hold
-    # -0.0 as well as 0.0, and the snapshot and benchmark digests hash them.
+def test_step_output_has_no_negative_zeros():
+    # Why bytes are compared: the start holds -0.0 as well as 0.0 on masked
+    # modes, a stepped state builds w with +0.0 there, and the snapshot and
+    # benchmark digests hash the signs.
     _, state, dt = forced_start(make_grid(16), np.random.default_rng(5))
+    w = state.w.coeff
+    assert np.signbit(np.concatenate([w.real[w.real == 0.0], w.imag[w.imag == 0.0]])).any()
     w = step(state, dt).w.coeff
     zeros = np.concatenate([w.real[w.real == 0.0], w.imag[w.imag == 0.0]])
-    assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+    assert zeros.size and not np.signbit(zeros).any()
 
 
 def test_interleaved_models_use_their_own_tables():
@@ -177,9 +231,9 @@ def test_interleaved_models_use_their_own_tables():
     [
         lambda g: (g.kx, g.ky, g.kz, g.ksq, g.mask, g.mult),
         lambda g: (*g.ck, g.ksq_safe),
-        lambda g: (g.ret_flat, *g.ret_k, *g.ret_ik, g.ret_ksq_safe),
+        lambda g: (g.ret_flat, *g.ret_k, *g.ret_ik, g.ret_ksq_safe, g.ret_mult),
         lambda g: _hn_table(g, 0.7, 3),
-        lambda g: _half_decay(g, 0.3, 0.01),
+        lambda g: (_half_decay(g, 0.3, 0.01),),
     ],
     ids=["lattice", "complex_lattice", "mask", "hn", "half_decay"],
 )
