@@ -329,8 +329,7 @@ def generate_ic(
 
         if spec.path is None:
             raise ValueError("snapshot spec needs a path")
-        state = read_snapshot(spec.path, grid=grid)
-        return state.w
+        return read_snapshot(spec.path, grid=grid).w
     raise ValueError(f"unknown field kind {spec.kind!r}")
 
 

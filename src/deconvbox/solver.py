@@ -33,7 +33,6 @@ from .spectral import (
     _divergence_error,
     _gather,
     _leray,
-    _mode_energy,
     _norm_from_energy,
     _read_only,
     _require_same_grid,
@@ -64,15 +63,15 @@ class ModelParams:
     """Viscosity, filter parameters and steady forcing for the model.
 
     `forcing` is a steady divergence-free, zero-mean field with no content on
-    masked modes (None means zero). It is read once: the model keeps its
-    truncation H_N f in the full layout (`hn_forcing`) and as a read-only
-    retained (3, M) gather (`hn_forcing_r`), and its norm ||f|| (`f_norm`).
+    masked modes (None means zero). It is read once: the model keeps its grid
+    (`grid`), its truncation H_N f as a read-only retained (3, M) array
+    (`hn_forcing_r`), and its norm ||f|| (`f_norm`); no full-layout array.
     """
 
     nu: float
     filters: FilterParams
     forcing: InitVar[SpectralVectorField | None] = None
-    hn_forcing: SpectralVectorField | None = field(init=False, default=None, repr=False)
+    grid: WaveGrid | None = field(init=False, default=None, repr=False)
     hn_forcing_r: np.ndarray | None = field(init=False, default=None, repr=False)
     f_norm: float = field(init=False, default=0.0)
 
@@ -84,16 +83,17 @@ class ModelParams:
         if forcing is None:
             return
         grid = forcing.grid
-        amp2 = _mode_energy(forcing.coeff, grid.mult)
-        err = _divergence_error(forcing.coeff, grid.ck, _norm_from_energy(amp2, grid, 1.0))
+        _require_fits(forcing, "forcing")
+        f_r = _gather(forcing.coeff, grid)
+        amp2 = _retained_energy(f_r, grid)
+        err = _divergence_error(f_r, grid.ret_k, _norm_from_energy(amp2, grid, 1.0))
         if err > DIVERGENCE_TOL:
             raise ValueError(f"forcing is not divergence-free (relative defect {err:.3e})")
-        if forcing.coeff[:, 0, 0, 0].any():
+        if f_r[:, 0].any():
             raise ValueError("forcing must have zero mean")
-        _require_fits(forcing, "forcing")
-        hn_forcing = self.filters.apply(forcing)
-        object.__setattr__(self, "hn_forcing", hn_forcing)
-        object.__setattr__(self, "hn_forcing_r", _read_only(_gather(hn_forcing.coeff, grid))[0])
+        f_r *= _hn_table(grid, self.filters.delta, self.filters.order)[1]
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "hn_forcing_r", _read_only(f_r)[0])
         object.__setattr__(self, "f_norm", _norm_from_energy(amp2, grid, 0.0))
 
 
@@ -109,22 +109,21 @@ def _first_mode(flags: np.ndarray, grid: WaveGrid) -> list:
     return [(int(grid.kx[i1, 0, 0]), int(grid.ky[0, i2, 0]), int(k3)) for i1, i2, k3 in first]
 
 
-def _require_fits(w: SpectralVectorField, what: str, model: "ModelParams | None" = None):
-    """Reject a field with a non-finite coefficient or with content (-0.0 is none) on a mode
-    the dealias mask drops, naming the first such mode, or off a forced model's grid."""
+def _require_fits(w: SpectralVectorField, what: str, model: ModelParams | None = None, hint=""):
+    """Reject a field with a non-finite coefficient or with content (-0.0 is none, `hint` follows)
+    on a mode the dealias mask drops, naming the first such mode, or off a forced model's grid."""
     for mode in _first_mode(~np.isfinite(w.coeff).all(axis=0), w.grid):
         raise ValueError(f"{what} has a non-finite coefficient at mode {mode}")
-    if model is not None and model.hn_forcing is not None:
-        _require_same_grid(w.grid, model.hn_forcing.grid, "the field and the forcing")
+    if model is not None and model.grid is not None:
+        _require_same_grid(w.grid, model.grid, "the field and the forcing")
     for mode in _first_mode(w.coeff.any(axis=0) & ~w.grid.mask, w.grid):
-        raise ValueError(
-            f"{what} has content on mode {mode}, which the dealias cut |k_i| <= {w.grid.cut} drops"
-        )
+        raise ValueError(f"{what} has content on mode {mode}, which the dealias cut "
+                         f"|k_i| <= {w.grid.cut} drops{hint}")
 
 
 def _model_fields(model: ModelParams) -> dict:
     f = model.filters
-    return dict(nu=model.nu, delta=f.delta, N=f.order, forced=model.hn_forcing is not None)
+    return dict(nu=model.nu, delta=f.delta, N=f.order, forced=model.hn_forcing_r is not None)
 
 
 def _require_same_model(what: str, have: dict, want: dict, have_at: str, want_at: str) -> None:
@@ -150,9 +149,9 @@ def build_model(config: SolverConfig) -> tuple[WaveGrid, ModelParams]:
 class SolverState:
     """Time, the evolved field w, and the model w evolves under.
 
-    A state that `step` or `initial_state` made holds only w's retained
-    coefficients (3, M); it builds w, +0.0 on the masked modes, when w is
-    first read. A w that was given or read is the field the next step starts from.
+    A state that `step`, `initial_state` or `read_snapshot` made holds only
+    w's retained coefficients (3, M); it builds w, +0.0 on the masked modes,
+    when w is first read. A w that was given or read is the field the next step starts from.
     """
 
     t: float

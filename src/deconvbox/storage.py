@@ -24,8 +24,9 @@ from .solver import (
     _model_fields,
     _require_fits,
     _require_same_model,
+    _retained_state,
 )
-from .spectral import SpectralVectorField, WaveGrid, make_grid
+from .spectral import SpectralVectorField, WaveGrid, _require_same_grid, make_grid
 
 TIMESERIES_COLUMNS = tuple(f.name for f in fields(Trajectory))
 TIMESERIES_HEADER = ",".join(TIMESERIES_COLUMNS)
@@ -121,6 +122,8 @@ def read_snapshot_meta(path) -> SnapshotMeta:
         raise ValueError(f"unsupported snapshot version {version}")
     if not math.isfinite(t):
         raise ValueError(f"snapshot header field t is not finite ({t!r})")
+    if K < 4 or K % 2:
+        raise ValueError(f"snapshot header field K = {K} is not an even resolution >= 4")
     return SnapshotMeta(version=version, K=K, order=order, t=t, nu=nu, delta=delta)
 
 
@@ -134,42 +137,46 @@ def read_snapshot(
     K is built. Given `params`, the stored nu, delta and N must equal its
     values exactly (each differing field is rejected with both values);
     without them the stored filter parameters build the truncation cache.
-    The payload must have exactly the size the resolution implies, finite
-    coefficients and no content on a mode the dealias mask drops.
+    The payload must have exactly the size the header's K implies, finite
+    coefficients and no content on a mode the dealias mask drops. If its retained box
+    (|k1|, |k2|, k3 <= cut) is finite and all else +0.0, the state holds just the box.
     """
     meta = read_snapshot_meta(path)
-    if grid is None:
-        grid = make_grid(meta.K, "two_thirds")
-    elif grid.K != meta.K:
+    K = meta.K
+    if grid is not None and grid.K != K:
         raise ValueError(
-            f"snapshot resolution K = {meta.K} does not match the requested "
-            f"grid K = {grid.K}"
+            f"snapshot resolution K = {K} does not match the requested grid K = {grid.K}"
         )
     if params is None:
         params = ModelParams(nu=meta.nu, filters=FilterParams(meta.delta, meta.order))
     else:
         _require_same_model(
             "snapshot was written under a different model",
-            {"nu": meta.nu, "delta": meta.delta, "N": meta.order},
-            _model_fields(params),
-            "stored",
-            "requested",
+            {"nu": meta.nu, "delta": meta.delta, "N": meta.order}, _model_fields(params),
+            "stored", "requested",
         )
-    expected = 3 * 16 * math.prod(grid.spectral_shape)  # components x complex128 bytes
-    with open(path, "rb") as fh:
-        fh.seek(_HEADER_STRUCT.size)
-        blob = fh.read()
+    expected = 3 * 16 * K * K * (K // 2 + 1)  # components x complex128 bytes
+    blob = np.fromfile(path, dtype=np.uint8, offset=_HEADER_STRUCT.size)
     if len(blob) != expected:
         problem = "truncated" if len(blob) < expected else "over-long"
-        raise ValueError(
-            f"snapshot payload is {problem} ({len(blob)} bytes, expected {expected})"
-        )
-    payload = np.frombuffer(blob, dtype="<c16").reshape(grid.spectral_shape + (3,))
-    coeff = np.ascontiguousarray(
-        np.moveaxis(np.fft.ifftshift(payload, axes=(0, 1)), -1, 0), dtype=np.complex128
-    )
-    w = SpectralVectorField(grid, coeff)
-    _require_fits(w, "snapshot payload", params)
+        raise ValueError(f"snapshot payload is {problem} ({len(blob)} bytes, expected "
+                         f"{expected}) for header field K = {K}")
+    hint = "" if grid is not None else (
+        f"; no grid given, so the two-thirds rule was assumed: pass grid=make_grid({K}, \"none\")")
+    grid = grid if grid is not None else make_grid(K, "two_thirds")
+    payload = blob.view("<c16").reshape(grid.spectral_shape + (3,))
+    words = blob.view("<u8").reshape(grid.spectral_shape + (6,))
+    h, c = K // 2, grid.cut
+    box = (slice(h - c, h + c + 1), slice(h - c, h + c + 1), slice(c + 1))
+    if np.isfinite(payload[box]).all() and np.count_nonzero(words) == np.count_nonzero(words[box]):
+        if params.grid is not None:
+            _require_same_grid(grid, params.grid, "the field and the forcing")
+        # k1 and k2 run -c..c in the box and 0..c, -c..-1 in ret_flat's (ky, kz, kx) order.
+        w_r = np.roll(payload[box], (-c, -c), axis=(0, 1)).transpose(3, 1, 2, 0).reshape(3, -1)
+        return _retained_state(meta.t, grid, w_r.astype(np.complex128, copy=False), params)
+    coeff = np.moveaxis(np.fft.ifftshift(payload, axes=(0, 1)), -1, 0)
+    w = SpectralVectorField(grid, np.ascontiguousarray(coeff, dtype=np.complex128))
+    _require_fits(w, "snapshot payload", params, hint)
     return SolverState(t=meta.t, w=w, model=params)
 
 

@@ -2,11 +2,12 @@
 
 Backs the `verify-operators` CLI subcommand: every check builds its own
 random data from a fixed seed, measures a defect, and compares it against
-the documented tolerance. All checks are pure and side-effect free.
+the documented tolerance. All checks are pure; the snapshot check's file is temporary.
 """
 
 from __future__ import annotations
 
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,7 @@ from .spectral import (
     stokes_apply,
     trilinear_b,
 )
+from .storage import _HEADER_STRUCT, read_snapshot, write_snapshot
 
 
 @dataclass(frozen=True)
@@ -313,7 +315,7 @@ def operator_checks(K: int = 16, seed: int = 0) -> list[CheckResult]:
     # dealias rules (under 'none' only the Nyquist planes are masked).
     # Unmasked input also exercises the mask.
     spec = FieldSpec(kind="random_spectrum", seed=seed, exponent=3.0, cutoff=K / 4.0)
-    generated = simulated = 0
+    generated = simulated = read = 0
     for rule in DEALIAS_RULES:
         g = make_grid(K, rule)
         want = np.where(g.mask, _random_spectrum_reference(spec, g).coeff, 0.0)
@@ -333,6 +335,13 @@ def operator_checks(K: int = 16, seed: int = 0) -> list[CheckResult]:
         want_w, want_hn_w = _step_reference(start, forcing, 0.01)
         words = _differing_words(got.w.coeff, want_w) + _differing_words(got.hn_w.coeff, want_hn_w)
         record("one step equals the closed-form stepper" + label, words, 0)
+        # The step's snapshot read back, against its payload unshifted into the full layout.
+        with tempfile.NamedTemporaryFile(suffix=".snap") as snap:
+            write_snapshot(got, model, snap.name)
+            payload = np.fromfile(snap.name, "<c16", offset=_HEADER_STRUCT.size)
+            want = np.fft.ifftshift(payload.reshape(g.spectral_shape + (3,)), axes=(0, 1))
+            back = read_snapshot(snap.name, grid=g, params=model).w.coeff
+            read += _differing_words(back, np.moveaxis(want, -1, 0))
         # A short run from a generated field (CFL number below 1), sampled at steps 0, 2, 3.
         start = make_state(0.0, generate_ic(spec, g), model)
         config = SolverConfig(K, 0.3, delta, order, rule, T=0.03, sample_every=2, forcing=spec)
@@ -341,6 +350,7 @@ def operator_checks(K: int = 16, seed: int = 0) -> list[CheckResult]:
         simulated += sum(map(_differing_words, got, want))
     record("short simulate equals its full-layout reference", simulated, 0)
     record("random_spectrum field equals its full-layout closed form", generated, 0)
+    record("snapshot read through the retained box equals the full-layout read", read, 0)
     return results
 
 

@@ -30,6 +30,25 @@ def masked_shear(rule, value):
     return field, named
 
 
+def full_layout_read(blob, grid):
+    """A snapshot payload's bytes unshifted into the full layout (3, K, K, K//2+1), and the
+    message a read must reject them with, or None: the first mode in the in-memory (kx, ky,
+    kz) order that is non-finite, else the first with content (-0.0 is none) off the mask."""
+    payload = np.frombuffer(blob, dtype="<c16").reshape(grid.spectral_shape + (3,))
+    coeff = np.moveaxis(np.fft.ifftshift(payload, axes=(0, 1)), -1, 0)
+    k = np.r_[0 : grid.K // 2, -(grid.K // 2) : 0]
+    for flags, problem in (
+        (~np.isfinite(coeff).all(axis=0), "has a non-finite coefficient at mode {}"),
+        (coeff.any(axis=0) & ~grid.mask, "has content on mode {}, which the dealias cut"
+         f" |k_i| <= {grid.cut} drops"),
+    ):
+        if flags.any():
+            i1, i2, k3 = np.argwhere(flags)[0]
+            mode = (int(k[i1]), int(k[i2]), int(k3))
+            return coeff, "snapshot payload " + problem.format(mode)
+    return coeff, None
+
+
 def eval_modes_on_grid(grid, coeff, points):
     """Brute-force trigonometric sum of a half-spectrum field on a fresh grid.
 

@@ -16,7 +16,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 FINAL_LINES = {
     "01_filter_and_deconvolution.py": "series vs closed form, worst relative gap over N <= 20: ",
-    "02_operator_checks.py": "24/24 operator checks passed",
+    "02_operator_checks.py": "25/25 operator checks passed",
     "03_energy_balance.py": "observed order: 2.00 (the scheme is second order)",
     "05_snapshot_restart.py": "after 50 more steps on each path: bit-identical = True",
 }

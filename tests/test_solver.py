@@ -90,7 +90,7 @@ class TestModelParams:
         assert not hasattr(model, "forcing")
         assert model.f_norm == sobolev_norm(forcing, 0.0)
         hn_f = model.filters.apply(forcing).coeff
-        assert model.hn_forcing.coeff.tobytes() == hn_f.tobytes()
+        assert model.grid is grid16
         assert model.hn_forcing_r.tobytes() == hn_f.reshape(3, -1)[:, grid16.ret_flat].tobytes()
         assert not model.hn_forcing_r.flags.writeable
         with pytest.raises(AttributeError):  # not a silently unforced copy
@@ -98,7 +98,28 @@ class TestModelParams:
         again = dataclasses.replace(model, nu=2.0, forcing=forcing)
         assert again.hn_forcing_r.tobytes() == model.hn_forcing_r.tobytes()
         unforced = ModelParams(nu=1.0, filters=FilterParams(0.5, 1))
-        assert (unforced.hn_forcing, unforced.hn_forcing_r, unforced.f_norm) == (None, None, 0.0)
+        assert (unforced.grid, unforced.hn_forcing_r, unforced.f_norm) == (None, None, 0.0)
+
+
+    @pytest.mark.parametrize("K, nbytes", [(32, 232_848), (64, 1_952_544)])
+    def test_holds_no_array_but_the_retained_truncated_forcing(self, K, nbytes):
+        # A kept model carries no full-layout copy: of all the arrays it holds
+        # (its shared grid's tables aside), only H_N f on the M retained modes.
+        def held(obj, grid):
+            found = []
+            for value in vars(obj).values():
+                if isinstance(value, np.ndarray):
+                    found.append(value)
+                elif hasattr(value, "__dict__") and value is not grid:
+                    found += held(value, grid)
+            return found
+
+        grid = make_grid(K)
+        forcing = random_div_free(grid, seed=65, target=0.3)
+        model = ModelParams(nu=1.0, filters=FilterParams(0.5, 1), forcing=forcing)
+        assert [a is model.hn_forcing_r for a in held(model, grid)] == [True]
+        assert model.hn_forcing_r.nbytes == nbytes and model.hn_forcing_r.base is None
+        assert model.grid is grid
 
 
 class TestInitialState:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,12 +20,14 @@ from deconvbox import (
     read_snapshot_meta,
     read_timeseries,
     simulate,
+    simulate_with_state,
     step,
     write_snapshot,
     write_timeseries,
 )
+from deconvbox import solver, storage
 from deconvbox.storage import _HEADER_STRUCT, SNAPSHOT_MAGIC, TIMESERIES_HEADER
-from oracles import masked_shear, random_div_free
+from oracles import full_layout_read, masked_shear, random_div_free
 
 
 def forced_run(K=8, T=0.1, seed=70):
@@ -226,6 +230,107 @@ class TestSnapshot:
         assert back.w.coeff.tobytes() == zero.coeff.tobytes()
 
 
+class TestRetainedBoxRead:
+    """A payload whose retained box is finite and whose other words are all +0.0 reads into
+    a state that holds only the box; any other payload is read and checked in the full
+    layout, naming the first bad mode in the in-memory order."""
+
+    KS = (8, 12, 14, 18)
+
+    def write(self, path, grid, rng, edits=()):
+        # Distinct content on every retained mode, then `edits` (index, value) on top.
+        shape = (3,) + grid.spectral_shape
+        coeff = np.where(grid.mask, rng.standard_normal(shape) + 1j * rng.standard_normal(shape), 0)
+        for index, value in edits:
+            coeff[index] = value
+        params = ModelParams(nu=0.7, filters=FilterParams(0.5, 2))
+        write_snapshot(SolverState(0.25, SpectralVectorField(grid, coeff), params), params, path)
+        return params, path.read_bytes()[_HEADER_STRUCT.size :]
+
+    @pytest.mark.parametrize("rule", ["two_thirds", "none"])
+    @pytest.mark.parametrize("K", KS)
+    def test_box_read_equals_the_full_layout_read(self, tmp_path, K, rule):
+        grid = make_grid(K, rule)
+        params, blob = self.write(tmp_path / "s.snap", grid, np.random.default_rng(K))
+        back = read_snapshot(tmp_path / "s.snap", grid=grid, params=params)
+        assert "w" not in vars(back)  # built on first read
+        assert back.w.coeff.tobytes() == full_layout_read(blob, grid)[0].tobytes()
+
+    @pytest.mark.parametrize(
+        "case", ["-0.0 outside", "nan inside", "nan outside", "content outside", "both"]
+    )
+    @pytest.mark.parametrize("rule", ["two_thirds", "none"])
+    @pytest.mark.parametrize("K", KS)
+    def test_fallback_keeps_messages_and_bytes(self, tmp_path, K, rule, case):
+        # Outside the box under both rules: k3 = K/2, and kx = -K/2 (index K/2).
+        grid, h = make_grid(K, rule), K // 2
+        inside, outside, nyquist_x = (1, 1, K - 1, 1), (2, 1, 2, h), (0, h, 1, 0)
+        edits = {
+            "-0.0 outside": [(outside, complex(-0.0, -0.0)), (nyquist_x, complex(0.0, -0.0))],
+            "nan inside": [(inside, np.nan)],
+            "nan outside": [(outside, complex(0.0, np.nan))],
+            "content outside": [(nyquist_x, 1e-300)],
+            "both": [(inside, np.inf), (nyquist_x, 2.0)],
+        }[case]
+        path = tmp_path / "s.snap"
+        params, blob = self.write(path, grid, np.random.default_rng(K), edits)
+        want, message = full_layout_read(blob, grid)
+        if message is None:
+            back = read_snapshot(path, grid=grid, params=params)
+            assert back.w.coeff.tobytes() == want.tobytes()
+            assert np.signbit(back.w.coeff[outside].imag)
+        else:
+            with pytest.raises(ValueError) as exc:
+                read_snapshot(path, grid=grid, params=params)
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize("K", [7, 2, 2**31])
+    def test_header_resolution_is_checked_before_any_grid(self, tmp_path, grid8, monkeypatch, K):
+        built = []
+
+        def no_grid(*args):
+            built.append(args)
+            raise AssertionError(f"make_grid{args} was called")
+
+        params = ModelParams(nu=0.7, filters=FilterParams(0.5, 2))
+        state = initial_state(random_div_free(grid8, seed=72), params)
+        path = tmp_path / "s.snap"
+        write_snapshot(state, params, path)
+        blob = path.read_bytes()
+        header = list(_HEADER_STRUCT.unpack(blob[: _HEADER_STRUCT.size]))
+        header[2] = K
+        path.write_bytes(_HEADER_STRUCT.pack(*header) + blob[_HEADER_STRUCT.size :])
+        monkeypatch.setattr(storage, "make_grid", no_grid)
+        with pytest.raises(ValueError) as exc:
+            read_snapshot(path)
+        if K % 2 or K < 4:
+            assert str(exc.value) == f"snapshot header field K = {K} is not an even resolution >= 4"
+            with pytest.raises(ValueError):
+                read_snapshot_meta(path)
+        else:
+            expected = 48 * K * K * (K // 2 + 1)
+            assert str(exc.value) == (
+                f"snapshot payload is truncated ({len(blob) - _HEADER_STRUCT.size} bytes, "
+                f"expected {expected}) for header field K = {K}"
+            )
+        assert built == []
+
+    def test_none_snapshot_read_without_a_grid_names_the_assumed_rule(self, tmp_path):
+        grid = make_grid(8, "none")
+        u = SpectralVectorField.from_modes(grid, {(0, 0, 3): (1.0, 0.0, 0.0)})
+        params = ModelParams(nu=0.7, filters=FilterParams(0.5, 2))
+        path = tmp_path / "s.snap"
+        write_snapshot(SolverState(0.25, u, params), params, path)
+        with pytest.raises(ValueError) as exc:
+            read_snapshot(path)
+        assert str(exc.value) == (
+            "snapshot payload has content on mode (0, 0, 3), which the dealias cut "
+            "|k_i| <= 2 drops; no grid given, so the two-thirds rule was assumed: "
+            'pass grid=make_grid(8, "none")'
+        )
+        assert read_snapshot(path, grid=grid).w.coeff.tobytes() == u.coeff.tobytes()
+
+
 class TestResume:
     @settings(max_examples=8, deadline=None)
     @given(split=st.integers(0, 12), seed=st.integers(0, 2**16))
@@ -293,6 +398,37 @@ class TestResume:
         with pytest.raises(ValueError) as exc:
             read_snapshot(path, grid=grid8, params=only_order)
         assert str(exc.value).endswith("model: N = 1 stored, 2 requested")
+
+    def test_snapshot_resume_neither_gathers_nor_checks_after_the_read(
+        self, tmp_path, monkeypatch
+    ):
+        cfg = SolverConfig(
+            K=16, nu=0.4, delta=0.5, order=1, dt=0.01, T=0.03,
+            ic=FieldSpec(kind="random_spectrum", seed=77, target_norm=1.0),
+            forcing=FieldSpec(kind="single_mode", mode=(1, 0, 0), amplitude=(0.0, 0.2, 0.0)),
+        )
+        _, mid = simulate_with_state(cfg)
+        path = tmp_path / "mid.snap"
+        write_snapshot(mid, mid.model, path)
+        calls = []
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                calls.append(name)
+                return out
+            return wrapped
+
+        for module, name in (
+            (solver, "_gather"), (solver, "_require_fits"), (storage, "read_snapshot")
+        ):
+            monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+        resume = dataclasses.replace(cfg, ic=FieldSpec(kind="snapshot", path=str(path)))
+        _, resumed = simulate_with_state(resume)
+        assert calls[calls.index("read_snapshot") :] == ["read_snapshot"]
+        monkeypatch.undo()
+        _, direct = simulate_with_state(dataclasses.replace(cfg, T=0.06))
+        assert resumed.w.coeff.tobytes() == direct.w.coeff.tobytes()
 
     def test_simulate_resume_from_snapshot_ic(self, tmp_path):
         # a config whose IC is a snapshot continues from the stored time

@@ -35,6 +35,7 @@ from deconvbox.solver import _half_decay, _squared_norms, _work_rate
 from deconvbox.spectral import (
     DEALIAS_RULES,
     SpectralVectorField,
+    _gather,
     _grid,
     _mode_energy,
     sobolev_norm,
@@ -181,12 +182,22 @@ def test_work_rate_equals_the_full_layout_pairing(K, rule):
     # are inner_product's, for w with -0.0 on the masked modes and for w = 0.
     grid = make_grid(K, rule)
     rng = np.random.default_rng(K)
-    model = forced_start(grid, rng)[1].model
+    forcing, start, _ = forced_start(grid, rng)
+    model = start.model
     masked = SpectralVectorField(grid, unmasked_field(grid, rng).coeff * grid.mask)
     for w in (masked, SpectralVectorField.zeros(grid)):
-        want = inner_product(model.hn_forcing, w)
+        want = inner_product(model.filters.apply(forcing), w)
         got = _work_rate(make_state(0.0, w, model))
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("rule", DEALIAS_RULES)
+@pytest.mark.parametrize("K", (8, 14, 32))
+def test_model_forcing_equals_the_gathered_full_layout_truncation(K, rule):
+    grid = make_grid(K, rule)
+    forcing, start, _ = forced_start(grid, np.random.default_rng(K))
+    want = _gather(start.model.filters.apply(forcing).coeff, grid)
+    assert start.model.hn_forcing_r.tobytes() == want.tobytes()
 
 
 def test_step_output_has_no_negative_zeros():
