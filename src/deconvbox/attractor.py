@@ -28,8 +28,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import FieldSpec, SolverConfig, generate_ic
-from .solver import BlowUpError, Trajectory, build_model, initial_state, simulate
-from .spectral import smallest_eigenvalue, sobolev_norm
+from .solver import BlowUpError, Trajectory, _retained, build_model, initial_state, simulate
+from .spectral import _norm_from_energy, _retained_energy, smallest_eigenvalue, sobolev_norm
 
 # Relative slack of a member's energy over its decay envelope before the
 # envelope counts as broken.
@@ -298,7 +298,8 @@ def ensemble_absorb_probe(
     if not 0.0 <= template.epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and nonnegative, got {template.epsilon!r}")
     workers = _worker_count()
-    grid, model = build_model(template)
+    model = build_model(template)
+    grid = model.grid
     params = AbsorbingParams(nu=model.nu, lambda1=smallest_eigenvalue(grid), f_norm=model.f_norm)
     if model.f_norm == 0.0 and (R is None or rho0_prime is None):
         raise ValueError(
@@ -324,7 +325,7 @@ def ensemble_absorb_probe(
         hn_norm = sobolev_norm(model.filters.apply(u0), 0.0)
         target = R * (i + 1) / ensemble_size
         state0 = initial_state(u0 * (target / hn_norm), model)
-        w0_norm = sobolev_norm(state0.w, 0.0)
+        w0_norm = _norm_from_energy(_retained_energy(_retained(state0), grid), grid, 0.0)
         entry_time, stayed, max_ratio, blow_up = None, False, math.inf, None
         try:
             traj = simulate(member_config, initial=state0)

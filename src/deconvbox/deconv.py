@@ -15,11 +15,10 @@ values stay accurate near Hhat ~ 1 for large orders.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .spectral import SpectralVectorField, WaveGrid, _read_only
+from .spectral import SpectralVectorField, WaveGrid
 
 MAX_DECONV_ORDER = 64
 
@@ -53,11 +52,8 @@ class FilterParams:
             )
 
     def apply(self, w: SpectralVectorField) -> SpectralVectorField:
-        """H_N w, through the cached complex symbol table of w's lattice.
-
-        Byte-identical to truncation_hn(w, delta, order).
-        """
-        return SpectralVectorField(w.grid, w.coeff * _hn_table(w.grid, self.delta, self.order)[0])
+        """H_N w: truncation_hn(w, delta, order)."""
+        return truncation_hn(w, self.delta, self.order)
 
 
 def _scaled_k2(k2a: np.ndarray, delta: float) -> np.ndarray:
@@ -126,13 +122,6 @@ def van_cittert_apply(w: SpectralVectorField, delta: float, order: int) -> Spect
         term = term - g * term  # (I - G) applied to the previous term
         acc += term
     return SpectralVectorField(w.grid, acc)
-
-
-@lru_cache(maxsize=16)
-def _hn_table(grid: WaveGrid, delta: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """hn_symbol over the grid's lattice as read-only complex tables, full and retained."""
-    table = hn_symbol(grid.ksq, delta, order).astype(np.complex128)
-    return _read_only(table, table.reshape(-1)[grid.ret_flat])
 
 
 def smoothing_bound(delta: float, order: int) -> float:

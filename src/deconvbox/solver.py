@@ -20,12 +20,11 @@ import dataclasses
 import math
 import warnings
 from dataclasses import InitVar, dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .config import SolverConfig, generate_ic
-from .deconv import FilterParams, _hn_table
+from .deconv import FilterParams, hn_symbol
 from .spectral import (
     SpectralVectorField,
     WaveGrid,
@@ -60,18 +59,21 @@ class BlowUpError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class ModelParams:
-    """Viscosity, filter parameters and steady forcing for the model.
+    """Viscosity, filter parameters and steady forcing on one grid.
 
     `forcing` is a steady divergence-free, zero-mean field with no content on
-    masked modes (None means zero). It is read once: the model keeps its grid
-    (`grid`), its truncation H_N f as a read-only retained (3, M) array
-    (`hn_forcing_r`), and its norm ||f|| (`f_norm`); no full-layout array.
+    masked modes (None means zero). The model's grid is the forcing's, or
+    `grid` when unforced; given both, they must agree. The model keeps the
+    H_N symbol over the retained modes as a read-only complex (M,) array
+    (`hn_r`); the forcing is read once, into H_N f as a read-only retained
+    (3, M) array (`hn_forcing_r`) and its norm ||f|| (`f_norm`).
     """
 
     nu: float
     filters: FilterParams
     forcing: InitVar[SpectralVectorField | None] = None
-    grid: WaveGrid | None = field(init=False, default=None, repr=False)
+    grid: WaveGrid | None = field(default=None, repr=False)
+    hn_r: np.ndarray = field(init=False, default=None, repr=False)
     hn_forcing_r: np.ndarray | None = field(init=False, default=None, repr=False)
     f_norm: float = field(init=False, default=0.0)
 
@@ -80,9 +82,16 @@ class ModelParams:
         if not 0.0 < nu < math.inf:
             raise ValueError(f"viscosity must be positive and finite, got {nu}")
         object.__setattr__(self, "nu", nu)
+        grid = self.grid if forcing is None else forcing.grid
+        if grid is None:
+            raise ValueError("an unforced model needs a grid: pass grid=make_grid(K, rule)")
+        if self.grid is not None:
+            _require_same_grid(grid, self.grid, "the forcing and the grid argument")
+        hn_r = hn_symbol(grid.ret_ksq, self.filters.delta, self.filters.order)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "hn_r", _read_only(hn_r.astype(np.complex128))[0])
         if forcing is None:
             return
-        grid = forcing.grid
         _require_fits(forcing, "forcing")
         f_r = _gather(forcing.coeff, grid)
         amp2 = _retained_energy(f_r, grid)
@@ -91,8 +100,7 @@ class ModelParams:
             raise ValueError(f"forcing is not divergence-free (relative defect {err:.3e})")
         if f_r[:, 0].any():
             raise ValueError("forcing must have zero mean")
-        f_r *= _hn_table(grid, self.filters.delta, self.filters.order)[1]
-        object.__setattr__(self, "grid", grid)
+        f_r *= self.hn_r
         object.__setattr__(self, "hn_forcing_r", _read_only(f_r)[0])
         object.__setattr__(self, "f_norm", _norm_from_energy(amp2, grid, 0.0))
 
@@ -111,11 +119,12 @@ def _first_mode(flags: np.ndarray, grid: WaveGrid) -> list:
 
 def _require_fits(w: SpectralVectorField, what: str, model: ModelParams | None = None, hint=""):
     """Reject a field with a non-finite coefficient or with content (-0.0 is none, `hint` follows)
-    on a mode the dealias mask drops, naming the first such mode, or off a forced model's grid."""
+    on a mode the dealias mask drops, naming the first such mode, or off the model's grid."""
     for mode in _first_mode(~np.isfinite(w.coeff).all(axis=0), w.grid):
         raise ValueError(f"{what} has a non-finite coefficient at mode {mode}")
-    if model is not None and model.grid is not None:
-        _require_same_grid(w.grid, model.grid, "the field and the forcing")
+    if model is not None:
+        source = "model" if model.hn_forcing_r is None else "forcing"
+        _require_same_grid(w.grid, model.grid, f"the field and the {source}")
     for mode in _first_mode(w.coeff.any(axis=0) & ~w.grid.mask, w.grid):
         raise ValueError(f"{what} has content on mode {mode}, which the dealias cut "
                          f"|k_i| <= {w.grid.cut} drops{hint}")
@@ -135,14 +144,11 @@ def _require_same_model(what: str, have: dict, want: dict, have_at: str, want_at
         raise ValueError(f"{what}: " + "; ".join(differing))
 
 
-def build_model(config: SolverConfig) -> tuple[WaveGrid, ModelParams]:
-    """The grid and the model (viscosity, filters, steady forcing) of a config."""
+def build_model(config: SolverConfig) -> ModelParams:
+    """The model (grid, viscosity, filters, steady forcing) of a config."""
     grid = make_grid(config.K, config.dealias)
-    filters = FilterParams(config.delta, config.order)
-    forcing = None
-    if config.forcing.kind != "zero":
-        forcing = generate_ic(config.forcing, grid)
-    return grid, ModelParams(nu=config.nu, filters=filters, forcing=forcing)
+    forcing = None if config.forcing.kind == "zero" else generate_ic(config.forcing, grid)
+    return ModelParams(config.nu, FilterParams(config.delta, config.order), forcing, grid)
 
 
 @dataclass
@@ -161,7 +167,7 @@ class SolverState:
     def __getattr__(self, name: str):
         if name != "w" or "_ret" not in vars(self):
             raise AttributeError(f"'SolverState' object has no attribute {name!r}")
-        grid, w_r = vars(self).pop("_ret")  # from now on w is the state's field
+        w_r, grid = vars(self).pop("_ret"), self.model.grid  # from now on w is the state's field
         zeros = np.zeros((3,) + grid.spectral_shape, dtype=np.complex128)
         self.w = SpectralVectorField(grid, _scatter(w_r, zeros, grid))
         return self.w
@@ -172,26 +178,26 @@ class SolverState:
         return self.model.filters.apply(self.w)
 
 
-def _retained_state(t: float, grid: WaveGrid, w_r: np.ndarray, model: ModelParams) -> SolverState:
+def _retained_state(t: float, w_r: np.ndarray, model: ModelParams) -> SolverState:
     """The state at t under model whose w has retained coefficients w_r, unbuilt."""
     state = object.__new__(SolverState)
-    state.t, state.model, state._ret = t, model, (grid, w_r)
+    state.t, state.model, state._ret = t, model, w_r
     return state
 
 
-def _retained(state: SolverState) -> tuple[WaveGrid, np.ndarray]:
-    """The grid and w's retained (3, M) coefficients: stored, or gathered from a w that was
-    given or read, which must fit the model."""
+def _retained(state: SolverState) -> np.ndarray:
+    """w's retained (3, M) coefficients: stored, or gathered from a w that was given or
+    read, which must fit the model."""
     if "w" not in vars(state):
         return state._ret
     w = state.w
     _require_fits(w, "the state's field", state.model)
-    return w.grid, _gather(w.coeff, w.grid)
+    return _gather(w.coeff, w.grid)
 
 
 def make_state(t: float, w: SpectralVectorField, params: ModelParams) -> SolverState:
     """The state (t, w) under `params`. w must be finite, hold no content on a mode the
-    dealias mask drops and lie on the grid of a forced model."""
+    dealias mask drops and lie on the model's grid."""
     _require_fits(w, "the state's field", params)
     return SolverState(t=float(t), w=w, model=params)
 
@@ -205,7 +211,7 @@ def initial_state(
     rejected unless `auto_project` is set, in which case they are
     Leray-projected first.
     """
-    grid = u0.grid
+    grid = params.grid
     _require_fits(u0, "initial condition", params)
     u_r = _gather(u0.coeff, grid)
     h1 = _norm_from_energy(_retained_energy(u_r, grid), grid, 1.0)
@@ -219,8 +225,7 @@ def initial_state(
         u_r = _leray(u_r, grid.ret_k, grid.ret_ksq_safe)
     if u_r[:, 0].any():
         raise ValueError("initial condition must have zero mean")
-    hn_r = _hn_table(grid, params.filters.delta, params.filters.order)[1]
-    return _retained_state(0.0, grid, u_r * hn_r, params)
+    return _retained_state(0.0, u_r * params.hn_r, params)
 
 
 def _explicit(hn_w: np.ndarray, w: np.ndarray, hn_f, grid: WaveGrid) -> np.ndarray:
@@ -244,16 +249,14 @@ def step(state: SolverState, dt: float) -> SolverState:
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     params = state.model
-    grid, w_r = _retained(state)
-    decay_r = _half_decay(grid, params.nu, dt)
-    hn_r = _hn_table(grid, params.filters.delta, params.filters.order)[1]
-    hn_f = params.hn_forcing_r
+    grid, hn_r, hn_f, w_r = params.grid, params.hn_r, params.hn_forcing_r, _retained(state)
+    decay_r = np.exp(-params.nu * grid.ret_ksq * (0.5 * dt)).astype(np.complex128)
     # In place, in the operand order of
     #   mid = decay_half * (w + (dt/2) k1)
     #   new = decay_half * (decay_half * w) + dt * (decay_half * k2),
-    # so the bytes equal those expressions: two complex factors do not
-    # commute to the last bit in numpy's fused complex multiply, and
-    # decay_half * decay_half applied as one factor rounds differently.
+    # so the bytes equal those expressions: decay_half * decay_half applied
+    # as one factor rounds differently. Each factor is real-valued, and such
+    # a complex product commutes to the last bit.
     with np.errstate(over="ignore", invalid="ignore"):
         mid = _explicit(np.multiply(w_r, hn_r), w_r, hn_f, grid)
         np.multiply(0.5 * dt, mid, out=mid)
@@ -267,14 +270,7 @@ def step(state: SolverState, dt: float) -> SolverState:
         np.add(new_r, k2, out=new_r)
     if not np.isfinite(new_r).all():
         raise BlowUpError(state.t)
-    return _retained_state(state.t + dt, grid, new_r, params)
-
-
-@lru_cache(maxsize=16)
-def _half_decay(grid: WaveGrid, nu: float, dt: float) -> np.ndarray:
-    """exp(-nu |k|^2 dt / 2) over the retained modes, as a read-only complex table."""
-    ksq = grid.ksq.reshape(-1)[grid.ret_flat]
-    return _read_only(np.exp(-nu * ksq * (0.5 * dt)).astype(np.complex128))[0]
+    return _retained_state(state.t + dt, new_r, params)
 
 
 @dataclass(eq=False)
@@ -373,7 +369,7 @@ def _work_rate(state: SolverState) -> float:
     hn_f = state.model.hn_forcing_r
     if hn_f is None:
         return 0.0
-    grid, w_r = _retained(state)
+    grid, w_r = state.model.grid, _retained(state)
     pair = np.real(hn_f * np.conj(w_r)).sum(axis=0)
     pair *= grid.ret_mult
     return float(_scatter(pair, np.zeros(grid.spectral_shape), grid).sum())
@@ -395,20 +391,20 @@ def simulate(config, initial: SolverState | None = None) -> Trajectory:
 
 def _start_state(config: SolverConfig) -> SolverState:
     """The configured initial state, under build_model(config)."""
-    grid, params = build_model(config)
+    params = build_model(config)
     if config.ic.kind == "snapshot":
         from .storage import read_snapshot
 
-        return read_snapshot(config.ic.path, grid=grid, params=params)
-    u0 = generate_ic(config.ic, grid)
+        return read_snapshot(config.ic.path, params=params)
+    u0 = generate_ic(config.ic, params.grid)
     return initial_state(u0, params, auto_project=config.auto_project_ic)
 
 
-def _require_model(config: SolverConfig, grid: WaveGrid, model: ModelParams) -> None:
-    """Reject a grid and model that are not the ones `config` describes."""
+def _require_model(config: SolverConfig, model: ModelParams) -> None:
+    """Reject a model that is not the one `config` describes."""
     _require_same_model(
         "initial state was made under a different model",
-        dict(K=grid.K, dealias=grid.dealias_rule, **_model_fields(model)),
+        dict(K=model.grid.K, dealias=model.grid.dealias_rule, **_model_fields(model)),
         dict(K=config.K, dealias=config.dealias, nu=config.nu, delta=config.delta,
              N=config.order, forced=config.forcing.kind != "zero"),
         "in the state",
@@ -431,8 +427,8 @@ def simulate_with_state(
     """Like `simulate` but also returns the final solver state."""
     state = _start_state(config) if initial is None else initial
     params = state.model
-    grid, w_r = _retained(state)
-    _require_model(config, grid, params)
+    grid, w_r = params.grid, _retained(state)
+    _require_model(config, params)
 
     lam1 = smallest_eigenvalue(grid)
     rho0_sq = (params.f_norm / (params.nu * lam1)) ** 2
@@ -440,15 +436,14 @@ def simulate_with_state(
     dt = config.dt
     n_steps = max(0, math.ceil(config.T / dt - 1e-12))
 
-    hn_r = _hn_table(grid, params.filters.delta, params.filters.order)[1]
-    if dt * _velocity_bound(w_r * hn_r, grid.ret_mult) * grid.K > 1.0 - 1e-9:
+    if dt * _velocity_bound(w_r * params.hn_r, grid.ret_mult) * grid.K > 1.0 - 1e-9:
         cfl = dt * float(np.abs(state.hn_w.to_physical()).max()) * grid.K
         if cfl > 1.0:
             msg = f"advisory CFL number {cfl:.2f} exceeds 1; the run may be inaccurate"
             warnings.warn(msg, RuntimeWarning, stacklevel=2)
 
     # The run keeps only retained coefficients: no step builds a full-layout w.
-    state = _retained_state(state.t, grid, w_r, params)
+    state = _retained_state(state.t, w_r, params)
     builder = _TrajectoryBuilder(rho0_sq, params.nu * lam1)
     norms = _squared_norms(_retained_energy(w_r, grid), grid, sampled=True)
     h1_prev, work_prev = norms[0], _work_rate(state)
@@ -458,7 +453,7 @@ def simulate_with_state(
             state = step(state, dt)
             sampled = i % config.sample_every == 0 or i == n_steps
             with np.errstate(over="ignore", invalid="ignore"):
-                norms = _squared_norms(_retained_energy(_retained(state)[1], grid), grid, sampled)
+                norms = _squared_norms(_retained_energy(_retained(state), grid), grid, sampled)
                 h1_new, work_new = norms[0], _work_rate(state)
             if not (math.isfinite(h1_new) and math.isfinite(work_new)):
                 raise BlowUpError(state.t - dt)

@@ -67,15 +67,13 @@ class WaveGrid:
     mult : ndarray
         Lattice multiplicity of each stored mode (2 for interior k3
         columns that stand for a conjugate pair, else 1).
-    ck, ksq_safe : complex128 tables
-        kx, ky, kz; |k|^2 with the mean mode's 0 replaced by 1.
     ret_flat : ndarray
         Flat index of the M retained modes in the pruned inverse's column order
         (ky, kz, kx): ky, kx over 0..cut, K-cut..K-1; kz over 0..cut. Mean first.
     ret_k, ret_ik, ret_ksq_safe : complex128 tables over the retained modes
-        k_i, the derivative factors 1j*k_i, and ksq_safe.
-    ret_mult : ndarray
-        mult over the retained modes.
+        k_i, the derivative factors 1j*k_i, and |k|^2 with the mean's 0 replaced by 1.
+    ret_ksq, ret_mult : ndarray
+        ksq and mult over the retained modes.
     """
 
     K: int
@@ -87,12 +85,11 @@ class WaveGrid:
     ksq: np.ndarray
     mask: np.ndarray
     mult: np.ndarray
-    ck: tuple[np.ndarray, np.ndarray, np.ndarray]
-    ksq_safe: np.ndarray
     ret_flat: np.ndarray
     ret_k: tuple[np.ndarray, np.ndarray, np.ndarray]
     ret_ik: tuple[np.ndarray, np.ndarray, np.ndarray]
     ret_ksq_safe: np.ndarray
+    ret_ksq: np.ndarray
     ret_mult: np.ndarray
 
     @property
@@ -171,7 +168,7 @@ def _grid(K: int, dealias_rule: str) -> WaveGrid:
     iy, iz, ix = np.meshgrid(keep, np.arange(cut + 1), keep, indexing="ij")
     ret_flat = ((ix * K + iy) * half + iz).ravel()
     k_ret = tuple(k.ravel() for k in (k_line[ix], k_line[iy], iz))
-    ksq_safe = np.where(ksq > 0.0, ksq, 1.0).astype(np.complex128)
+    ksq_r = ksq.reshape(-1)[ret_flat]
 
     grid = WaveGrid(
         K=K,
@@ -183,16 +180,15 @@ def _grid(K: int, dealias_rule: str) -> WaveGrid:
         ksq=ksq,
         mask=mask,
         mult=mult,
-        ck=tuple(k.astype(np.complex128) for k in (kx, ky, kz)),
-        ksq_safe=ksq_safe,
         ret_flat=ret_flat,
         ret_k=tuple(k.astype(np.complex128) for k in k_ret),
         ret_ik=tuple(1j * k for k in k_ret),
-        ret_ksq_safe=ksq_safe.reshape(-1)[ret_flat],
+        ret_ksq_safe=np.where(ksq_r > 0.0, ksq_r, 1.0).astype(np.complex128),
+        ret_ksq=ksq_r,
         ret_mult=mult.reshape(-1)[ret_flat],
     )
-    _read_only(kx, ky, kz, ksq, mask, mult, *grid.ck, grid.ksq_safe, grid.ret_flat)
-    _read_only(*grid.ret_k, *grid.ret_ik, grid.ret_ksq_safe, grid.ret_mult)
+    _read_only(kx, ky, kz, ksq, mask, mult, ret_flat, *grid.ret_k, *grid.ret_ik)
+    _read_only(grid.ret_ksq_safe, ksq_r, grid.ret_mult)
     return grid
 
 
@@ -266,8 +262,7 @@ class SpectralVectorField:
             raise ValueError(
                 f"physical array has shape {values.shape}, expected {(3,) + grid.shape}"
             )
-        coeff = np.fft.rfftn(values, axes=(1, 2, 3)) / grid.n_points
-        coeff *= grid.mask
+        coeff = np.where(grid.mask, np.fft.rfftn(values, axes=(1, 2, 3)) / grid.n_points, 0.0)
         coeff[:, 0, 0, 0] = 0.0
         return cls(grid, coeff)
 
@@ -342,7 +337,7 @@ def inner_product(u: SpectralVectorField, v: SpectralVectorField) -> float:
 
 def divergence_error(w: SpectralVectorField) -> float:
     """max_k |k . what(k)| relative to the H_1 scale of the field."""
-    return _divergence_error(w.coeff, w.grid.ck, sobolev_norm(w, 1.0))
+    return _divergence_error(w.coeff, w.grid.kvec, sobolev_norm(w, 1.0))
 
 
 def _divergence_error(c: np.ndarray, k: tuple, scale: float) -> float:
@@ -362,7 +357,8 @@ def leray_project(w_raw: SpectralVectorField) -> SpectralVectorField:
     untouched (it is zero for valid fields). Idempotent and self-adjoint.
     """
     grid = w_raw.grid
-    return SpectralVectorField(grid, _leray(w_raw.coeff, grid.ck, grid.ksq_safe))
+    ksq_safe = np.where(grid.ksq > 0.0, grid.ksq, 1.0)
+    return SpectralVectorField(grid, _leray(w_raw.coeff, grid.kvec, ksq_safe))
 
 
 def _leray(c: np.ndarray, k: tuple, ksq_safe: np.ndarray) -> np.ndarray:

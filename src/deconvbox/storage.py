@@ -132,29 +132,30 @@ def read_snapshot(
 ) -> SolverState:
     """Read a snapshot back into a SolverState.
 
-    A provided grid must match the stored resolution (rejected with both K
-    values otherwise); without one, a default two-thirds grid at the stored
-    K is built. Given `params`, the stored nu, delta and N must equal its
-    values exactly (each differing field is rejected with both values);
-    without them the stored filter parameters build the truncation cache.
-    The payload must have exactly the size the header's K implies, finite
-    coefficients and no content on a mode the dealias mask drops. If its retained box
-    (|k1|, |k2|, k3 <= cut) is finite and all else +0.0, the state holds just the box.
+    The grid is `grid`, else the grid of `params`, else a two-thirds grid at
+    the stored K; it must match the stored resolution (rejected with both K
+    values otherwise). Given `params`, the stored nu, delta and N must equal
+    its values exactly (each differing field is rejected with both values)
+    and its grid the given one; without them the stored values build an
+    unforced model on the grid. The payload must have exactly the size the
+    header's K implies, finite coefficients and no content on a mode the dealias
+    mask drops. If its retained box (|k1|, |k2|, k3 <= cut) is finite and all else
+    +0.0, the state holds just the box.
     """
     meta = read_snapshot_meta(path)
     K = meta.K
+    grid = params.grid if grid is None and params is not None else grid
     if grid is not None and grid.K != K:
         raise ValueError(
             f"snapshot resolution K = {K} does not match the requested grid K = {grid.K}"
         )
-    if params is None:
-        params = ModelParams(nu=meta.nu, filters=FilterParams(meta.delta, meta.order))
-    else:
+    if params is not None:
         _require_same_model(
             "snapshot was written under a different model",
             {"nu": meta.nu, "delta": meta.delta, "N": meta.order}, _model_fields(params),
             "stored", "requested",
         )
+        _require_same_grid(grid, params.grid, "the requested grid and the model")
     expected = 3 * 16 * K * K * (K // 2 + 1)  # components x complex128 bytes
     blob = np.fromfile(path, dtype=np.uint8, offset=_HEADER_STRUCT.size)
     if len(blob) != expected:
@@ -164,16 +165,16 @@ def read_snapshot(
     hint = "" if grid is not None else (
         f"; no grid given, so the two-thirds rule was assumed: pass grid=make_grid({K}, \"none\")")
     grid = grid if grid is not None else make_grid(K, "two_thirds")
+    if params is None:
+        params = ModelParams(meta.nu, FilterParams(meta.delta, meta.order), grid=grid)
     payload = blob.view("<c16").reshape(grid.spectral_shape + (3,))
     words = blob.view("<u8").reshape(grid.spectral_shape + (6,))
     h, c = K // 2, grid.cut
     box = (slice(h - c, h + c + 1), slice(h - c, h + c + 1), slice(c + 1))
     if np.isfinite(payload[box]).all() and np.count_nonzero(words) == np.count_nonzero(words[box]):
-        if params.grid is not None:
-            _require_same_grid(grid, params.grid, "the field and the forcing")
         # k1 and k2 run -c..c in the box and 0..c, -c..-1 in ret_flat's (ky, kz, kx) order.
         w_r = np.roll(payload[box], (-c, -c), axis=(0, 1)).transpose(3, 1, 2, 0).reshape(3, -1)
-        return _retained_state(meta.t, grid, w_r.astype(np.complex128, copy=False), params)
+        return _retained_state(meta.t, w_r.astype(np.complex128, copy=False), params)
     coeff = np.moveaxis(np.fft.ifftshift(payload, axes=(0, 1)), -1, 0)
     w = SpectralVectorField(grid, np.ascontiguousarray(coeff, dtype=np.complex128))
     _require_fits(w, "snapshot payload", params, hint)

@@ -161,7 +161,7 @@ def test_04_trilinear_cancellation(grid16):
 def test_05_exact_single_mode_solution():
     t0 = time.perf_counter()
     grid = make_grid(32)
-    params = ModelParams(nu=1.0, filters=FilterParams(1.0, 0))
+    params = ModelParams(nu=1.0, filters=FilterParams(1.0, 0), grid=grid)
     u0 = SpectralVectorField.from_modes(grid, {(1, 0, 0): (0.0, 1.0, 0.0)})
     state = initial_state(u0, params)
     w0 = state.w.coeff.copy()

@@ -10,13 +10,18 @@ from deconvbox import (
     SolverConfig,
     absorbing_bound,
     absorbing_time,
+    build_model,
     ensemble_absorb_probe,
+    generate_ic,
     h1_absorbing_report,
     h1_time_average,
+    initial_state,
     rho0,
     simulate,
+    sobolev_norm,
     uniform_gronwall,
 )
+from deconvbox import solver
 
 
 class TestRho0:
@@ -293,6 +298,31 @@ class TestEnsembleProbe:
         serial = digests()
         monkeypatch.setenv("DECONV_THREADS", "2")
         assert digests() == serial
+
+    def test_members_check_and_gather_their_start_once(self, monkeypatch):
+        # The forcing and each member's initial condition are checked and
+        # gathered once; a member's retained start goes to simulate as it is,
+        # and its w0_norm keeps the bytes of sobolev_norm of that start.
+        template = SolverConfig(
+            K=12, nu=1.0, delta=0.5, order=1, dt=0.05, T=1.0,
+            forcing=FieldSpec(kind="random_spectrum", seed=63, target_norm=0.3),
+        )
+        calls = []
+        for name in ("_require_fits", "_gather"):
+            def counted(*args, _name=name, _fn=getattr(solver, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(solver, name, counted)
+        report = ensemble_absorb_probe(R=1.0, rho0_prime=0.5, ensemble_size=2, template=template)
+        assert sorted(calls) == ["_gather"] * 3 + ["_require_fits"] * 3
+        monkeypatch.undo()
+        model = build_model(template)
+        for m in report.members:
+            spec = FieldSpec(kind="random_spectrum", seed=m.seed, target_norm=1.0)
+            u0 = generate_ic(spec, model.grid)
+            u0 = u0 * ((m.index + 1) / 2 / sobolev_norm(model.filters.apply(u0), 0.0))
+            want = sobolev_norm(initial_state(u0, model).w, 0.0)
+            assert np.float64(m.w0_norm).tobytes() == np.float64(want).tobytes()
 
     def test_threads_do_not_change_results(self, monkeypatch):
         template = SolverConfig(

@@ -123,4 +123,6 @@ def test_retained_index_follows_the_pruned_inverse_columns(K, rule):
         assert np.array_equal(table, k)
     for table, k in zip(grid.ret_ik, (k_line[ix], k_line[iy], iz)):
         assert np.array_equal(table, 1j * k)
-    assert np.array_equal(grid.ret_ksq_safe, grid.ksq_safe.reshape(-1)[grid.ret_flat])
+    ksq_r = grid.ksq.reshape(-1)[grid.ret_flat]
+    assert grid.ret_ksq.tobytes() == ksq_r.tobytes()
+    assert np.array_equal(grid.ret_ksq_safe, np.where(ksq_r > 0.0, ksq_r, 1.0))

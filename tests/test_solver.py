@@ -37,8 +37,8 @@ def shear(grid, amp=(0.0, 1.0, 0.0)):
 
 
 @pytest.fixture()
-def params16():
-    return ModelParams(nu=1.0, filters=FilterParams(1.0, 0))
+def params16(grid16):
+    return ModelParams(nu=1.0, filters=FilterParams(1.0, 0), grid=grid16)
 
 
 class TestModelParams:
@@ -67,6 +67,27 @@ class TestModelParams:
             ModelParams(nu=nu, filters=FilterParams(0.5, 1))
         assert str(exc.value) == f"viscosity must be positive and finite, got {nu}"
 
+    def test_grid_comes_from_the_forcing_or_the_grid_argument(self, grid16):
+        filters = FilterParams(0.5, 1)
+        with pytest.raises(ValueError) as exc:
+            ModelParams(nu=1.0, filters=filters)
+        assert str(exc.value) == "an unforced model needs a grid: pass grid=make_grid(K, rule)"
+        forcing = random_div_free(grid16, seed=67, target=0.3)
+        assert ModelParams(1.0, filters, forcing, make_grid(16)).grid is grid16
+        with pytest.raises(ValueError) as exc:
+            ModelParams(nu=1.0, filters=filters, forcing=forcing, grid=make_grid(16, "none"))
+        assert str(exc.value) == (
+            "the forcing and the grid argument live on different grids: "
+            "K = 16 (two_thirds) and K = 16 (none)"
+        )
+        unforced = ModelParams(nu=1.0, filters=filters, grid=make_grid(8))
+        named = (
+            "the field and the model live on different grids: "
+            "K = 16 (two_thirds) and K = 8 (two_thirds)"
+        )
+        with pytest.raises(ValueError, match="^" + re.escape(named) + "$"):
+            initial_state(random_div_free(grid16, seed=68), unforced)
+
     @pytest.mark.parametrize("rule", ["two_thirds", "none"])
     def test_accepts_forcing_on_retained_modes(self, rule):
         grid = make_grid(8, rule)
@@ -74,10 +95,10 @@ class TestModelParams:
         forcing.coeff *= grid.mask  # signed zeros on the masked modes are no content
         ModelParams(nu=1.0, filters=FilterParams(0.5, 1), forcing=forcing)
 
-    @pytest.mark.parametrize(
-        "name", ["nu", "filters", "forcing", "hn_forcing", "hn_forcing_r", "f_norm"]
-    )
+    @pytest.mark.parametrize("name", ["nu", "filters", "grid", "hn_r", "hn_forcing_r", "f_norm"])
     def test_fields_cannot_be_assigned(self, grid16, name):
+        # A frozen dataclass rejects any name, so check that each one is a field.
+        assert name in {f.name for f in dataclasses.fields(ModelParams)}
         model = ModelParams(
             nu=1.0, filters=FilterParams(0.5, 1), forcing=random_div_free(grid16, seed=60)
         )
@@ -97,14 +118,18 @@ class TestModelParams:
             dataclasses.replace(model, nu=2.0)
         again = dataclasses.replace(model, nu=2.0, forcing=forcing)
         assert again.hn_forcing_r.tobytes() == model.hn_forcing_r.tobytes()
-        unforced = ModelParams(nu=1.0, filters=FilterParams(0.5, 1))
-        assert (unforced.grid, unforced.hn_forcing_r, unforced.f_norm) == (None, None, 0.0)
+        hn = hn_symbol(grid16.ksq, 0.5, 1).astype(np.complex128).reshape(-1)[grid16.ret_flat]
+        assert model.hn_r.tobytes() == hn.tobytes() and not model.hn_r.flags.writeable
+        unforced = ModelParams(nu=1.0, filters=FilterParams(0.5, 1), grid=grid16)
+        assert (unforced.grid, unforced.hn_forcing_r, unforced.f_norm) == (grid16, None, 0.0)
+        assert unforced.hn_r.tobytes() == hn.tobytes()
 
 
-    @pytest.mark.parametrize("K, nbytes", [(32, 232_848), (64, 1_952_544)])
+    @pytest.mark.parametrize("K, nbytes", [(32, 232_848 + 77_616), (64, 1_952_544 + 650_848)])
     def test_holds_no_array_but_the_retained_truncated_forcing(self, K, nbytes):
         # A kept model carries no full-layout copy: of all the arrays it holds
-        # (its shared grid's tables aside), only H_N f on the M retained modes.
+        # (its shared grid's tables aside), only the H_N symbol and H_N f on the
+        # M retained modes.
         def held(obj, grid):
             found = []
             for value in vars(obj).values():
@@ -117,8 +142,9 @@ class TestModelParams:
         grid = make_grid(K)
         forcing = random_div_free(grid, seed=65, target=0.3)
         model = ModelParams(nu=1.0, filters=FilterParams(0.5, 1), forcing=forcing)
-        assert [a is model.hn_forcing_r for a in held(model, grid)] == [True]
-        assert model.hn_forcing_r.nbytes == nbytes and model.hn_forcing_r.base is None
+        assert [id(a) for a in held(model, grid)] == [id(model.hn_r), id(model.hn_forcing_r)]
+        assert model.hn_r.nbytes + model.hn_forcing_r.nbytes == nbytes
+        assert model.hn_r.base is None and model.hn_forcing_r.base is None
         assert model.grid is grid
 
 
@@ -134,7 +160,7 @@ class TestInitialState:
         np.testing.assert_allclose(state.w.coeff, 0.5 * shear(grid16).coeff, atol=1e-16)
 
     def test_never_expands(self, grid16):
-        params = ModelParams(nu=0.5, filters=FilterParams(0.3, 4))
+        params = ModelParams(nu=0.5, filters=FilterParams(0.3, 4), grid=grid16)
         for seed in range(5):
             u0 = random_div_free(grid16, seed=seed)
             state = initial_state(u0, params)
@@ -200,7 +226,7 @@ class TestStep:
         # form a steady pair whose interaction the projection removes, so
         # the amplitudes here sit in different components); reference run
         # at dt/64
-        params = ModelParams(nu=0.05, filters=FilterParams(0.5, 1))
+        params = ModelParams(nu=0.05, filters=FilterParams(0.5, 1), grid=grid8)
         u0 = SpectralVectorField.from_modes(
             grid8, {(1, 0, 0): (0.0, 1.0, 0.0), (0, 1, 0): (0.0, 0.0, 1.0)}
         )
@@ -235,7 +261,7 @@ class TestStep:
         assert hermitian_defect(state.w) <= 1e-15 * scale
 
     def test_unforced_energy_monotone(self, grid16):
-        params = ModelParams(nu=0.1, filters=FilterParams(0.5, 1))
+        params = ModelParams(nu=0.1, filters=FilterParams(0.5, 1), grid=grid16)
         state = initial_state(random_div_free(grid16, seed=44, target=2.0), params)
         prev = sobolev_norm(state.w, 0.0) ** 2
         for _ in range(30):
@@ -373,7 +399,7 @@ class TestMaskedContent:
     @pytest.mark.parametrize("rule", ["two_thirds", "none"])
     def test_rejected_naming_the_mode_and_the_cut(self, rule):
         u, named = masked_shear(rule, 1.0)
-        model = ModelParams(nu=1.0, filters=FilterParams(0.5, 1))
+        model = ModelParams(nu=1.0, filters=FilterParams(0.5, 1), grid=u.grid)
         with pytest.raises(ValueError, match="^initial condition has content on mode " + named):
             initial_state(u, model)
         field_named = "^the state's field has content on mode " + named
@@ -390,13 +416,13 @@ class TestMaskedContent:
     @pytest.mark.parametrize("rule", ["two_thirds", "none"])
     def test_negative_zero_is_no_content(self, rule):
         u, _ = masked_shear(rule, -0.0)
-        model = ModelParams(nu=1.0, filters=FilterParams(0.5, 1))
+        model = ModelParams(nu=1.0, filters=FilterParams(0.5, 1), grid=u.grid)
         for state in (initial_state(u, model), make_state(0.0, u, model)):
             w = step(state, 0.01).w.coeff
             assert not np.ascontiguousarray(w[:, ~u.grid.mask]).view(np.uint64).any()
 
     def test_step_starts_from_a_read_and_mutated_w(self, grid16):
-        model = ModelParams(nu=0.5, filters=FilterParams(0.3, 4))
+        model = ModelParams(nu=0.5, filters=FilterParams(0.3, 4), grid=grid16)
         state = initial_state(random_div_free(grid16, seed=66), model)
         state.w.coeff[1, 1, 0, 0] += 0.1  # transverse to k = (1, 0, 0)
         want = step(make_state(state.t, state.w.copy(), model), 0.01).w.coeff
@@ -413,7 +439,7 @@ class TestStateCarriesItsModel:
         assert step(new, 0.01).model is model
 
     def test_hn_w_follows_a_replaced_w(self, grid16):
-        model = ModelParams(nu=0.5, filters=FilterParams(0.3, 4))
+        model = ModelParams(nu=0.5, filters=FilterParams(0.3, 4), grid=grid16)
         state = initial_state(random_div_free(grid16, seed=70), model)
         other = random_div_free(grid16, seed=71)
         got = dataclasses.replace(state, w=other).hn_w

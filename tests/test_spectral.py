@@ -112,6 +112,19 @@ class TestLerayProjection:
         rhs = inner_product(a, leray_project(b))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
+    @pytest.mark.parametrize("rule", DEALIAS_RULES)
+    def test_from_physical_writes_positive_zeros_on_masked_modes(self, rule):
+        # The mask used to be applied as a multiply, which leaves -0.0 on
+        # masked modes whose transform is negative.
+        grid = make_grid(12, rule)
+        values = np.random.default_rng(6).standard_normal((3,) + grid.shape)
+        coeff = SpectralVectorField.from_physical(grid, values).coeff
+        masked = coeff[:, ~grid.mask]
+        assert masked.size and not np.signbit(np.concatenate([masked.real, masked.imag])).any()
+        kept = (np.fft.rfftn(values, axes=(1, 2, 3)) / grid.n_points)[:, grid.mask]
+        kept[:, 0] = 0.0
+        assert coeff[:, grid.mask].tobytes() == kept.tobytes()
+
     def test_per_mode_divergence(self, grid16):
         rng = np.random.default_rng(4)
         a = SpectralVectorField.from_physical(
@@ -313,6 +326,64 @@ class TestGridSymmetries:
         for transform in (lambda f: shifted(f, n), swapped):
             got = stepped(transform(forcing), transform(w)).coeff
             assert_close(got, transform(stepped(forcing, w)).coeff)
+
+
+def _negated_axis(c, axis):
+    """c with index i of `axis` moved to (-i) % K: k -> -k along that lattice axis."""
+    return np.roll(np.flip(c, axis=axis), 1, axis=axis)
+
+
+def reflected(w, axis):
+    """w mirrored in x_axis -> -x_axis: component `axis` changes sign and so does k_axis.
+    kz is the half axis, so for z each stored (k1, k2, k3) comes from the conjugate of the
+    stored (-k1, -k2, k3), which stands for (k1, k2, -k3)."""
+    c = w.coeff.copy()
+    c[axis] *= -1.0
+    if axis < 2:
+        c = _negated_axis(c, axis + 1)
+    else:
+        c = np.conj(_negated_axis(_negated_axis(c, 1), 2))
+    return SpectralVectorField(w.grid, np.ascontiguousarray(c))
+
+
+class TestReflections:
+    # The box is invariant under x -> -x, y -> -y and z -> -z: the Leray
+    # projection, H_N, the convective term and a step (under the mirrored
+    # forcing) commute with each mirror, and the norms are unchanged by it.
+    # A lattice slip that is not odd in k (a wrong entry of ret_k or ret_ik)
+    # breaks this, though it keeps shifts and the x <-> y swap.
+    @pytest.mark.parametrize("rule", DEALIAS_RULES)
+    @pytest.mark.parametrize("K", [12, 16, 18])
+    def test_operators_commute_with_each_mirror_and_norms_keep(self, K, rule):
+        grid = make_grid(K, rule)
+        rng = np.random.default_rng(K)
+        raw = SpectralVectorField.from_physical(grid, rng.standard_normal((3,) + grid.shape))
+        u, w = random_div_free(grid, K), random_div_free(grid, K + 1)
+        filters = FilterParams(0.5, 2)
+        for axis in range(3):
+            mirror = lambda f: reflected(f, axis)  # noqa: E731
+            assert_close(leray_project(mirror(raw)).coeff, mirror(leray_project(raw)).coeff)
+            assert_close(filters.apply(mirror(raw)).coeff, mirror(filters.apply(raw)).coeff)
+            for s in (0.0, 1.0, 2.0):
+                assert sobolev_norm(mirror(raw), s) == pytest.approx(
+                    sobolev_norm(raw, s), rel=1e-13, abs=0.0
+                )
+            got = nonlinear_term(mirror(u), mirror(w)).coeff
+            assert_close(got, mirror(nonlinear_term(u, w)).coeff)
+
+    @pytest.mark.parametrize("rule", DEALIAS_RULES)
+    @pytest.mark.parametrize("K", [12, 16, 18])
+    def test_step_commutes_under_the_mirrored_forcing(self, K, rule):
+        grid = make_grid(K, rule)
+        forcing, w = random_div_free(grid, K, 0.5), random_div_free(grid, K + 1)
+
+        def stepped(f, w0):
+            model = ModelParams(nu=0.3, filters=FilterParams(0.5, 2), forcing=f)
+            return step(make_state(0.0, w0, model), 0.05).w
+
+        for axis in range(3):
+            got = stepped(reflected(forcing, axis), reflected(w, axis)).coeff
+            assert_close(got, reflected(stepped(forcing, w), axis).coeff)
 
 
 class TestWorkspace:

@@ -79,7 +79,7 @@ class TestTimeseries:
 
 class TestSnapshot:
     def make_state(self, grid):
-        params = ModelParams(nu=0.7, filters=FilterParams(0.5, 2))
+        params = ModelParams(nu=0.7, filters=FilterParams(0.5, 2), grid=grid)
         return initial_state(random_div_free(grid, seed=71, target=2.0), params), params
 
     def test_round_trip_bit_exact(self, tmp_path, grid8):
@@ -99,7 +99,7 @@ class TestSnapshot:
         n = 3 * K * K * (K // 2 + 1)
         coeff = (np.arange(n) + 1j * np.arange(n, 2 * n)).reshape((3,) + grid.spectral_shape)
         w = SpectralVectorField(grid, coeff)
-        model = ModelParams(nu=0.7, filters=FilterParams(0.5, 2))
+        model = ModelParams(nu=0.7, filters=FilterParams(0.5, 2), grid=grid)
         state = SolverState(t=0.25, w=w, model=model)
         path = tmp_path / "s.snap"
         write_snapshot(state, model, path)
@@ -188,6 +188,23 @@ class TestSnapshot:
             read_snapshot(path, grid=make_grid(16))
         assert "8" in str(exc.value) and "16" in str(exc.value)
 
+    def test_grid_comes_from_the_argument_else_the_model(self, tmp_path):
+        grid = make_grid(8, "none")
+        u = SpectralVectorField.from_modes(grid, {(0, 0, 3): (1.0, 0.0, 0.0)})
+        params = ModelParams(nu=0.7, filters=FilterParams(0.5, 2), grid=grid)
+        path = tmp_path / "s.snap"
+        write_snapshot(SolverState(0.25, u, params), params, path)
+        back = read_snapshot(path, params=params)
+        assert back.model is params and back.w.grid is grid
+        other = ModelParams(nu=0.7, filters=FilterParams(0.5, 2), grid=make_grid(8))
+        with pytest.raises(ValueError) as exc:
+            read_snapshot(path, grid=grid, params=other)
+        assert str(exc.value) == (
+            "the requested grid and the model live on different grids: "
+            "K = 8 (none) and K = 8 (two_thirds)"
+        )
+        assert read_snapshot(path, grid=grid).model.grid is grid
+
     def test_magic_constant_on_disk(self, tmp_path, grid8):
         state, params = self.make_state(grid8)
         path = tmp_path / "s.snap"
@@ -203,7 +220,7 @@ class TestSnapshot:
         k1, k2, k3 = (np.broadcast_to(k, grid.spectral_shape) for k in grid.kvec)
         coeff = np.stack((k1, k2, k3)).astype(np.complex128)
         coeff.imag = -0.0
-        params = ModelParams(nu=0.5, filters=FilterParams(0.3, 1))
+        params = ModelParams(nu=0.5, filters=FilterParams(0.3, 1), grid=grid)
         path = tmp_path / "s.snap"
         write_snapshot(SolverState(0.0, SpectralVectorField(grid, coeff), params), params, path)
         payload = np.frombuffer(path.read_bytes()[_HEADER_STRUCT.size :], dtype="<c16")
@@ -218,9 +235,9 @@ class TestSnapshot:
 
     @pytest.mark.parametrize("rule", ["two_thirds", "none"])
     def test_masked_content_rejected(self, tmp_path, rule):
-        params = ModelParams(nu=0.7, filters=FilterParams(0.5, 2))
-        path = tmp_path / "s.snap"
         u, named = masked_shear(rule, 1.0)
+        params = ModelParams(nu=0.7, filters=FilterParams(0.5, 2), grid=u.grid)
+        path = tmp_path / "s.snap"
         write_snapshot(SolverState(0.25, u, params), params, path)
         with pytest.raises(ValueError, match="^snapshot payload has content on mode " + named):
             read_snapshot(path, grid=u.grid, params=params)
@@ -243,7 +260,7 @@ class TestRetainedBoxRead:
         coeff = np.where(grid.mask, rng.standard_normal(shape) + 1j * rng.standard_normal(shape), 0)
         for index, value in edits:
             coeff[index] = value
-        params = ModelParams(nu=0.7, filters=FilterParams(0.5, 2))
+        params = ModelParams(nu=0.7, filters=FilterParams(0.5, 2), grid=grid)
         write_snapshot(SolverState(0.25, SpectralVectorField(grid, coeff), params), params, path)
         return params, path.read_bytes()[_HEADER_STRUCT.size :]
 
@@ -255,6 +272,22 @@ class TestRetainedBoxRead:
         back = read_snapshot(tmp_path / "s.snap", grid=grid, params=params)
         assert "w" not in vars(back)  # built on first read
         assert back.w.coeff.tobytes() == full_layout_read(blob, grid)[0].tobytes()
+
+    @pytest.mark.parametrize("rule", ["two_thirds", "none"])
+    def test_snapshot_of_a_from_physical_field_reads_through_the_box(
+        self, tmp_path, monkeypatch, rule
+    ):
+        grid = make_grid(12, rule)
+        values = np.random.default_rng(7).standard_normal((3,) + grid.shape)
+        w = SpectralVectorField.from_physical(grid, values)
+        params = ModelParams(nu=0.7, filters=FilterParams(0.5, 2), grid=grid)
+        path = tmp_path / "s.snap"
+        write_snapshot(SolverState(0.25, w, params), params, path)
+        checks = []
+        monkeypatch.setattr(storage, "_require_fits", lambda *args: checks.append(args))
+        back = read_snapshot(path, params=params)
+        assert checks == [] and "w" not in vars(back)
+        assert back.w.coeff.tobytes() == w.coeff.tobytes()
 
     @pytest.mark.parametrize(
         "case", ["-0.0 outside", "nan inside", "nan outside", "content outside", "both"]
@@ -292,7 +325,7 @@ class TestRetainedBoxRead:
             built.append(args)
             raise AssertionError(f"make_grid{args} was called")
 
-        params = ModelParams(nu=0.7, filters=FilterParams(0.5, 2))
+        params = ModelParams(nu=0.7, filters=FilterParams(0.5, 2), grid=grid8)
         state = initial_state(random_div_free(grid8, seed=72), params)
         path = tmp_path / "s.snap"
         write_snapshot(state, params, path)
@@ -318,7 +351,7 @@ class TestRetainedBoxRead:
     def test_none_snapshot_read_without_a_grid_names_the_assumed_rule(self, tmp_path):
         grid = make_grid(8, "none")
         u = SpectralVectorField.from_modes(grid, {(0, 0, 3): (1.0, 0.0, 0.0)})
-        params = ModelParams(nu=0.7, filters=FilterParams(0.5, 2))
+        params = ModelParams(nu=0.7, filters=FilterParams(0.5, 2), grid=grid)
         path = tmp_path / "s.snap"
         write_snapshot(SolverState(0.25, u, params), params, path)
         with pytest.raises(ValueError) as exc:
@@ -337,7 +370,7 @@ class TestResume:
     def test_resume_equals_uninterrupted_bit_exact(
         self, tmp_path_factory, grid8, split, seed
     ):
-        params = ModelParams(nu=0.4, filters=FilterParams(0.5, 1))
+        params = ModelParams(nu=0.4, filters=FilterParams(0.5, 1), grid=grid8)
         state = initial_state(random_div_free(grid8, seed=seed), params)
         dt = 0.01
         for _ in range(split):
@@ -365,27 +398,27 @@ class TestResume:
     def test_write_under_other_params_rejected(
         self, tmp_path, grid8, nu, delta, order, forced, named
     ):
-        params = ModelParams(nu=0.4, filters=FilterParams(0.5, 1))
+        params = ModelParams(nu=0.4, filters=FilterParams(0.5, 1), grid=grid8)
         state = initial_state(random_div_free(grid8, seed=75), params)
         forcing = random_div_free(grid8, seed=76, target=0.3) if forced else None
-        other = ModelParams(nu=nu, filters=FilterParams(delta, order), forcing=forcing)
+        other = ModelParams(nu=nu, filters=FilterParams(delta, order), forcing=forcing, grid=grid8)
         path = tmp_path / "s.snap"
         with pytest.raises(ValueError) as exc:
             write_snapshot(state, other, path)
         assert str(exc.value) == "params are not the state's model: " + named
         assert not path.exists()
-        same = ModelParams(nu=0.4, filters=FilterParams(0.5, 1))
+        same = ModelParams(nu=0.4, filters=FilterParams(0.5, 1), grid=grid8)
         write_snapshot(state, same, path)
         assert read_snapshot(path, grid=grid8, params=same).w.coeff.tobytes() == (
             state.w.coeff.tobytes()
         )
 
     def test_resume_under_different_model_rejected(self, tmp_path, grid8):
-        params = ModelParams(nu=0.4, filters=FilterParams(0.5, 1))
+        params = ModelParams(nu=0.4, filters=FilterParams(0.5, 1), grid=grid8)
         state = initial_state(random_div_free(grid8, seed=74), params)
         path = tmp_path / "s.snap"
         write_snapshot(state, params, path)
-        other = ModelParams(nu=2.0, filters=FilterParams(0.9, 3))
+        other = ModelParams(nu=2.0, filters=FilterParams(0.9, 3), grid=grid8)
         with pytest.raises(ValueError, match="different model") as exc:
             read_snapshot(path, grid=grid8, params=other)
         for text in (
@@ -394,7 +427,7 @@ class TestResume:
             "N = 1 stored, 3 requested",
         ):
             assert text in str(exc.value)
-        only_order = ModelParams(nu=0.4, filters=FilterParams(0.5, 2))
+        only_order = ModelParams(nu=0.4, filters=FilterParams(0.5, 2), grid=grid8)
         with pytest.raises(ValueError) as exc:
             read_snapshot(path, grid=grid8, params=only_order)
         assert str(exc.value).endswith("model: N = 1 stored, 2 requested")
@@ -440,7 +473,9 @@ class TestResume:
         from deconvbox import simulate_with_state
 
         traj_a, state_a = simulate_with_state(base)
-        params = ModelParams(nu=base.nu, filters=FilterParams(base.delta, base.order))
+        params = ModelParams(
+            nu=base.nu, filters=FilterParams(base.delta, base.order), grid=state_a.w.grid
+        )
         path = tmp_path / "resume.snap"
         write_snapshot(state_a, params, path)
 

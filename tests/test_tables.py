@@ -2,8 +2,8 @@
 
 The references in `deconvbox.verify` and `deconv.truncation_hn` evaluate
 the closed forms on the grid's integer, float and bool arrays; the
-operators use the complex tables of the grid and of the table caches, and
-in-place updates. Bytes are compared, so a -0.0 where the reference has
+operators use the grid's retained complex tables, the model's H_N symbol,
+and in-place updates. Bytes are compared, so a -0.0 where the reference has
 0.0 fails too.
 """
 
@@ -30,8 +30,8 @@ from deconvbox import (
 )
 from deconvbox import solver
 from deconvbox.config import FieldSpec, _random_raw
-from deconvbox.deconv import _hn_table, truncation_hn
-from deconvbox.solver import _half_decay, _squared_norms, _work_rate
+from deconvbox.deconv import truncation_hn
+from deconvbox.solver import _squared_norms, _work_rate
 from deconvbox.spectral import (
     DEALIAS_RULES,
     SpectralVectorField,
@@ -241,16 +241,14 @@ def test_interleaved_models_use_their_own_tables():
     "tables",
     [
         lambda g: (g.kx, g.ky, g.kz, g.ksq, g.mask, g.mult),
-        lambda g: (*g.ck, g.ksq_safe),
-        lambda g: (g.ret_flat, *g.ret_k, *g.ret_ik, g.ret_ksq_safe, g.ret_mult),
-        lambda g: _hn_table(g, 0.7, 3),
-        lambda g: (_half_decay(g, 0.3, 0.01),),
+        lambda g: (g.ret_flat, *g.ret_k, *g.ret_ik, g.ret_ksq_safe, g.ret_ksq, g.ret_mult),
+        lambda g: (ModelParams(nu=0.3, filters=FilterParams(0.7, 3), grid=g).hn_r,),
     ],
-    ids=["lattice", "complex_lattice", "mask", "hn", "half_decay"],
+    ids=["lattice", "mask", "hn"],
 )
 def test_cached_tables_are_read_only(tables):
-    # The grid's tables and the two table caches are shared
-    # by every run and thread at their key.
+    # The grid's tables are shared by every run and thread at their key, and
+    # a model's H_N symbol by every thread that steps under the model.
     for rule in DEALIAS_RULES:
         for table in tables(make_grid(8, rule)):
             with pytest.raises(ValueError):
@@ -280,7 +278,8 @@ def test_a_run_builds_one_grid(rule):
         forcing=FieldSpec(kind="random_spectrum", seed=3, target_norm=0.5),
     )
     _grid.cache_clear()
-    grid, model = build_model(config)
+    model = build_model(config)
+    grid = model.grid
     state = initial_state(leray_project(_random_raw(grid, np.random.default_rng(4))), model)
     step(state, 0.01)
     assert _grid.cache_info().currsize == 1
