@@ -31,9 +31,9 @@ import numpy as np
 
 DEALIAS_RULES = ("two_thirds", "none")
 
-# The convective term walks the physical stack in blocks of x-planes whose
-# 12 real channels fill about this many bytes, so each block's last inverse
-# pass, scaling and contraction run on data still in cache.
+# The convective term walks each round's physical stack in blocks of x-planes
+# whose 4 real channels fill about this many bytes, so each block's last
+# inverse pass, scaling and contraction run on data still in cache.
 _BLOCK_BYTES = 2**20
 
 SobolevIndex = float
@@ -411,23 +411,22 @@ class _Workspace:
     """One thread's buffers for the convective term at one (K, cut).
 
     `line` holds one channel's retained (ky, kz) columns at a time, with
-    a zero middle kx range, and is transformed in place. Every call writes
-    only the lines the dealias mask keeps, so the lines it drops in by_ky
-    and by_kz stay zero from allocation on. by_kz and phys hold one block
-    of `planes` x-planes; conv and chat are full size.
+    a zero middle kx range, and is transformed in place. by_ky, by_kz and
+    phys hold one round's 4 channels, by_kz and phys for `planes` x-planes.
+    Every call writes only the lines the dealias mask keeps, so the lines
+    it drops in by_ky and by_kz stay zero. conv and chat are full size.
     """
 
     def __init__(self, grid: WaveGrid) -> None:
         K, cut = grid.K, grid.cut
-        half = K // 2 + 1
         self.key = (K, cut)
-        self.planes = min(K, max(1, _BLOCK_BYTES // (12 * K * K * 8)))
+        self.planes = min(K, max(1, _BLOCK_BYTES // (4 * K * K * 8)))
         self.line = np.empty((2 * cut + 1, cut + 1, K), dtype=np.complex128)
-        self.by_ky = np.zeros((12, K, cut + 1, K), dtype=np.complex128)
-        self.by_kz = np.zeros((12, self.planes, K, half), dtype=np.complex128)
-        self.phys = np.empty((12, self.planes, K, K))
+        self.by_ky = np.zeros((4, K, cut + 1, K), dtype=np.complex128)
+        self.by_kz = np.zeros((4, self.planes) + grid.spectral_shape[1:], dtype=np.complex128)
+        self.phys = np.empty((4, self.planes, K, K))
         self.conv = np.empty((3, K, K, K))
-        self.chat = np.empty((3, K, K, half), dtype=np.complex128)
+        self.chat = np.empty((3,) + grid.spectral_shape, dtype=np.complex128)
         self.out = np.empty((3, grid.ret_flat.size), dtype=np.complex128)
 
 
@@ -451,54 +450,51 @@ def _convective(u: np.ndarray, v: np.ndarray, grid: WaveGrid) -> np.ndarray:
     The returned array is this thread's workspace buffer, overwritten by
     the next call on the thread: callers reduce it or copy out of it.
 
-    u and grad v are formed on the collocation grid block by block of
-    x-planes. The inverse runs numpy's irfftn passes (kx, ky, then real
+    u and grad v are formed on the collocation grid in three rounds i = 0,
+    1, 2 of 4 channels, u_i and d v_j / d x_i (j = 0, 1, 2), block by block
+    of x-planes. The inverse runs numpy's irfftn passes (kx, ky, then real
     kz, each normalised by 1/n) in their order, so every block is
-    byte-identical to its planes of irfftn of the masked 12-channel stack
-    (u_i in channel i, d v_j / d x_i in channel 3 + 3i + j). Each pass
-    transforms only the lines the mask leaves nonzero, along the
-    contiguous last axis: the kx pass (once, one channel at a time) the
-    retained (ky, kz) columns, the ky pass (per block) the kz <= cut planes.
-    The forward transform is numpy's 3-channel rfftn; only its retained
-    outputs are kept.
+    byte-identical to its planes of irfftn of the masked channels.
+    Each pass transforms only the lines the mask leaves nonzero, along the
+    contiguous last axis: the kx pass (one channel at a time) the retained
+    (ky, kz) columns, the ky pass (per block) the kz <= cut planes. Adding
+    u_i d v_j / d x_i to +0.0 in round order is einsum("ixyz,ijxyz->jxyz")
+    byte for byte. The forward transform is numpy's 3-channel rfftn; only
+    its retained outputs are kept.
     """
     K, c = grid.K, grid.cut
     ws = _workspace(grid)
     # The retained kx of each column sit at 0..c and K-c..K-1 of the kx line.
     shape = (3, 2 * c + 1, c + 1, 2 * c + 1)
     u4, v4 = u.reshape(shape), v.reshape(shape)
-    ik4 = [ik.reshape(shape[1:]) for ik in grid.ret_ik]
     line = ws.line
     halves = ((line[..., : c + 1], slice(0, c + 1)), (line[..., K - c :], slice(c + 1, None)))
     view = ws.by_ky.transpose(0, 3, 2, 1)  # (channel, ky, kz, x)
-    for ch in range(12):
-        i, j = divmod(ch - 3, 3)
-        line[..., c + 1 : K - c] = 0.0
-        for lines, kx in halves:
-            if ch < 3:
-                lines[...] = u4[ch, ..., kx]
-            else:
-                np.multiply(ik4[i][..., kx], v4[j, ..., kx], out=lines)
-        # kx pass in place, then into (x, kz, ky) order.
-        np.fft.ifft(line, axis=-1, out=line)
-        view[ch, : c + 1], view[ch, K - c :] = line[: c + 1], line[c + 1 :]
     by_kz = ws.by_kz.transpose(0, 1, 3, 2)
-    for x0 in range(0, K, ws.planes):
-        n = min(ws.planes, K - x0)
-        xs = slice(x0, x0 + n)
-        # ky pass into (x, y, kz) order.
-        np.fft.ifft(ws.by_ky[:, xs], axis=-1, out=by_kz[:, :n, : c + 1])
-        # Real kz pass: numpy runs irfftn over one axis as exactly this
-        # irfft. Calling it as irfftn keeps the inverse visible to
-        # bench/spans.py, which wraps numpy's n-d transforms.
-        block = np.fft.irfftn(ws.by_kz[:, :n], s=(K,), axes=(-1,), out=ws.phys[:, :n])
-        block *= grid.n_points
-        np.einsum(
-            "ixyz,ijxyz->jxyz",
-            block[0:3],
-            block[3:12].reshape(3, 3, n, K, K),
-            out=ws.conv[:, xs],
-        )
+    for i in range(3):
+        ik = grid.ret_ik[i].reshape(shape[1:])
+        for ch in range(4):
+            line[..., c + 1 : K - c] = 0.0
+            for lines, kx in halves:
+                if ch == 0:
+                    lines[...] = u4[i, ..., kx]
+                else:
+                    np.multiply(ik[..., kx], v4[ch - 1, ..., kx], out=lines)
+            # kx pass in place, then into (x, kz, ky) order.
+            np.fft.ifft(line, axis=-1, out=line)
+            view[ch, : c + 1], view[ch, K - c :] = line[: c + 1], line[c + 1 :]
+        for x0 in range(0, K, ws.planes):
+            n = min(ws.planes, K - x0)
+            xs = slice(x0, x0 + n)
+            # ky pass into (x, y, kz) order.
+            np.fft.ifft(ws.by_ky[:, xs], axis=-1, out=by_kz[:, :n, : c + 1])
+            # Real kz pass: numpy runs irfftn over one axis as exactly this
+            # irfft. Calling it as irfftn keeps the inverse visible to
+            # bench/spans.py, which wraps numpy's n-d transforms.
+            block = np.fft.irfftn(ws.by_kz[:, :n], s=(K,), axes=(-1,), out=ws.phys[:, :n])
+            block *= grid.n_points
+            block[1:] *= block[0]
+            np.add(ws.conv[:, xs] if i else 0.0, block[1:], out=ws.conv[:, xs])
     chat = np.fft.rfftn(ws.conv, axes=(1, 2, 3), out=ws.chat)
     out = np.take(chat.reshape(3, -1), grid.ret_flat, axis=1, out=ws.out, mode="clip")
     out /= grid.n_points

@@ -110,9 +110,9 @@ def _nonlinear_reference(u: SpectralVectorField, w: SpectralVectorField) -> np.n
         stack[3 + 3 * i : 6 + 3 * i] = (1j * ki) * wc
     phys = np.fft.irfftn(stack, s=grid.shape, axes=(1, 2, 3)) * grid.n_points
     conv = np.einsum("ixyz,ijxyz->jxyz", phys[0:3], phys[3:12].reshape(3, 3, K, K, K))
-    chat = np.fft.rfftn(conv, axes=(1, 2, 3)) / grid.n_points
-    chat *= grid.mask
-    chat[:, 0, 0, 0] = 0.0
+    # Mean-free and masked by selection: `*= mask` would turn -0.0 into +0.0.
+    keep = grid.mask & (grid.ksq > 0.0)
+    chat = np.where(keep, np.fft.rfftn(conv, axes=(1, 2, 3)) / grid.n_points, 0.0)
     return np.where(grid.mask, _leray_reference(SpectralVectorField(grid, chat)), 0.0)
 
 
@@ -313,7 +313,8 @@ def operator_checks(K: int = 16, seed: int = 0) -> list[CheckResult]:
     # The generator, the convective term, pruned inverse included, and one
     # step against their closed forms (through numpy's irfftn), under both
     # dealias rules (under 'none' only the Nyquist planes are masked).
-    # Unmasked input also exercises the mask.
+    # Unmasked input exercises the mask, and steady shears the sign of zero sums.
+    shears = ({(1, 0, 0): (0, 1, 1)}, {(0, 1, 0): (1, 0, -1)}, {(0, 0, 1): (0.5, -2, 0)})
     spec = FieldSpec(kind="random_spectrum", seed=seed, exponent=3.0, cutoff=K / 4.0)
     generated = simulated = read = 0
     for rule in DEALIAS_RULES:
@@ -326,7 +327,9 @@ def operator_checks(K: int = 16, seed: int = 0) -> list[CheckResult]:
             SpectralVectorField(g, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
             for _ in range(2)
         )
-        words = _differing_words(nonlinear_term(p, q).coeff, _nonlinear_reference(p, q))
+        words = 0
+        for a, b in [(p, q)] + [(SpectralVectorField.from_modes(g, m),) * 2 for m in shears]:
+            words += _differing_words(nonlinear_term(a, b).coeff, _nonlinear_reference(a, b))
         record("convective term equals its closed form" + label, words, 0)
         forcing = leray_project(_random_raw(g, rng))
         model = ModelParams(nu=0.3, filters=filters, forcing=forcing)
