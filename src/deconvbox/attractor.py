@@ -29,7 +29,7 @@ import numpy as np
 
 from .config import FieldSpec, SolverConfig, generate_ic
 from .solver import BlowUpError, Trajectory, _retained, build_model, initial_state, simulate
-from .spectral import _norm_from_energy, _retained_energy, smallest_eigenvalue, sobolev_norm
+from .spectral import _retained_norms, smallest_eigenvalue, sobolev_norm
 
 # Relative slack of a member's energy over its decay envelope before the
 # envelope counts as broken.
@@ -325,7 +325,7 @@ def ensemble_absorb_probe(
         hn_norm = sobolev_norm(model.filters.apply(u0), 0.0)
         target = R * (i + 1) / ensemble_size
         state0 = initial_state(u0 * (target / hn_norm), model)
-        w0_norm = _norm_from_energy(_retained_energy(_retained(state0), grid), grid, 0.0)
+        (w0_norm,) = _retained_norms(_retained(state0), grid, 0.0)
         entry_time, stayed, max_ratio, blow_up = None, False, math.inf, None
         try:
             traj = simulate(member_config, initial=state0)

@@ -22,8 +22,7 @@ from .spectral import (
     WaveGrid,
     _gather,
     _leray,
-    _norm_from_energy,
-    _retained_energy,
+    _retained_norms,
     _scatter,
 )
 
@@ -211,6 +210,20 @@ def _read_field_spec(raw: dict[str, str], prefix: str, errors: list[str]) -> Fie
     return FieldSpec(kind=kind, **values)
 
 
+def _stepping_errors(v: dict) -> list[str]:
+    """parse_config's problems with dt, T and sample_every among the fields of v. A non-finite
+    dt or T, which only a directly built SolverConfig holds, is worded as its text would be."""
+    errors = [f"{k}: expected {_FLOAT.expected}, got {v[k]!r}"
+              for k in ("dt", "T") if k in v and not math.isfinite(v[k])]
+    if "dt" in v and v["dt"] <= 0.0:
+        errors.append(f"dt: must be positive, got {v['dt']}")
+    if "T" in v and v["T"] < 0.0:
+        errors.append(f"T: must be nonnegative, got {v['T']}")
+    if "sample_every" in v and v["sample_every"] < 1:
+        errors.append(f"sample_every: must be at least 1, got {v['sample_every']}")
+    return errors
+
+
 def parse_config(text: str) -> SolverConfig:
     """Parse and validate a config; raises ConfigError listing every problem."""
     errors: list[str] = []
@@ -237,12 +250,7 @@ def parse_config(text: str) -> SolverConfig:
         errors.append(f"delta: must be positive, got {v['delta']}")
     if "order" in v and not 0 <= v["order"] <= MAX_DECONV_ORDER:
         errors.append(f"N: must be in [0, {MAX_DECONV_ORDER}], got {v['order']}")
-    if "dt" in v and v["dt"] <= 0.0:
-        errors.append(f"dt: must be positive, got {v['dt']}")
-    if "T" in v and v["T"] < 0.0:
-        errors.append(f"T: must be nonnegative, got {v['T']}")
-    if "sample_every" in v and v["sample_every"] < 1:
-        errors.append(f"sample_every: must be at least 1, got {v['sample_every']}")
+    errors += _stepping_errors(v)
     if "epsilon" in v and v["epsilon"] < 0.0:
         errors.append(f"epsilon: must be nonnegative, got {v['epsilon']}")
 
@@ -291,11 +299,10 @@ def _random_spectrum_field(spec: FieldSpec, grid: WaveGrid) -> SpectralVectorFie
     amp2 = np.where(ksq > 0.0, np.sqrt(ksq) ** spec.exponent * np.exp(-2.0 * ksq / kappa0**2), 0.0)
     coeff *= np.sqrt(amp2)
     out = _leray(coeff, grid.ret_k, grid.ret_ksq_safe)
-    norm = _norm_from_energy(_retained_energy(out, grid), grid, 0.0)
+    (norm,) = _retained_norms(out, grid, 0.0)
     if norm == 0.0:
         raise ValueError("random field vanished; grid too small for the profile")
-    scaled = out * (spec.target_norm / norm)
-    return SpectralVectorField(grid, _scatter(scaled, np.zeros(shape, np.complex128), grid))
+    return SpectralVectorField(grid, _scatter(out * (spec.target_norm / norm), grid))
 
 
 def generate_ic(

@@ -23,7 +23,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .config import SolverConfig, generate_ic
+from .config import ConfigError, SolverConfig, _stepping_errors, generate_ic
 from .deconv import FilterParams, hn_symbol
 from .spectral import (
     SpectralVectorField,
@@ -32,10 +32,9 @@ from .spectral import (
     _divergence_error,
     _gather,
     _leray,
-    _norm_from_energy,
     _read_only,
     _require_same_grid,
-    _retained_energy,
+    _retained_norms,
     _scatter,
     make_grid,
     smallest_eigenvalue,
@@ -92,23 +91,34 @@ class ModelParams:
         object.__setattr__(self, "hn_r", _read_only(hn_r.astype(np.complex128))[0])
         if forcing is None:
             return
-        _require_fits(forcing, "forcing")
-        f_r = _gather(forcing.coeff, grid)
-        amp2 = _retained_energy(f_r, grid)
-        err = _divergence_error(f_r, grid.ret_k, _norm_from_energy(amp2, grid, 1.0))
-        if err > DIVERGENCE_TOL:
-            raise ValueError(f"forcing is not divergence-free (relative defect {err:.3e})")
-        if f_r[:, 0].any():
-            raise ValueError("forcing must have zero mean")
+        f_r = _solenoidal(forcing, "forcing")
+        object.__setattr__(self, "f_norm", _retained_norms(f_r, grid, 0.0)[0])
         f_r *= self.hn_r
         object.__setattr__(self, "hn_forcing_r", _read_only(f_r)[0])
-        object.__setattr__(self, "f_norm", _norm_from_energy(amp2, grid, 0.0))
 
 
 # The InitVar's default would stay behind as a class attribute that reads
 # None on every model, and dataclasses.replace would pass that None on as
 # the forcing; remove it so that a model has no `forcing` at all.
 del ModelParams.forcing
+
+
+def _solenoidal(u: SpectralVectorField, what: str, model=None, project=None) -> np.ndarray:
+    """The retained (3, M) coefficients of a field that fits (`_require_fits`), is zero-mean and
+    is divergence-free: a defect relative to H_1 above DIVERGENCE_TOL is Leray-projected if
+    `project`, else rejected (naming auto_project if `project` is False rather than None)."""
+    _require_fits(u, what, model)
+    grid = u.grid
+    c = _gather(u.coeff, grid)
+    err = _divergence_error(c, grid.ret_k, _retained_norms(c, grid, 1.0)[0])
+    if err > DIVERGENCE_TOL:
+        if not project:
+            hint = "" if project is None else "; pass auto_project=True to project it"
+            raise ValueError(f"{what} is not divergence-free (relative defect {err:.3e}){hint}")
+        c = _leray(c, grid.ret_k, grid.ret_ksq_safe)
+    if c[:, 0].any():
+        raise ValueError(f"{what} must have zero mean")
+    return c
 
 
 def _first_mode(flags: np.ndarray, grid: WaveGrid) -> list:
@@ -155,9 +165,9 @@ def build_model(config: SolverConfig) -> ModelParams:
 class SolverState:
     """Time, the evolved field w, and the model w evolves under.
 
-    A state that `step`, `initial_state` or `read_snapshot` made holds only
-    w's retained coefficients (3, M); it builds w, +0.0 on the masked modes,
-    when w is first read. A w that was given or read is the field the next step starts from.
+    A state that `step`, `initial_state` or `read_snapshot` made holds only w's retained
+    coefficients (3, M), and keeps them: each read of w builds a new field, +0.0 on the masked
+    modes, whose changes leave the state as it was. A given w is the next step's start.
     """
 
     t: float
@@ -167,10 +177,7 @@ class SolverState:
     def __getattr__(self, name: str):
         if name != "w" or "_ret" not in vars(self):
             raise AttributeError(f"'SolverState' object has no attribute {name!r}")
-        w_r, grid = vars(self).pop("_ret"), self.model.grid  # from now on w is the state's field
-        zeros = np.zeros((3,) + grid.spectral_shape, dtype=np.complex128)
-        self.w = SpectralVectorField(grid, _scatter(w_r, zeros, grid))
-        return self.w
+        return SpectralVectorField(self.model.grid, _scatter(self._ret, self.model.grid))
 
     @property
     def hn_w(self) -> SpectralVectorField:
@@ -186,13 +193,11 @@ def _retained_state(t: float, w_r: np.ndarray, model: ModelParams) -> SolverStat
 
 
 def _retained(state: SolverState) -> np.ndarray:
-    """w's retained (3, M) coefficients: stored, or gathered from a w that was given or
-    read, which must fit the model."""
+    """w's retained (3, M) coefficients: stored, or gathered from a given w that fits the model."""
     if "w" not in vars(state):
         return state._ret
-    w = state.w
-    _require_fits(w, "the state's field", state.model)
-    return _gather(w.coeff, w.grid)
+    _require_fits(state.w, "the state's field", state.model)
+    return _gather(state.w.coeff, state.w.grid)
 
 
 def make_state(t: float, w: SpectralVectorField, params: ModelParams) -> SolverState:
@@ -211,20 +216,7 @@ def initial_state(
     rejected unless `auto_project` is set, in which case they are
     Leray-projected first.
     """
-    grid = params.grid
-    _require_fits(u0, "initial condition", params)
-    u_r = _gather(u0.coeff, grid)
-    h1 = _norm_from_energy(_retained_energy(u_r, grid), grid, 1.0)
-    err = _divergence_error(u_r, grid.ret_k, h1)
-    if err > DIVERGENCE_TOL:
-        if not auto_project:
-            raise ValueError(
-                f"initial condition is not divergence-free (relative defect "
-                f"{err:.3e}); pass auto_project=True to project it"
-            )
-        u_r = _leray(u_r, grid.ret_k, grid.ret_ksq_safe)
-    if u_r[:, 0].any():
-        raise ValueError("initial condition must have zero mean")
+    u_r = _solenoidal(u0, "initial condition", params, bool(auto_project))
     return _retained_state(0.0, u_r * params.hn_r, params)
 
 
@@ -321,12 +313,9 @@ class Trajectory:
 class _TrajectoryBuilder:
     def __init__(self, rho0_sq: float, nu_lam1: float):
         self.rows: list[tuple] = []
-        self.rho0_sq = rho0_sq
-        self.nu_lam1 = nu_lam1
-        self.t0: float | None = None
-        self.h0_sq0: float | None = None
-        self.diss = 0.0
-        self.work = 0.0
+        self.rho0_sq, self.nu_lam1 = rho0_sq, nu_lam1
+        self.t0 = self.h0_sq0 = None  # the first record's t and ||w||^2
+        self.diss = self.work = 0.0
 
     def record(self, state: SolverState, norms: tuple[float, float, float]) -> None:
         h1_sq, h0_sq, aw_sq = norms
@@ -349,17 +338,12 @@ class _TrajectoryBuilder:
         return Trajectory(*(cols[:, j] for j in range(8)))
 
 
-def _squared_norms(amp2: np.ndarray, grid: WaveGrid, sampled: bool) -> tuple:
-    """(||w||_1^2, ||w||^2, ||A w||^2) from w's full-layout mode energies amp2.
-
-    The last two are None unless `sampled`. Each equals
-    sobolev_norm(w, s) ** 2 to the bit.
-    """
-    h1_sq = _norm_from_energy(amp2, grid, 1.0) ** 2
+def _squared_norms(w_r: np.ndarray, grid: WaveGrid, sampled: bool) -> tuple:
+    """(||w||_1^2, ||w||^2, ||A w||^2) from w's retained coefficients w_r, each
+    sobolev_norm(w, s) ** 2 to the bit; the last two are None unless `sampled`."""
     if not sampled:
-        return h1_sq, None, None
-    aw_sq = _norm_from_energy(amp2, grid, 2.0) ** 2
-    return h1_sq, _norm_from_energy(amp2, grid, 0.0) ** 2, aw_sq
+        return _retained_norms(w_r, grid, 1.0)[0] ** 2, None, None
+    return tuple(n**2 for n in _retained_norms(w_r, grid, 1.0, 0.0, 2.0))
 
 
 def _work_rate(state: SolverState) -> float:
@@ -372,7 +356,7 @@ def _work_rate(state: SolverState) -> float:
     grid, w_r = state.model.grid, _retained(state)
     pair = np.real(hn_f * np.conj(w_r)).sum(axis=0)
     pair *= grid.ret_mult
-    return float(_scatter(pair, np.zeros(grid.spectral_shape), grid).sum())
+    return float(_scatter(pair, grid).sum())
 
 
 def simulate(config, initial: SolverState | None = None) -> Trajectory:
@@ -412,19 +396,19 @@ def _require_model(config: SolverConfig, model: ModelParams) -> None:
     )
 
 
-def _velocity_bound(u: SpectralVectorField | np.ndarray, mult: np.ndarray | None = None) -> float:
-    """B = max_i sum_k mult |u_i(k)| >= max_x |u_i(x)|: irfftn adds each stored mode once
-    or as a conjugate pair and ignores the imaginary parts of the k3 = 0 and Nyquist bins;
-    u is a field, or (3, M) retained coefficients with their multiplicities `mult`."""
-    if mult is None:
-        u, mult = u.coeff, u.grid.mult
-    return float(np.max(np.abs(u).reshape(3, -1) @ mult.reshape(-1)))
+def _velocity_bound(u: np.ndarray, mult: np.ndarray) -> float:
+    """B = max_i sum_k mult |u_i(k)| >= max_x |u_i(x)| for stored modes' coefficients u (3, n),
+    a run's retained ones, with their multiplicities `mult`: irfftn adds each stored mode once
+    or as a conjugate pair and ignores the imaginary parts of the k3 = 0 and Nyquist bins."""
+    return float(np.max(np.abs(u) @ mult))
 
 
 def simulate_with_state(
     config, initial: SolverState | None = None
 ) -> tuple[Trajectory, SolverState]:
     """Like `simulate` but also returns the final solver state."""
+    if problems := _stepping_errors(vars(config)):
+        raise ConfigError(problems)
     state = _start_state(config) if initial is None else initial
     params = state.model
     grid, w_r = params.grid, _retained(state)
@@ -445,7 +429,7 @@ def simulate_with_state(
     # The run keeps only retained coefficients: no step builds a full-layout w.
     state = _retained_state(state.t, w_r, params)
     builder = _TrajectoryBuilder(rho0_sq, params.nu * lam1)
-    norms = _squared_norms(_retained_energy(w_r, grid), grid, sampled=True)
+    norms = _squared_norms(w_r, grid, sampled=True)
     h1_prev, work_prev = norms[0], _work_rate(state)
     builder.record(state, norms)
     try:
@@ -453,7 +437,7 @@ def simulate_with_state(
             state = step(state, dt)
             sampled = i % config.sample_every == 0 or i == n_steps
             with np.errstate(over="ignore", invalid="ignore"):
-                norms = _squared_norms(_retained_energy(_retained(state), grid), grid, sampled)
+                norms = _squared_norms(_retained(state), grid, sampled)
                 h1_new, work_new = norms[0], _work_rate(state)
             if not (math.isfinite(h1_new) and math.isfinite(work_new)):
                 raise BlowUpError(state.t - dt)

@@ -312,10 +312,11 @@ def _mode_energy(coeff: np.ndarray, mult: np.ndarray) -> np.ndarray:
     return amp2
 
 
-def _retained_energy(c: np.ndarray, grid: WaveGrid) -> np.ndarray:
-    """_mode_energy of retained (3, M) coefficients, written into a zeroed full layout:
-    a norm summed from it is sobolev_norm's bytes for the field with +0.0 on masked modes."""
-    return _scatter(_mode_energy(c, grid.ret_mult), np.zeros(grid.spectral_shape), grid)
+def _retained_norms(c: np.ndarray, grid: WaveGrid, *orders: SobolevIndex) -> tuple:
+    """The H_s norms, s in `orders`, of retained (3, M) coefficients, summed in the full layout:
+    sobolev_norm's bytes for the field with +0.0 on the masked modes."""
+    amp2 = _scatter(_mode_energy(c, grid.ret_mult), grid)
+    return tuple(_norm_from_energy(amp2, grid, s) for s in orders)
 
 
 def _norm_from_energy(amp2: np.ndarray, grid: WaveGrid, s: SobolevIndex) -> float:
@@ -383,10 +384,11 @@ def _gather(coeff: np.ndarray, grid: WaveGrid) -> np.ndarray:
     return np.take(coeff.reshape(3, -1), grid.ret_flat, axis=1)
 
 
-def _scatter(ret: np.ndarray, out: np.ndarray, grid: WaveGrid) -> np.ndarray:
-    """Write retained (..., M) values over out's retained modes, one (kx, ky)
-    quadrant at a time: several times faster than assigning through ret_flat."""
+def _scatter(ret: np.ndarray, grid: WaveGrid) -> np.ndarray:
+    """Retained (..., M) values in a new full-layout array, +0.0 on the masked modes. They
+    are written one (kx, ky) quadrant at a time: several times faster than through ret_flat."""
     K, c = grid.K, grid.cut
+    out = np.zeros(ret.shape[:-1] + grid.spectral_shape, dtype=ret.dtype)
     box = np.moveaxis(ret.reshape(ret.shape[:-1] + (2 * c + 1, c + 1, 2 * c + 1)), -1, -3)
     halves = ((slice(0, c + 1), slice(0, c + 1)), (slice(K - c, K), slice(c + 1, None)))
     for (full_x, ret_x), (full_y, ret_y) in itertools.product(halves, halves):
@@ -427,7 +429,6 @@ class _Workspace:
         self.phys = np.empty((4, self.planes, K, K))
         self.conv = np.empty((3, K, K, K))
         self.chat = np.empty((3,) + grid.spectral_shape, dtype=np.complex128)
-        self.out = np.empty((3, grid.ret_flat.size), dtype=np.complex128)
 
 
 # Probe members step on pool threads, so each thread gets its own buffers;
@@ -444,11 +445,8 @@ def _workspace(grid: WaveGrid) -> _Workspace:
 
 
 def _convective(u: np.ndarray, v: np.ndarray, grid: WaveGrid) -> np.ndarray:
-    """Retained, mean-free coefficients (3, M) of the dealiased (u . grad) v,
-    for retained coefficients u and v (3, M) in ret_flat order.
-
-    The returned array is this thread's workspace buffer, overwritten by
-    the next call on the thread: callers reduce it or copy out of it.
+    """Retained, mean-free coefficients (3, M) of the dealiased (u . grad) v, in a
+    new array, for retained coefficients u and v (3, M) in ret_flat order.
 
     u and grad v are formed on the collocation grid in three rounds i = 0,
     1, 2 of 4 channels, u_i and d v_j / d x_i (j = 0, 1, 2), block by block
@@ -496,7 +494,7 @@ def _convective(u: np.ndarray, v: np.ndarray, grid: WaveGrid) -> np.ndarray:
             block[1:] *= block[0]
             np.add(ws.conv[:, xs] if i else 0.0, block[1:], out=ws.conv[:, xs])
     chat = np.fft.rfftn(ws.conv, axes=(1, 2, 3), out=ws.chat)
-    out = np.take(chat.reshape(3, -1), grid.ret_flat, axis=1, out=ws.out, mode="clip")
+    out = _gather(chat, grid)
     out /= grid.n_points
     out[:, 0] = 0.0
     return out
@@ -516,8 +514,7 @@ def trilinear_b(
     _require_same_grid(u.grid, v.grid)
     grid = u.grid
     conv = _convective(_gather(u.coeff, grid), _gather(v.coeff, grid), grid)
-    full = _scatter(conv, np.zeros_like(w.coeff), grid)
-    return inner_product(SpectralVectorField(grid, full), w)
+    return inner_product(SpectralVectorField(grid, _scatter(conv, grid)), w)
 
 
 def nonlinear_term(u: SpectralVectorField, w: SpectralVectorField) -> SpectralVectorField:
@@ -531,7 +528,7 @@ def nonlinear_term(u: SpectralVectorField, w: SpectralVectorField) -> SpectralVe
     grid = u.grid
     conv = _convective(_gather(u.coeff, grid), _gather(w.coeff, grid), grid)
     out = _leray(conv, grid.ret_k, grid.ret_ksq_safe)
-    return SpectralVectorField(grid, _scatter(out, np.zeros_like(w.coeff), grid))
+    return SpectralVectorField(grid, _scatter(out, grid))
 
 
 __all__ = [

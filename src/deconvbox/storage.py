@@ -70,6 +70,11 @@ def read_timeseries(path) -> Trajectory:
             rows.append([float(p) for p in parts])
         except ValueError as err:
             raise ValueError(f"line {lineno}: {err}") from None
+        for name, x in zip(TIMESERIES_COLUMNS, rows[-1]):
+            if not math.isfinite(x):
+                raise ValueError(f"line {lineno}: column {name} is not finite ({x!r})")
+    if not rows:
+        raise ValueError("time series file has no data rows")
     data = np.array(rows, dtype=np.float64).reshape(-1, len(TIMESERIES_COLUMNS))
     return Trajectory(*(data[:, j] for j in range(len(TIMESERIES_COLUMNS))))
 
@@ -94,14 +99,14 @@ def write_snapshot(state: SolverState, params: ModelParams, path) -> None:
         "params are not the state's model",
         _model_fields(state.model), _model_fields(params), "in the state", "given",
     )
-    grid = state.w.grid
+    w = state.w
     header = _HEADER_STRUCT.pack(
-        SNAPSHOT_MAGIC, SNAPSHOT_VERSION, grid.K, params.filters.order,
+        SNAPSHOT_MAGIC, SNAPSHOT_VERSION, w.grid.K, params.filters.order,
         state.t, params.nu, params.filters.delta,
     )
     # (k1, k2, k3, component), canonical order: the k1 and k2 axes
     # fftshifted, copied quadrant by quadrant.
-    view, h = np.moveaxis(state.w.coeff, 0, -1), grid.K // 2
+    view, h = np.moveaxis(w.coeff, 0, -1), w.grid.K // 2
     payload = np.empty(view.shape, dtype="<c16")
     for dst, src in ((slice(h), slice(h, None)), (slice(h, None), slice(h))):
         payload[dst, :h], payload[dst, h:] = view[src, h:], view[src, :h]

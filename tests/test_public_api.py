@@ -5,6 +5,7 @@ import importlib
 import inspect
 import pkgutil
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -61,3 +62,24 @@ def test_readme_names_exactly_the_lru_caches():
     paragraph = next(p for p in section.split("\n\n") if "`functools.lru_cache`" in p)
     named = set(re.findall(rf"`((?:{'|'.join(SUBMODULES)})\.\w+)`", paragraph))
     assert named == _lru_cached()
+
+
+def _references(tree: ast.AST) -> Counter:
+    """How often each name is read as a name or an attribute in tree (imports excluded)."""
+    return Counter(getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(tree))
+
+
+def test_every_private_helper_is_used_in_the_package():
+    # A private top-level function or class that nothing in src/ refers to
+    # outside its own definition is dead code, or kept alive only by tests.
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+             for p in Path(deconvbox.__file__).parent.glob("*.py")}
+    everywhere = sum((_references(tree) for tree in trees.values()), Counter())
+    unused = [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+        and everywhere[node.name] == _references(node)[node.name]
+    ]
+    assert unused == []

@@ -453,6 +453,17 @@ class TestWorkspace:
         for i in range(2):
             assert results[i] == [serial[i]] * 6
 
+    def test_each_call_returns_its_own_array(self):
+        # The result is not a workspace buffer: a second call on the same
+        # thread returns another array and leaves the first result as it was.
+        grid = make_grid(16)
+        calls = [[_gather(f.coeff, grid) for f in random_pair(grid, seed)] for seed in (33, 34)]
+        first = _convective(*calls[0], grid)
+        kept = first.tobytes()
+        second = _convective(*calls[1], grid)
+        assert not np.shares_memory(first, second)
+        assert first.tobytes() == kept != second.tobytes()
+
     def test_k64_buffers_hold_no_column_stack(self):
         # The kx pass fills one channel at a time: no (12, 2c+1, c+1, K)
         # stack of every channel's columns sits beside the other buffers,

@@ -41,11 +41,27 @@ def forced_run(K=8, T=0.1, seed=70):
 
 class TestTimeseries:
     def test_empty_trajectory_header_only(self, tmp_path):
+        # No run samples nothing, so a file with no data rows is not a trajectory.
         empty = Trajectory(*(np.zeros(0),) * 8)
         path = tmp_path / "empty.csv"
         write_timeseries(empty, path)
         assert path.read_text() == TIMESERIES_HEADER + "\n"
-        assert len(read_timeseries(path)) == 0
+        for text in (TIMESERIES_HEADER, TIMESERIES_HEADER + "\n\n  \n"):
+            path.write_text(text)
+            with pytest.raises(ValueError, match="^time series file has no data rows$"):
+                read_timeseries(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "1e400"])
+    @pytest.mark.parametrize("column", [0, 3, 7])
+    def test_non_finite_value_reports_line_and_column(self, tmp_path, bad, column):
+        path = tmp_path / "bad.csv"
+        row = ["0.5"] * 8
+        row[column] = bad
+        path.write_text("\n".join([TIMESERIES_HEADER, "0.0" + ",0" * 7, ",".join(row)]) + "\n")
+        name, value = TIMESERIES_HEADER.split(",")[column], float(bad)
+        with pytest.raises(ValueError) as exc:
+            read_timeseries(path)
+        assert str(exc.value) == f"line 3: column {name} is not finite ({value!r})"
 
     def test_round_trip_exact(self, tmp_path):
         traj = forced_run(T=1.0)
@@ -172,8 +188,11 @@ class TestSnapshot:
         state, params = self.make_state(grid8)
         # Component 1 of modes (3, 0, 1) and (-2, 1, 0): the first in the
         # in-memory (kx, ky, kz) index order is named (kx = -2 sits at 6).
+        # A read w is a new field, so the bad one is given to a new state.
+        w = state.w
         for i1, i2, k3 in ((3, 0, 1), (-2 % 8, 1, 0)):
-            state.w.coeff[1, i1, i2, k3] = bad
+            w.coeff[1, i1, i2, k3] = bad
+        state = dataclasses.replace(state, w=w)
         path = tmp_path / "s.snap"
         write_snapshot(state, params, path)
         with pytest.raises(ValueError) as exc:
@@ -270,7 +289,7 @@ class TestRetainedBoxRead:
         grid = make_grid(K, rule)
         params, blob = self.write(tmp_path / "s.snap", grid, np.random.default_rng(K))
         back = read_snapshot(tmp_path / "s.snap", grid=grid, params=params)
-        assert "w" not in vars(back)  # built on first read
+        assert "w" not in vars(back)  # built on each read
         assert back.w.coeff.tobytes() == full_layout_read(blob, grid)[0].tobytes()
 
     @pytest.mark.parametrize("rule", ["two_thirds", "none"])
