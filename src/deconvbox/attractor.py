@@ -293,8 +293,9 @@ def ensemble_absorb_probe(
     worker count and never changes results. A blown-up member is recorded
     with its failure time and fails the probe.
     """
-    if ensemble_size < 1:
-        raise ValueError("ensemble_size must be at least 1")
+    whole = isinstance(ensemble_size, (int, np.integer)) and not isinstance(ensemble_size, bool)
+    if not whole or ensemble_size < 1:
+        raise ValueError(f"ensemble_size must be an integer >= 1, got {ensemble_size!r}")
     if not 0.0 <= template.epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and nonnegative, got {template.epsilon!r}")
     workers = _worker_count()

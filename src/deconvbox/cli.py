@@ -118,7 +118,7 @@ def _cmd_deconv_table(args) -> int:
     else:
         K = 3 * math.ceil(math.sqrt(args.k2max)) + 2
         K += K % 2
-    grid = make_grid(K, "two_thirds")
+    grid = make_grid(K)
     try:
         table = SymbolTable.build(grid, args.delta, args.N)
     except RuntimeError as err:

@@ -17,7 +17,6 @@ import numpy as np
 
 from .deconv import MAX_DECONV_ORDER, FilterParams
 from .spectral import (
-    DEALIAS_RULES,
     SpectralVectorField,
     WaveGrid,
     _gather,
@@ -57,7 +56,6 @@ class SolverConfig:
     nu: float
     delta: float
     order: int
-    dealias: str = "two_thirds"
     dt: float = 0.01
     T: float = 1.0
     sample_every: int = 1
@@ -115,7 +113,6 @@ class _Key(NamedTuple):
 # order is format_config's.
 _TOP_KEYS = (
     _Key("K", "K", _INT, required=True),
-    _Key("dealias", "dealias", _STR),
     _Key("nu", "nu", _FLOAT, required=True),
     _Key("delta", "delta", _FLOAT, required=True),
     _Key("N", "order", _INT, required=True),
@@ -201,26 +198,38 @@ def _read_field_spec(raw: dict[str, str], prefix: str, errors: list[str]) -> Fie
     for key in _KIND_KEYS[kind]:
         if key.required and prefix + key.name not in raw:
             errors.append(f"{prefix}{key.name}: required for {prefix} = {kind}")
-    if "target_norm" in values and values["target_norm"] <= 0.0:
-        errors.append(f"{prefix}_target_norm: must be positive")
-    if "cutoff" in values and values["cutoff"] <= 0.0:
-        errors.append(f"{prefix}_cutoff: must be positive")
-    if "seed" in values and values["seed"] < 0:
-        errors.append(f"{prefix}_seed: must be nonnegative, got {values['seed']}")
+    errors += _field_spec_errors(values, prefix + "_")
     return FieldSpec(kind=kind, **values)
 
 
+def _field_spec_errors(v: dict, prefix: str) -> list[str]:
+    """parse_config's problems with the numbers among FieldSpec fields v, named with `prefix`;
+    a non-finite one (only a built FieldSpec holds one) is worded as its text would be."""
+    nums = {k: v[k] for k in ("target_norm", "cutoff", "exponent") if v.get(k) is not None}
+    errors = [f"{prefix}{k}: expected {_FLOAT.expected}, got {x!r}"
+              for k, x in nums.items() if not math.isfinite(x)]
+    errors += [f"{prefix}{k}: must be positive" for k, x in nums.items()
+               if k != "exponent" and -math.inf < x <= 0.0]
+    if v.get("seed", 0) < 0:
+        errors.append(f"{prefix}seed: must be nonnegative, got {v['seed']}")
+    return errors
+
+
 def _stepping_errors(v: dict) -> list[str]:
-    """parse_config's problems with dt, T and sample_every among the fields of v. A non-finite
-    dt or T, which only a directly built SolverConfig holds, is worded as its text would be."""
+    """parse_config's problems with dt, T and sample_every among the fields of v. A non-finite dt
+    or T or a bool or non-integer sample_every (only a built SolverConfig holds one) is worded
+    as its text would be."""
     errors = [f"{k}: expected {_FLOAT.expected}, got {v[k]!r}"
               for k in ("dt", "T") if k in v and not math.isfinite(v[k])]
     if "dt" in v and v["dt"] <= 0.0:
         errors.append(f"dt: must be positive, got {v['dt']}")
     if "T" in v and v["T"] < 0.0:
         errors.append(f"T: must be nonnegative, got {v['T']}")
-    if "sample_every" in v and v["sample_every"] < 1:
-        errors.append(f"sample_every: must be at least 1, got {v['sample_every']}")
+    every = v.get("sample_every", 1)
+    if isinstance(every, bool) or not isinstance(every, (int, np.integer)):
+        errors.append(f"sample_every: expected {_INT.expected}, got {every!r}")
+    elif every < 1:
+        errors.append(f"sample_every: must be at least 1, got {every}")
     return errors
 
 
@@ -242,8 +251,6 @@ def parse_config(text: str) -> SolverConfig:
             errors.append(f"K: must be at least 4, got {v['K']}")
         elif v["K"] % 2 != 0:
             errors.append(f"K: must be even, got {v['K']}")
-    if "dealias" in v and v["dealias"] not in DEALIAS_RULES:
-        errors.append(f"dealias: must be {' or '.join(DEALIAS_RULES)}, got {v['dealias']!r}")
     if "nu" in v and v["nu"] <= 0.0:
         errors.append(f"nu: must be positive, got {v['nu']}")
     if "delta" in v and v["delta"] <= 0.0:
@@ -312,8 +319,10 @@ def generate_ic(
 
     Serves both initial conditions and steady forcings. Deterministic for a
     fixed seed. `filters` is ignored; it is kept for callers that still
-    pass one (bench/workloads.py).
+    pass one (bench/workloads.py). A spec parse_config could not read raises ConfigError.
     """
+    if problems := _field_spec_errors(vars(spec), ""):
+        raise ConfigError(problems)
     if spec.kind == "zero":
         return SpectralVectorField.zeros(grid)
     if spec.kind == "single_mode":

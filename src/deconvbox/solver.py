@@ -83,7 +83,7 @@ class ModelParams:
         object.__setattr__(self, "nu", nu)
         grid = self.grid if forcing is None else forcing.grid
         if grid is None:
-            raise ValueError("an unforced model needs a grid: pass grid=make_grid(K, rule)")
+            raise ValueError("an unforced model needs a grid: pass grid=make_grid(K)")
         if self.grid is not None:
             _require_same_grid(grid, self.grid, "the forcing and the grid argument")
         hn_r = hn_symbol(grid.ret_ksq, self.filters.delta, self.filters.order)
@@ -127,9 +127,9 @@ def _first_mode(flags: np.ndarray, grid: WaveGrid) -> list:
     return [(int(grid.kx[i1, 0, 0]), int(grid.ky[0, i2, 0]), int(k3)) for i1, i2, k3 in first]
 
 
-def _require_fits(w: SpectralVectorField, what: str, model: ModelParams | None = None, hint=""):
-    """Reject a field with a non-finite coefficient or with content (-0.0 is none, `hint` follows)
-    on a mode the dealias mask drops, naming the first such mode, or off the model's grid."""
+def _require_fits(w: SpectralVectorField, what: str, model: ModelParams | None = None):
+    """Reject a field with a non-finite coefficient or with content (-0.0 is none) on a mode
+    the dealias mask drops, naming the first such mode, or off the model's grid."""
     for mode in _first_mode(~np.isfinite(w.coeff).all(axis=0), w.grid):
         raise ValueError(f"{what} has a non-finite coefficient at mode {mode}")
     if model is not None:
@@ -137,7 +137,7 @@ def _require_fits(w: SpectralVectorField, what: str, model: ModelParams | None =
         _require_same_grid(w.grid, model.grid, f"the field and the {source}")
     for mode in _first_mode(w.coeff.any(axis=0) & ~w.grid.mask, w.grid):
         raise ValueError(f"{what} has content on mode {mode}, which the dealias cut "
-                         f"|k_i| <= {w.grid.cut} drops{hint}")
+                         f"|k_i| <= {w.grid.cut} drops")
 
 
 def _model_fields(model: ModelParams) -> dict:
@@ -156,7 +156,7 @@ def _require_same_model(what: str, have: dict, want: dict, have_at: str, want_at
 
 def build_model(config: SolverConfig) -> ModelParams:
     """The model (grid, viscosity, filters, steady forcing) of a config."""
-    grid = make_grid(config.K, config.dealias)
+    grid = make_grid(config.K)
     forcing = None if config.forcing.kind == "zero" else generate_ic(config.forcing, grid)
     return ModelParams(config.nu, FilterParams(config.delta, config.order), forcing, grid)
 
@@ -388,9 +388,9 @@ def _require_model(config: SolverConfig, model: ModelParams) -> None:
     """Reject a model that is not the one `config` describes."""
     _require_same_model(
         "initial state was made under a different model",
-        dict(K=model.grid.K, dealias=model.grid.dealias_rule, **_model_fields(model)),
-        dict(K=config.K, dealias=config.dealias, nu=config.nu, delta=config.delta,
-             N=config.order, forced=config.forcing.kind != "zero"),
+        dict(K=model.grid.K, **_model_fields(model)),
+        dict(K=config.K, nu=config.nu, delta=config.delta, N=config.order,
+             forced=config.forcing.kind != "zero"),
         "in the state",
         "configured",
     )

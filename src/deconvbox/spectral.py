@@ -29,8 +29,6 @@ from functools import lru_cache
 
 import numpy as np
 
-DEALIAS_RULES = ("two_thirds", "none")
-
 # The convective term walks each round's physical stack in blocks of x-planes
 # whose 4 real channels fill about this many bytes, so each block's last
 # inverse pass, scaling and contraction run on data still in cache.
@@ -43,27 +41,23 @@ SobolevIndex = float
 class WaveGrid:
     """Truncated integer wavenumber lattice for the 2*pi-periodic box.
 
-    make_grid builds one per (K, dealias rule); its arrays are read-only and
-    shared by all threads. The complex tables give the bytes of numpy's cast
+    make_grid builds one per K; its arrays are read-only and shared by all
+    threads. The complex tables give the bytes of numpy's cast
     in a complex multiply or divide without its per-call buffers.
 
     Attributes
     ----------
     K : int
         Collocation points per axis (even, >= 4).
-    dealias_rule : str
-        'two_thirds' keeps |k_i| <= (K-1)//3; 'none' keeps everything
-        except the Nyquist planes.
     cut : int
-        Largest retained |k_i| per axis: (K-1)//3 under 'two_thirds',
-        K//2 - 1 under 'none'.
+        Largest retained |k_i| per axis under the 2/3 rule: (K-1)//3.
     kx, ky, kz : ndarray
         Signed integer wavenumbers, shaped for broadcasting against the
         spectral layout (K,1,1), (1,K,1), (1,1,K//2+1).
     ksq : ndarray
         |k|^2 per stored mode, shape (K, K, K//2+1).
     mask : ndarray of bool
-        True where the mode is retained by the dealias rule.
+        True where the mode is retained by the 2/3 rule.
     mult : ndarray
         Lattice multiplicity of each stored mode (2 for interior k3
         columns that stand for a conjugate pair, else 1).
@@ -77,7 +71,6 @@ class WaveGrid:
     """
 
     K: int
-    dealias_rule: str
     cut: int
     kx: np.ndarray
     ky: np.ndarray
@@ -126,16 +119,16 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def make_grid(K: int, dealias_rule: str = "two_thirds") -> WaveGrid:
+def make_grid(K: int) -> WaveGrid:
     """Build the wavenumber lattice and dealias mask for resolution K.
 
     The lattice covers |k_i| <= K/2 - 1 (Nyquist planes are dropped so the
-    lattice is closed under negation). Under the 2/3 rule the mask keeps
+    lattice is closed under negation). The 2/3 rule's mask keeps
     |k_i| <= (K-1)//3 in every axis: the largest cut c with 3c < K, so a
     product of two retained modes (|k_i| <= 2c) aliases to k_i -+ K, which
-    lies beyond c. That makes pseudo-spectral quadratic products
-    Galerkin-equivalent. (K//3 equals it unless 3 divides K, where it
-    would let products alias onto the retained modes.)
+    lies beyond c. So quadratic products are Galerkin-equivalent and b(u, w, w)
+    = 0, the energy balance's cancellation, holds to round-off. (K//3 equals c
+    unless 3 divides K, where it would let products alias onto the retained modes.)
     """
     if not isinstance(K, (int, np.integer)):
         raise ValueError(f"K must be an integer, got {K!r}")
@@ -143,22 +136,18 @@ def make_grid(K: int, dealias_rule: str = "two_thirds") -> WaveGrid:
         raise ValueError(f"K must be at least 4, got {K}")
     if K % 2 != 0:
         raise ValueError(f"K must be even, got {K}")
-    if dealias_rule not in DEALIAS_RULES:
-        raise ValueError(
-            f"dealias_rule must be one of {DEALIAS_RULES}, got {dealias_rule!r}"
-        )
-    return _grid(int(K), dealias_rule)
+    return _grid(int(K))
 
 
 @lru_cache(maxsize=8)
-def _grid(K: int, dealias_rule: str) -> WaveGrid:
+def _grid(K: int) -> WaveGrid:
     half = K // 2 + 1
     k_line = _wavenumbers(K)
     kx = k_line.reshape(K, 1, 1)
     ky = k_line.reshape(1, K, 1)
     kz = np.arange(half, dtype=np.int64).reshape(1, 1, half)
     ksq = (kx**2 + ky**2 + kz**2).astype(np.float64)  # exact: small integers
-    cut = (K - 1) // 3 if dealias_rule == "two_thirds" else K // 2 - 1
+    cut = (K - 1) // 3
     mask = (np.abs(kx) <= cut) & (np.abs(ky) <= cut) & (np.abs(kz) <= cut)
 
     mult = np.ones((K, K, half), dtype=np.float64)
@@ -172,7 +161,6 @@ def _grid(K: int, dealias_rule: str) -> WaveGrid:
 
     grid = WaveGrid(
         K=K,
-        dealias_rule=dealias_rule,
         cut=cut,
         kx=kx,
         ky=ky,
@@ -288,12 +276,9 @@ class SpectralVectorField:
 
 
 def _require_same_grid(a: WaveGrid, b: WaveGrid, what: str = "fields") -> None:
-    """Reject grids of differing K or dealias rule, naming both; O(1) on one grid."""
-    if a is not b and (a.K, a.dealias_rule) != (b.K, b.dealias_rule):
-        raise ValueError(
-            f"{what} live on different grids: K = {a.K} ({a.dealias_rule}) "
-            f"and K = {b.K} ({b.dealias_rule})"
-        )
+    """Reject grids of differing K, naming both; O(1) on one grid."""
+    if a is not b and a.K != b.K:
+        raise ValueError(f"{what} live on different grids: K = {a.K} and K = {b.K}")
 
 
 # -- norms and inner products --------------------------------------------------
@@ -410,7 +395,7 @@ def smallest_eigenvalue(grid: WaveGrid) -> float:
 
 
 class _Workspace:
-    """One thread's buffers for the convective term at one (K, cut).
+    """One thread's buffers for the convective term at one K.
 
     `line` holds one channel's retained (ky, kz) columns at a time, with
     a zero middle kx range, and is transformed in place. by_ky, by_kz and
@@ -421,7 +406,7 @@ class _Workspace:
 
     def __init__(self, grid: WaveGrid) -> None:
         K, cut = grid.K, grid.cut
-        self.key = (K, cut)
+        self.K = K
         self.planes = min(K, max(1, _BLOCK_BYTES // (4 * K * K * 8)))
         self.line = np.empty((2 * cut + 1, cut + 1, K), dtype=np.complex128)
         self.by_ky = np.zeros((4, K, cut + 1, K), dtype=np.complex128)
@@ -437,9 +422,9 @@ _local = threading.local()
 
 
 def _workspace(grid: WaveGrid) -> _Workspace:
-    """This thread's workspace for grid, rebuilt when K or the cut changes."""
+    """This thread's workspace for grid, rebuilt when K changes."""
     ws = getattr(_local, "workspace", None)
-    if ws is None or ws.key != (grid.K, grid.cut):
+    if ws is None or ws.K != grid.K:
         ws = _local.workspace = _Workspace(grid)
     return ws
 
@@ -532,7 +517,6 @@ def nonlinear_term(u: SpectralVectorField, w: SpectralVectorField) -> SpectralVe
 
 
 __all__ = [
-    "DEALIAS_RULES",
     "SobolevIndex",
     "WaveGrid",
     "SpectralVectorField",

@@ -137,8 +137,8 @@ def read_snapshot(
 ) -> SolverState:
     """Read a snapshot back into a SolverState.
 
-    The grid is `grid`, else the grid of `params`, else a two-thirds grid at
-    the stored K; it must match the stored resolution (rejected with both K
+    The grid is `grid`, else the grid of `params`, else the grid at the
+    stored K; it must match the stored resolution (rejected with both K
     values otherwise). Given `params`, the stored nu, delta and N must equal
     its values exactly (each differing field is rejected with both values)
     and its grid the given one; without them the stored values build an
@@ -167,9 +167,7 @@ def read_snapshot(
         problem = "truncated" if len(blob) < expected else "over-long"
         raise ValueError(f"snapshot payload is {problem} ({len(blob)} bytes, expected "
                          f"{expected}) for header field K = {K}")
-    hint = "" if grid is not None else (
-        f"; no grid given, so the two-thirds rule was assumed: pass grid=make_grid({K}, \"none\")")
-    grid = grid if grid is not None else make_grid(K, "two_thirds")
+    grid = grid if grid is not None else make_grid(K)
     if params is None:
         params = ModelParams(meta.nu, FilterParams(meta.delta, meta.order), grid=grid)
     payload = blob.view("<c16").reshape(grid.spectral_shape + (3,))
@@ -182,7 +180,7 @@ def read_snapshot(
         return _retained_state(meta.t, w_r.astype(np.complex128, copy=False), params)
     coeff = np.moveaxis(np.fft.ifftshift(payload, axes=(0, 1)), -1, 0)
     w = SpectralVectorField(grid, np.ascontiguousarray(coeff, dtype=np.complex128))
-    _require_fits(w, "snapshot payload", params, hint)
+    _require_fits(w, "snapshot payload", params)
     return SolverState(t=meta.t, w=w, model=params)
 
 

@@ -27,7 +27,6 @@ from .solver import (
     ModelParams, SolverState, _TrajectoryBuilder, make_state, simulate_with_state, step
 )
 from .spectral import (
-    DEALIAS_RULES,
     SpectralVectorField,
     inner_product,
     leray_project,
@@ -299,58 +298,46 @@ def operator_checks(K: int = 16, seed: int = 0) -> list[CheckResult]:
     # differing float64 words. Drawn last, so the data above is unchanged.
     shape = (3,) + grid.spectral_shape
     raw = SpectralVectorField(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    record(
-        "leray projection equals its closed form",
-        _differing_words(leray_project(raw).coeff, _leray_reference(raw)),
-        0,
-    )
+    record("leray projection equals its closed form",
+           _differing_words(leray_project(raw).coeff, _leray_reference(raw)), 0)
     filters = FilterParams(delta, order)
-    record(
-        "FilterParams.apply equals the closed-form truncation",
-        _differing_words(filters.apply(raw).coeff, truncation_hn(raw, delta, order).coeff),
-        0,
-    )
+    record("FilterParams.apply equals the closed-form truncation",
+           _differing_words(filters.apply(raw).coeff, truncation_hn(raw, delta, order).coeff), 0)
     # The generator, the convective term, pruned inverse included, and one
-    # step against their closed forms (through numpy's irfftn), under both
-    # dealias rules (under 'none' only the Nyquist planes are masked).
-    # Unmasked input exercises the mask, and steady shears the sign of zero sums.
-    shears = ({(1, 0, 0): (0, 1, 1)}, {(0, 1, 0): (1, 0, -1)}, {(0, 0, 1): (0.5, -2, 0)})
+    # step against their closed forms (through numpy's irfftn). Unmasked
+    # input exercises the mask, and steady shears the sign of zero sums.
     spec = FieldSpec(kind="random_spectrum", seed=seed, exponent=3.0, cutoff=K / 4.0)
-    generated = simulated = read = 0
-    for rule in DEALIAS_RULES:
-        g = make_grid(K, rule)
-        want = np.where(g.mask, _random_spectrum_reference(spec, g).coeff, 0.0)
-        generated += _differing_words(generate_ic(spec, g).coeff, want)
-        label = "" if rule == "two_thirds" else f" (dealias {rule})"
-        shape = (3,) + g.spectral_shape
-        p, q = (
-            SpectralVectorField(g, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-            for _ in range(2)
-        )
-        words = 0
-        for a, b in [(p, q)] + [(SpectralVectorField.from_modes(g, m),) * 2 for m in shears]:
-            words += _differing_words(nonlinear_term(a, b).coeff, _nonlinear_reference(a, b))
-        record("convective term equals its closed form" + label, words, 0)
-        forcing = leray_project(_random_raw(g, rng))
-        model = ModelParams(nu=0.3, filters=filters, forcing=forcing)
-        start = make_state(0.0, leray_project(_random_raw(g, rng)), model)
-        got = step(start, 0.01)
-        want_w, want_hn_w = _step_reference(start, forcing, 0.01)
-        words = _differing_words(got.w.coeff, want_w) + _differing_words(got.hn_w.coeff, want_hn_w)
-        record("one step equals the closed-form stepper" + label, words, 0)
-        # The step's snapshot read back, against its payload unshifted into the full layout.
-        with tempfile.NamedTemporaryFile(suffix=".snap") as snap:
-            write_snapshot(got, model, snap.name)
-            payload = np.fromfile(snap.name, "<c16", offset=_HEADER_STRUCT.size)
-            want = np.fft.ifftshift(payload.reshape(g.spectral_shape + (3,)), axes=(0, 1))
-            back = read_snapshot(snap.name, grid=g, params=model).w.coeff
-            read += _differing_words(back, np.moveaxis(want, -1, 0))
-        # A short run from a generated field (CFL number below 1), sampled at steps 0, 2, 3.
-        start = make_state(0.0, generate_ic(spec, g), model)
-        config = SolverConfig(K, 0.3, delta, order, rule, T=0.03, sample_every=2, forcing=spec)
-        runs = (simulate_with_state(config, start), _simulate_reference(config, start, forcing))
-        got, want = ([*traj.columns().values(), final.w.coeff] for traj, final in runs)
-        simulated += sum(map(_differing_words, got, want))
+    want = np.where(grid.mask, _random_spectrum_reference(spec, grid).coeff, 0.0)
+    generated = _differing_words(generate_ic(spec, grid).coeff, want)
+    p, q = (
+        SpectralVectorField(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        for _ in range(2)
+    )
+    shears = ({(1, 0, 0): (0, 1, 1)}, {(0, 1, 0): (1, 0, -1)}, {(0, 0, 1): (0.5, -2, 0)})
+    words = 0
+    for a, b in [(p, q)] + [(SpectralVectorField.from_modes(grid, m),) * 2 for m in shears]:
+        words += _differing_words(nonlinear_term(a, b).coeff, _nonlinear_reference(a, b))
+    record("convective term equals its closed form", words, 0)
+    forcing = leray_project(_random_raw(grid, rng))
+    model = ModelParams(nu=0.3, filters=filters, forcing=forcing)
+    start = make_state(0.0, leray_project(_random_raw(grid, rng)), model)
+    got = step(start, 0.01)
+    want_w, want_hn_w = _step_reference(start, forcing, 0.01)
+    words = _differing_words(got.w.coeff, want_w) + _differing_words(got.hn_w.coeff, want_hn_w)
+    record("one step equals the closed-form stepper", words, 0)
+    # The step's snapshot read back, against its payload unshifted into the full layout.
+    with tempfile.NamedTemporaryFile(suffix=".snap") as snap:
+        write_snapshot(got, model, snap.name)
+        payload = np.fromfile(snap.name, "<c16", offset=_HEADER_STRUCT.size)
+        want = np.fft.ifftshift(payload.reshape(grid.spectral_shape + (3,)), axes=(0, 1))
+        back = read_snapshot(snap.name, grid=grid, params=model).w.coeff
+        read = _differing_words(back, np.moveaxis(want, -1, 0))
+    # A short run from a generated field (CFL number below 1), sampled at steps 0, 2, 3.
+    start = make_state(0.0, generate_ic(spec, grid), model)
+    config = SolverConfig(K, 0.3, delta, order, T=0.03, sample_every=2, forcing=spec)
+    runs = (simulate_with_state(config, start), _simulate_reference(config, start, forcing))
+    got, want = ([*traj.columns().values(), final.w.coeff] for traj, final in runs)
+    simulated = sum(map(_differing_words, got, want))
     record("short simulate equals its full-layout reference", simulated, 0)
     record("random_spectrum field equals its full-layout closed form", generated, 0)
     record("snapshot read through the retained box equals the full-layout read", read, 0)

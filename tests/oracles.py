@@ -18,16 +18,12 @@ def random_div_free(grid, seed, target=1.0):
     )
 
 
-def masked_shear(rule, value):
-    """A divergence-free shear on a grid of `rule` holding `value` on component 1 of one
-    mode the dealias mask drops, and the pattern naming that mode and the cut."""
-    K, index, named = {
-        "two_thirds": (16, (7, 0, 0), r"\(7, 0, 0\), which the dealias cut \|k_i\| <= 5 drops$"),
-        "none": (8, (1, 0, 4), r"\(1, 0, 4\), which the dealias cut \|k_i\| <= 3 drops$"),
-    }[rule]
-    field = SpectralVectorField.from_modes(make_grid(K, rule), {(1, 0, 0): (0.0, 1.0, 0.0)})
-    field.coeff[(1,) + index] = value
-    return field, named
+def masked_shear(value):
+    """A divergence-free shear at K=16 holding `value` on component 1 of mode (7, 0, 0),
+    which the dealias mask drops, and the pattern naming that mode and the cut."""
+    field = SpectralVectorField.from_modes(make_grid(16), {(1, 0, 0): (0.0, 1.0, 0.0)})
+    field.coeff[1, 7, 0, 0] = value
+    return field, r"\(7, 0, 0\), which the dealias cut \|k_i\| <= 5 drops$"
 
 
 def full_layout_read(blob, grid):

@@ -235,6 +235,13 @@ class TestEnsembleProbe:
         with pytest.raises(ValueError, match="epsilon must be finite and nonnegative"):
             ensemble_absorb_probe(R=0.1, rho0_prime=0.5, ensemble_size=1, template=template)
 
+    @pytest.mark.parametrize("size", [2.5, 2.0, True, "2", 0, -1])
+    def test_ensemble_size_not_a_positive_integer_rejected(self, size):
+        template = SolverConfig(K=8, nu=1.0, delta=0.5, order=1)
+        with pytest.raises(ValueError) as exc:
+            ensemble_absorb_probe(R=0.1, rho0_prime=0.5, ensemble_size=size, template=template)
+        assert str(exc.value) == f"ensemble_size must be an integer >= 1, got {size!r}"
+
     @pytest.mark.parametrize("name", ["rho0_prime", "R"])
     def test_infinite_radius_rejected_by_name(self, name):
         template = SolverConfig(K=8, nu=1.0, delta=0.5, order=1)

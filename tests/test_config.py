@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import re
 from pathlib import Path
 
@@ -14,10 +16,10 @@ from deconvbox import (
     format_config,
     make_grid,
     parse_config,
+    simulate,
     sobolev_norm,
 )
 from deconvbox.config import FIELD_KINDS, _FIELD_PREFIXES, _KIND_KEYS, _TOP_KEYS
-from deconvbox.spectral import DEALIAS_RULES
 from deconvbox.verify import _random_spectrum_reference
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -42,7 +44,6 @@ class TestParseConfig:
         assert cfg.sample_every == 1
         assert cfg.ic.kind == "zero"
         assert cfg.forcing.kind == "zero"
-        assert cfg.dealias == "two_thirds"
         assert not cfg.auto_project_ic
 
     def test_comments_and_sections_ignored(self):
@@ -59,10 +60,12 @@ class TestParseConfig:
             parse_config(MINIMAL.replace("K = 16", "K = 15"))
         assert any("even" in e for e in exc.value.errors)
 
-    def test_unknown_dealias_rule_rejected(self):
+    @pytest.mark.parametrize("rule", ["two_thirds", "none"])
+    def test_dealias_is_an_unknown_key(self, rule):
+        # The 2/3 rule is the only one; naming any rule is an error.
         with pytest.raises(ConfigError) as exc:
-            parse_config(MINIMAL + "dealias = three_halves\n")
-        assert exc.value.errors == ["dealias: must be two_thirds or none, got 'three_halves'"]
+            parse_config(MINIMAL + f"dealias = {rule}\n")
+        assert exc.value.errors == ["dealias: unknown key"]
 
     def test_all_errors_collected(self):
         text = "K = 15\nnu = -1\ndelta = 0\nN = 99\nwhatever = 3\n"
@@ -97,13 +100,12 @@ class TestParseConfig:
         assert any("ic_amplitude" in e for e in exc.value.errors)
 
     def test_full_round_trip_through_format(self):
-        # Every field kind for ic and forcing, both dealias rules and both
-        # auto_project_ic values.
+        # Every field kind for ic and forcing and both auto_project_ic values.
         extras = [
             "dt = 0.005\nT = 0.75\nsample_every = 3\nepsilon = 0.1\n"
             "ic = random_spectrum\nic_seed = 9\nic_target_norm = 2.5\n"
             "forcing = single_mode\nforcing_k = 1,0,0\nforcing_amplitude = 0,0.25,0\n",
-            "dealias = none\nauto_project_ic = true\n"
+            "auto_project_ic = true\n"
             "ic = single_mode\nic_k = 0,-2,1\nic_amplitude = 1.5,0,0\n"
             "forcing = random_spectrum\nforcing_seed = 4\nforcing_exponent = 2.5\n"
             "forcing_cutoff = 3.25\nforcing_target_norm = 0.125\n",
@@ -194,10 +196,20 @@ class TestReadme:
     def test_config_section_names_exactly_the_schema_keys(self):
         text = README.read_text(encoding="utf-8")
         section = text.split("### Config file format", 1)[1].split("\n### ", 1)[0]
-        rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
-        keys = {name for cell, _ in rows for name in re.findall(r"`(\w+)`", cell)}
+        rows = [line.split("|")[1:4] for line in section.splitlines() if line.startswith("| `")]
+        keys = {name for cell, _, _ in rows for name in re.findall(r"`(\w+)`", cell)}
         assert keys == {key.name for key in _TOP_KEYS}.union(_FIELD_PREFIXES)
-        kinds = [re.findall(r"`(\w+)`", meaning) for cell, meaning in rows if "`ic`" in cell]
+        # The default column: `required`, or the defaults as format_config writes them.
+        defaults = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
+        written = {
+            key.name: "required" if key.required else f"`{key.type.render(defaults[key.field])}`"
+            for key in _TOP_KEYS
+        }
+        written |= dict.fromkeys(_FIELD_PREFIXES, f"`{FieldSpec.kind}`")
+        for cell, _, default in rows:
+            want = dict.fromkeys(written[name] for name in re.findall(r"`(\w+)`", cell))
+            assert default.strip() == ", ".join(want), cell
+        kinds = [re.findall(r"`(\w+)`", meaning) for cell, meaning, _ in rows if "`ic`" in cell]
         assert kinds == [list(FIELD_KINDS)]
         per_kind = section.split("Per-kind keys", 1)[1].split("\n\n", 1)[0]
         suffixes = set(re.findall(r"`\*(_\w+)", per_kind))
@@ -250,6 +262,36 @@ class TestGenerateIC:
         c = generate_ic(parsed, grid)
         assert a.coeff.tobytes() == b.coeff.tobytes() == c.coeff.tobytes()
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(target_norm=-1.0), "target_norm: must be positive"),
+            (dict(target_norm=math.nan), "target_norm: expected a finite number, got nan"),
+            (dict(cutoff=math.nan), "cutoff: expected a finite number, got nan"),
+            (dict(exponent=math.nan), "exponent: expected a finite number, got nan"),
+            (dict(cutoff=-math.inf), "cutoff: expected a finite number, got -inf"),
+            (dict(cutoff=0.0), "cutoff: must be positive"),
+            (dict(seed=-2), "seed: must be nonnegative, got -2"),
+        ],
+    )
+    def test_hand_built_spec_rejected_as_its_text_would_be(self, grid16, fields, message):
+        # A sign-flipped or all-NaN field is never returned, and no run starts from one.
+        spec = FieldSpec(kind="random_spectrum", **fields)
+        with pytest.raises(ConfigError) as exc:
+            generate_ic(spec, grid16)
+        assert str(exc.value) == message
+        for key in ("ic", "forcing"):
+            cfg = SolverConfig(K=16, nu=1.0, delta=0.5, order=2, T=0.0, **{key: spec})
+            with pytest.raises(ConfigError) as exc:
+                simulate(cfg)
+            assert str(exc.value) == message
+        ((name, value),) = fields.items()
+        with pytest.raises(ConfigError) as exc:
+            parse_config(MINIMAL + f"ic = random_spectrum\nic_{name} = {value}\n")
+        # Text that does not parse is quoted.
+        quoted = message.replace(f"got {value}", f"got {str(value)!r}")
+        assert exc.value.errors == ["ic_" + (quoted if ": expected " in message else message)]
+
     def test_filters_argument_accepted(self, grid16):
         w = generate_ic(
             FieldSpec(kind="random_spectrum", seed=7), grid16, FilterParams(0.5, 1)
@@ -257,16 +299,15 @@ class TestGenerateIC:
         assert sobolev_norm(w, 0.0) > 0.0
 
     @pytest.mark.parametrize("K", [8, 12, 16, 18, 32])
-    @pytest.mark.parametrize("rule", DEALIAS_RULES)
     @pytest.mark.parametrize(
         "seed, exponent, cutoff, target",
         [(0, 4.0, None, 1.0), (9, 2.0, 3.0, 2.5), (10, 0.5, 1.5, 0.3), (11, 6.0, 40.0, 1.0)],
     )
-    def test_random_equals_the_full_layout_reference(self, K, rule, seed, exponent, cutoff, target):
+    def test_random_equals_the_full_layout_reference(self, K, seed, exponent, cutoff, target):
         # The generator works on the retained modes only; every retained
         # word and the norm's bytes equal the full-layout closed form's, and
         # the masked modes hold +0.0 where the reference has signed zeros.
-        grid = make_grid(K, rule)
+        grid = make_grid(K)
         spec = FieldSpec(
             kind="random_spectrum", seed=seed, exponent=exponent, cutoff=cutoff,
             target_norm=target,

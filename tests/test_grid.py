@@ -13,23 +13,13 @@ def exact_lattice(K):
 
 def test_two_thirds_mask_small_grid():
     # K=4: the 2/3 rule keeps exactly |k_i| <= 1
-    grid = make_grid(4, "two_thirds")
+    grid = make_grid(4)
     kept = np.argwhere(grid.mask)
     k_line = (np.fft.fftfreq(4) * 4).astype(int)
     for i1, i2, i3 in kept:
         assert max(abs(k_line[i1]), abs(k_line[i2]), i3) <= 1
     # and drops everything else
     assert grid.mask.sum() == 3 * 3 * 2  # k1,k2 in {-1,0,1}, k3 in {0,1}
-
-
-def test_none_rule_keeps_everything_below_nyquist():
-    grid = make_grid(8, "none")
-    k_line = (np.fft.fftfreq(8) * 8).astype(int)
-    for i1 in range(8):
-        for i2 in range(8):
-            for i3 in range(5):
-                inside = max(abs(k_line[i1]), abs(k_line[i2]), i3) <= 3
-                assert grid.mask[i1, i2, i3] == inside
 
 
 def test_lattice_closed_under_negation():
@@ -77,11 +67,6 @@ def test_rejects_odd_or_too_small(bad):
         make_grid(bad)
 
 
-def test_rejects_unknown_rule():
-    with pytest.raises(ValueError, match="dealias_rule"):
-        make_grid(8, "three_halves")
-
-
 def test_multiplicity_weights():
     grid = make_grid(8)
     assert np.all(grid.mult[:, :, 0] == 1.0)
@@ -91,7 +76,6 @@ def test_multiplicity_weights():
 
 def test_smallest_eigenvalue_is_one(grid16):
     assert smallest_eigenvalue(grid16) == 1.0
-    assert smallest_eigenvalue(make_grid(8, "none")) == 1.0
 
 
 def test_smallest_eigenvalue_degenerate_grid(grid8):
@@ -100,13 +84,12 @@ def test_smallest_eigenvalue_degenerate_grid(grid8):
         smallest_eigenvalue(starved)
 
 
-@pytest.mark.parametrize("rule", ["two_thirds", "none"])
 @pytest.mark.parametrize("K", [4, 6, 8, 12, 18, 32])
-def test_retained_index_follows_the_pruned_inverse_columns(K, rule):
+def test_retained_index_follows_the_pruned_inverse_columns(K):
     # ret_flat lists each retained mode once, the mean first, laid out as
     # the pruned inverse's columns: (ky, kz, kx) with ky and kx over
     # 0..cut, K-cut..K-1 and kz over 0..cut.
-    grid = make_grid(K, rule)
+    grid = make_grid(K)
     c = grid.cut
     assert grid.ret_flat.size == grid.mask.sum()
     assert np.unique(grid.ret_flat).size == grid.ret_flat.size

@@ -22,7 +22,6 @@ from deconvbox import (
     trilinear_b,
 )
 from deconvbox.spectral import (
-    DEALIAS_RULES,
     _convective,
     _gather,
     _mode_energy,
@@ -120,11 +119,10 @@ class TestLerayProjection:
         rhs = inner_product(a, leray_project(b))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
-    @pytest.mark.parametrize("rule", DEALIAS_RULES)
-    def test_from_physical_writes_positive_zeros_on_masked_modes(self, rule):
+    def test_from_physical_writes_positive_zeros_on_masked_modes(self):
         # The mask used to be applied as a multiply, which leaves -0.0 on
         # masked modes whose transform is negative.
-        grid = make_grid(12, rule)
+        grid = make_grid(12)
         values = np.random.default_rng(6).standard_normal((3,) + grid.shape)
         coeff = SpectralVectorField.from_physical(grid, values).coeff
         masked = coeff[:, ~grid.mask]
@@ -187,24 +185,19 @@ class TestTrilinearForm:
         want = trilinear_collocation(u, v, w, points=8)
         assert got == pytest.approx(want, rel=1e-10)
 
-    @pytest.mark.parametrize(
-        "K, rule, points", [(6, "two_thirds", 24), (6, "none", 6), (8, "none", 8)]
-    )
-    def test_matches_collocation_oracle(self, K, rule, points):
-        # 3 divides K = 6, where the 2/3 cut is (K-1)//3. Without dealiasing
-        # the form is the aliased K-point quadrature, so the oracle sums on
-        # those points; under the 2/3 rule any finer quadrature is exact.
-        grid = make_grid(K, rule)
+    def test_matches_collocation_oracle(self):
+        # 3 divides K = 6, where the 2/3 cut is (K-1)//3; any quadrature
+        # finer than K points is exact under the 2/3 rule.
+        grid = make_grid(6)
         u, v, w = (random_div_free(grid, seed=s) for s in (13, 14, 15))
-        want = trilinear_collocation(u, v, w, points=points)
+        want = trilinear_collocation(u, v, w, points=24)
         assert trilinear_b(u, v, w) == pytest.approx(want, rel=1e-10)
 
-    @pytest.mark.parametrize("rule", DEALIAS_RULES)
     @pytest.mark.parametrize("K", [16, 32])
-    def test_pairs_the_steppers_convective_term(self, K, rule):
+    def test_pairs_the_steppers_convective_term(self, K):
         # Leray is self-adjoint and w divergence-free, so b(u, v, w) is the
         # pairing of nonlinear_term(u, v) with w.
-        grid = make_grid(K, rule)
+        grid = make_grid(K)
         u, v, w = (random_div_free(grid, seed=s) for s in (40, 41, 42))
         want = inner_product(nonlinear_term(u, v), w)
         assert trilinear_b(u, v, w) == pytest.approx(want, rel=1e-12)
@@ -246,15 +239,6 @@ class TestNonlinearTerm:
         assert np.all(out.coeff[:, 0, 0, 0] == 0.0)
         assert hermitian_defect(out) <= 1e-15 * max(np.abs(out.coeff).max(), 1e-300)
 
-    def test_output_invariants_without_dealiasing(self):
-        grid = make_grid(16, "none")
-        u = random_div_free(grid, seed=23)
-        w = random_div_free(grid, seed=24)
-        out = nonlinear_term(u, w)
-        assert sobolev_norm(out, 0.0) > 0.0
-        assert divergence_error(out) <= 1e-13
-        assert np.all(out.coeff[:, 0, 0, 0] == 0.0)
-        assert hermitian_defect(out) <= 1e-15 * max(np.abs(out.coeff).max(), 1e-300)
 
 
 def random_pair(grid, seed):
@@ -267,31 +251,28 @@ def random_pair(grid, seed):
 
 
 class TestDealiasedInverse:
-    @pytest.mark.parametrize("rule", DEALIAS_RULES)
     @pytest.mark.parametrize("K", [4, 6, 8, 12, 14, 16, 18, 32, 48])
     @settings(max_examples=4, deadline=None, phases=NO_SHRINK)
     @given(seed=st.integers(0, 2**32 - 1))
-    def test_bytes_equal_numpy_irfftn(self, K, rule, seed):
-        grid = make_grid(K, rule)
+    def test_bytes_equal_numpy_irfftn(self, K, seed):
+        grid = make_grid(K)
         u, v = random_pair(grid, seed)
         assert nonlinear_term(u, v).coeff.tobytes() == _nonlinear_reference(u, v).tobytes()
 
-    # One example per rule: the reference irfftn of the full 12-channel stack
+    # One example: the reference irfftn of the full 12-channel stack
     # is the slow part at K=64.
-    @pytest.mark.parametrize("rule", DEALIAS_RULES)
     @settings(max_examples=1, deadline=None, phases=NO_SHRINK)
     @given(seed=st.integers(0, 2**32 - 1))
-    def test_bytes_equal_numpy_irfftn_at_k64(self, rule, seed):
-        grid = make_grid(64, rule)
+    def test_bytes_equal_numpy_irfftn_at_k64(self, seed):
+        grid = make_grid(64)
         u, v = random_pair(grid, seed)
         assert nonlinear_term(u, v).coeff.tobytes() == _nonlinear_reference(u, v).tobytes()
 
-    @pytest.mark.parametrize("rule", DEALIAS_RULES)
     @pytest.mark.parametrize("K", [16, 32])
-    def test_steady_shears_equal_the_reference_in_every_word(self, K, rule):
+    def test_steady_shears_equal_the_reference_in_every_word(self, K):
         # Their products are -0.0 at some points; the reference masks by
         # selection, so the sign of every zero word must agree too.
-        grid = make_grid(K, rule)
+        grid = make_grid(K)
         shears = {(1, 0, 0): (0, 1, 1), (2, 0, 0): (0, 1, 0), (0, 1, 0): (1, 0, -1)}
         shears |= {(0, 0, 1): (0.5, -2, 0), (0, 2, 0): (-1, 0, 3)}
         for k, amp in shears.items():
@@ -336,23 +317,21 @@ class TestGridSymmetries:
     # so both must commute with the discrete convective term and with a step
     # under the transformed forcing; a layout slip in the pruned transforms
     # (a swapped half, a wrong-signed derivative factor) breaks one of them.
-    @pytest.mark.parametrize("rule", DEALIAS_RULES)
     @pytest.mark.parametrize("K", [12, 16, 18])
     @settings(max_examples=3, deadline=None, phases=NO_SHRINK)
     @given(seed=st.integers(0, 2**16), n=st.tuples(*[st.integers(0, 17)] * 3))
-    def test_nonlinear_term_commutes(self, K, rule, seed, n):
-        grid = make_grid(K, rule)
+    def test_nonlinear_term_commutes(self, K, seed, n):
+        grid = make_grid(K)
         u, w = random_div_free(grid, seed), random_div_free(grid, seed + 1)
         for transform in (lambda f: shifted(f, n), swapped):
             got = nonlinear_term(transform(u), transform(w)).coeff
             assert_close(got, transform(nonlinear_term(u, w)).coeff)
 
-    @pytest.mark.parametrize("rule", DEALIAS_RULES)
     @pytest.mark.parametrize("K", [12, 16, 18])
     @settings(max_examples=3, deadline=None, phases=NO_SHRINK)
     @given(seed=st.integers(0, 2**16), n=st.tuples(*[st.integers(0, 17)] * 3))
-    def test_step_commutes_under_the_transformed_forcing(self, K, rule, seed, n):
-        grid = make_grid(K, rule)
+    def test_step_commutes_under_the_transformed_forcing(self, K, seed, n):
+        grid = make_grid(K)
         forcing, w = random_div_free(grid, seed, 0.5), random_div_free(grid, seed + 1)
 
         def stepped(f, w0):
@@ -388,10 +367,9 @@ class TestReflections:
     # forcing) commute with each mirror, and the norms are unchanged by it.
     # A lattice slip that is not odd in k (a wrong entry of ret_k or ret_ik)
     # breaks this, though it keeps shifts and the x <-> y swap.
-    @pytest.mark.parametrize("rule", DEALIAS_RULES)
     @pytest.mark.parametrize("K", [12, 16, 18])
-    def test_operators_commute_with_each_mirror_and_norms_keep(self, K, rule):
-        grid = make_grid(K, rule)
+    def test_operators_commute_with_each_mirror_and_norms_keep(self, K):
+        grid = make_grid(K)
         rng = np.random.default_rng(K)
         raw = SpectralVectorField.from_physical(grid, rng.standard_normal((3,) + grid.shape))
         u, w = random_div_free(grid, K), random_div_free(grid, K + 1)
@@ -407,10 +385,9 @@ class TestReflections:
             got = nonlinear_term(mirror(u), mirror(w)).coeff
             assert_close(got, mirror(nonlinear_term(u, w)).coeff)
 
-    @pytest.mark.parametrize("rule", DEALIAS_RULES)
     @pytest.mark.parametrize("K", [12, 16, 18])
-    def test_step_commutes_under_the_mirrored_forcing(self, K, rule):
-        grid = make_grid(K, rule)
+    def test_step_commutes_under_the_mirrored_forcing(self, K):
+        grid = make_grid(K)
         forcing, w = random_div_free(grid, K, 0.5), random_div_free(grid, K + 1)
 
         def stepped(f, w0):
@@ -479,8 +456,8 @@ class TestWorkspace:
         assert sum(a.nbytes for a in arrays) <= 23_597_856
 
     def test_grid_switches_rebuild_the_workspace(self):
-        for K, rule in [(16, "two_thirds"), (16, "none"), (32, "two_thirds"), (16, "two_thirds")]:
-            grid = make_grid(K, rule)
+        for K in [16, 32, 16]:
+            grid = make_grid(K)
             u, v = random_pair(grid, K)
             assert nonlinear_term(u, v).coeff.tobytes() == _nonlinear_reference(u, v).tobytes()
 

@@ -106,12 +106,11 @@ class TestSnapshot:
         assert np.array_equal(back.w.coeff, state.w.coeff)
         assert back.t == state.t
 
-    @pytest.mark.parametrize("rule", ["two_thirds", "none"])
     @pytest.mark.parametrize("K", [8, 12, 16])
-    def test_payload_is_the_fftshifted_component_last_spectrum(self, tmp_path, K, rule):
+    def test_payload_is_the_fftshifted_component_last_spectrum(self, tmp_path, K):
         # Distinct content on every stored mode, masked ones included, so a
         # misplaced quadrant or component shows.
-        grid = make_grid(K, rule)
+        grid = make_grid(K)
         n = 3 * K * K * (K // 2 + 1)
         coeff = (np.arange(n) + 1j * np.arange(n, 2 * n)).reshape((3,) + grid.spectral_shape)
         w = SpectralVectorField(grid, coeff)
@@ -208,19 +207,18 @@ class TestSnapshot:
         assert "8" in str(exc.value) and "16" in str(exc.value)
 
     def test_grid_comes_from_the_argument_else_the_model(self, tmp_path):
-        grid = make_grid(8, "none")
-        u = SpectralVectorField.from_modes(grid, {(0, 0, 3): (1.0, 0.0, 0.0)})
+        grid = make_grid(8)
+        u = SpectralVectorField.from_modes(grid, {(0, 0, 2): (1.0, 0.0, 0.0)})
         params = ModelParams(nu=0.7, filters=FilterParams(0.5, 2), grid=grid)
         path = tmp_path / "s.snap"
         write_snapshot(SolverState(0.25, u, params), params, path)
         back = read_snapshot(path, params=params)
         assert back.model is params and back.w.grid is grid
-        other = ModelParams(nu=0.7, filters=FilterParams(0.5, 2), grid=make_grid(8))
+        other = ModelParams(nu=0.7, filters=FilterParams(0.5, 2), grid=make_grid(16))
         with pytest.raises(ValueError) as exc:
             read_snapshot(path, grid=grid, params=other)
         assert str(exc.value) == (
-            "the requested grid and the model live on different grids: "
-            "K = 8 (none) and K = 8 (two_thirds)"
+            "the requested grid and the model live on different grids: K = 8 and K = 16"
         )
         assert read_snapshot(path, grid=grid).model.grid is grid
 
@@ -252,15 +250,14 @@ class TestSnapshot:
         back = read_snapshot(path, grid=grid, params=params)
         assert back.w.coeff.tobytes() == coeff.tobytes()
 
-    @pytest.mark.parametrize("rule", ["two_thirds", "none"])
-    def test_masked_content_rejected(self, tmp_path, rule):
-        u, named = masked_shear(rule, 1.0)
+    def test_masked_content_rejected(self, tmp_path):
+        u, named = masked_shear(1.0)
         params = ModelParams(nu=0.7, filters=FilterParams(0.5, 2), grid=u.grid)
         path = tmp_path / "s.snap"
         write_snapshot(SolverState(0.25, u, params), params, path)
         with pytest.raises(ValueError, match="^snapshot payload has content on mode " + named):
             read_snapshot(path, grid=u.grid, params=params)
-        zero = masked_shear(rule, -0.0)[0]  # -0.0 is no content
+        zero = masked_shear(-0.0)[0]  # -0.0 is no content
         write_snapshot(SolverState(0.25, zero, params), params, path)
         back = read_snapshot(path, grid=zero.grid, params=params)
         assert back.w.coeff.tobytes() == zero.coeff.tobytes()
@@ -283,20 +280,16 @@ class TestRetainedBoxRead:
         write_snapshot(SolverState(0.25, SpectralVectorField(grid, coeff), params), params, path)
         return params, path.read_bytes()[_HEADER_STRUCT.size :]
 
-    @pytest.mark.parametrize("rule", ["two_thirds", "none"])
     @pytest.mark.parametrize("K", KS)
-    def test_box_read_equals_the_full_layout_read(self, tmp_path, K, rule):
-        grid = make_grid(K, rule)
+    def test_box_read_equals_the_full_layout_read(self, tmp_path, K):
+        grid = make_grid(K)
         params, blob = self.write(tmp_path / "s.snap", grid, np.random.default_rng(K))
         back = read_snapshot(tmp_path / "s.snap", grid=grid, params=params)
         assert "w" not in vars(back)  # built on each read
         assert back.w.coeff.tobytes() == full_layout_read(blob, grid)[0].tobytes()
 
-    @pytest.mark.parametrize("rule", ["two_thirds", "none"])
-    def test_snapshot_of_a_from_physical_field_reads_through_the_box(
-        self, tmp_path, monkeypatch, rule
-    ):
-        grid = make_grid(12, rule)
+    def test_snapshot_of_a_from_physical_field_reads_through_the_box(self, tmp_path, monkeypatch):
+        grid = make_grid(12)
         values = np.random.default_rng(7).standard_normal((3,) + grid.shape)
         w = SpectralVectorField.from_physical(grid, values)
         params = ModelParams(nu=0.7, filters=FilterParams(0.5, 2), grid=grid)
@@ -311,11 +304,10 @@ class TestRetainedBoxRead:
     @pytest.mark.parametrize(
         "case", ["-0.0 outside", "nan inside", "nan outside", "content outside", "both"]
     )
-    @pytest.mark.parametrize("rule", ["two_thirds", "none"])
     @pytest.mark.parametrize("K", KS)
-    def test_fallback_keeps_messages_and_bytes(self, tmp_path, K, rule, case):
-        # Outside the box under both rules: k3 = K/2, and kx = -K/2 (index K/2).
-        grid, h = make_grid(K, rule), K // 2
+    def test_fallback_keeps_messages_and_bytes(self, tmp_path, K, case):
+        # Outside the box: k3 = K/2, and kx = -K/2 (index K/2).
+        grid, h = make_grid(K), K // 2
         inside, outside, nyquist_x = (1, 1, K - 1, 1), (2, 1, 2, h), (0, h, 1, 0)
         edits = {
             "-0.0 outside": [(outside, complex(-0.0, -0.0)), (nyquist_x, complex(0.0, -0.0))],
@@ -367,20 +359,20 @@ class TestRetainedBoxRead:
             )
         assert built == []
 
-    def test_none_snapshot_read_without_a_grid_names_the_assumed_rule(self, tmp_path):
-        grid = make_grid(8, "none")
-        u = SpectralVectorField.from_modes(grid, {(0, 0, 3): (1.0, 0.0, 0.0)})
-        params = ModelParams(nu=0.7, filters=FilterParams(0.5, 2), grid=grid)
+    def test_content_beyond_the_two_thirds_box_rejected_naming_the_mode(self, tmp_path, grid8):
+        # What an aliased run, kept to the Nyquist planes only, would have written.
+        u = SpectralVectorField.from_modes(grid8, {(0, 0, 2): (1.0, 0.0, 0.0)})
+        u.coeff[0, 0, 0, 3] = 1.0
+        params = ModelParams(nu=0.7, filters=FilterParams(0.5, 2), grid=grid8)
         path = tmp_path / "s.snap"
         write_snapshot(SolverState(0.25, u, params), params, path)
-        with pytest.raises(ValueError) as exc:
-            read_snapshot(path)
-        assert str(exc.value) == (
-            "snapshot payload has content on mode (0, 0, 3), which the dealias cut "
-            "|k_i| <= 2 drops; no grid given, so the two-thirds rule was assumed: "
-            'pass grid=make_grid(8, "none")'
-        )
-        assert read_snapshot(path, grid=grid).w.coeff.tobytes() == u.coeff.tobytes()
+        for kwargs in ({}, {"grid": grid8}, {"params": params}):
+            with pytest.raises(ValueError) as exc:
+                read_snapshot(path, **kwargs)
+            assert str(exc.value) == (
+                "snapshot payload has content on mode (0, 0, 3), which the dealias cut "
+                "|k_i| <= 2 drops"
+            )
 
 
 class TestResume:

@@ -33,7 +33,6 @@ from deconvbox.config import FieldSpec, _random_raw
 from deconvbox.deconv import truncation_hn
 from deconvbox.solver import _squared_norms, _work_rate
 from deconvbox.spectral import (
-    DEALIAS_RULES,
     SpectralVectorField,
     _gather,
     _grid,
@@ -83,42 +82,40 @@ def assert_norms_match(w):
         ).tobytes()
 
 
-@pytest.mark.parametrize("rule", DEALIAS_RULES)
 @pytest.mark.parametrize("K", KS)
 class TestBytesEqualClosedForms:
     @settings(max_examples=3, deadline=None)
     @given(seed=SEEDS)
-    def test_leray_project(self, K, rule, seed):
-        raw = unmasked_field(make_grid(K, rule), np.random.default_rng(seed))
+    def test_leray_project(self, K, seed):
+        raw = unmasked_field(make_grid(K), np.random.default_rng(seed))
         assert leray_project(raw).coeff.tobytes() == _leray_reference(raw).tobytes()
 
     @settings(max_examples=3, deadline=None)
     @given(seed=SEEDS)
-    def test_filter_apply(self, K, rule, seed):
-        raw = unmasked_field(make_grid(K, rule), np.random.default_rng(seed))
+    def test_filter_apply(self, K, seed):
+        raw = unmasked_field(make_grid(K), np.random.default_rng(seed))
         filters = FilterParams(0.7, 3)
         assert filters.apply(raw).coeff.tobytes() == truncation_hn(raw, 0.7, 3).coeff.tobytes()
 
     @settings(max_examples=3, deadline=None)
     @given(seed=SEEDS)
-    def test_norms(self, K, rule, seed):
-        assert_norms_match(unmasked_field(make_grid(K, rule), np.random.default_rng(seed)))
+    def test_norms(self, K, seed):
+        assert_norms_match(unmasked_field(make_grid(K), np.random.default_rng(seed)))
 
     @settings(max_examples=3, deadline=None)
     @given(seed=SEEDS)
-    def test_step(self, K, rule, seed):
-        forcing, state, dt = forced_start(make_grid(K, rule), np.random.default_rng(seed))
+    def test_step(self, K, seed):
+        forcing, state, dt = forced_start(make_grid(K), np.random.default_rng(seed))
         assert_step_matches(state, forcing, dt)
 
 
 @pytest.mark.parametrize("masked_content", [False, True])
-@pytest.mark.parametrize("rule", DEALIAS_RULES)
 @pytest.mark.parametrize("K", (8, 12, 18))
-def test_five_steps_equal_the_iterated_reference(K, rule, masked_content):
+def test_five_steps_equal_the_iterated_reference(K, masked_content):
     # The stepper runs on the retained modes only; every word of w and
     # H_N w stays the closed-form stepper's, which holds +0.0 on masked
     # modes. A state with content there is rejected, not stepped.
-    grid = make_grid(K, rule)
+    grid = make_grid(K)
     rng = np.random.default_rng(K)
     forcing, state, dt = forced_start(grid, rng)
     model = state.model
@@ -140,18 +137,17 @@ def test_five_steps_equal_the_iterated_reference(K, rule, masked_content):
 
 
 @pytest.mark.parametrize("sample_every", [1, 3])
-@pytest.mark.parametrize("rule", DEALIAS_RULES)
 @pytest.mark.parametrize("K", (8, 12, 18))
-def test_simulate_equals_the_full_layout_reference(K, rule, sample_every, monkeypatch):
+def test_simulate_equals_the_full_layout_reference(K, sample_every, monkeypatch):
     # A run steps retained coefficients only: every time-series column is the
     # full-layout reference loop's bytes, and the final w holds its retained
     # words and +0.0 on the masked modes, where the start may hold -0.0.
     # A run gathers once (the start's w) and builds no field per step.
-    grid = make_grid(K, rule)
+    grid = make_grid(K)
     forcing, start, dt = forced_start(grid, np.random.default_rng(K))
     start = make_state(0.0, start.w * 0.02, start.model)  # CFL number below 1
     config = SolverConfig(
-        K=K, nu=0.3, delta=0.7, order=3, dealias=rule, dt=dt, sample_every=sample_every,
+        K=K, nu=0.3, delta=0.7, order=3, dt=dt, sample_every=sample_every,
         forcing=FieldSpec(kind="random_spectrum"),
     )
     gathers, fields = [], []
@@ -177,12 +173,11 @@ def test_simulate_equals_the_full_layout_reference(K, rule, sample_every, monkey
     assert final.t == want_final.t
 
 
-@pytest.mark.parametrize("rule", DEALIAS_RULES)
 @pytest.mark.parametrize("K", (8, 12, 18, 64))
-def test_work_rate_equals_the_full_layout_pairing(K, rule):
+def test_work_rate_equals_the_full_layout_pairing(K):
     # The work rate pairs only the retained modes of H_N f and w; its bytes
     # are inner_product's, for w with -0.0 on the masked modes and for w = 0.
-    grid = make_grid(K, rule)
+    grid = make_grid(K)
     rng = np.random.default_rng(K)
     forcing, start, _ = forced_start(grid, rng)
     model = start.model
@@ -193,10 +188,9 @@ def test_work_rate_equals_the_full_layout_pairing(K, rule):
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
-@pytest.mark.parametrize("rule", DEALIAS_RULES)
 @pytest.mark.parametrize("K", (8, 14, 32))
-def test_model_forcing_equals_the_gathered_full_layout_truncation(K, rule):
-    grid = make_grid(K, rule)
+def test_model_forcing_equals_the_gathered_full_layout_truncation(K):
+    grid = make_grid(K)
     forcing, start, _ = forced_start(grid, np.random.default_rng(K))
     want = _gather(start.model.filters.apply(forcing).coeff, grid)
     assert start.model.hn_forcing_r.tobytes() == want.tobytes()
@@ -221,14 +215,13 @@ def test_interleaved_models_use_their_own_tables():
     rng = np.random.default_rng(11)
     base = dict(nu=0.3, dt=0.01, delta=0.7, order=3)
     variants = [
-        ("two_thirds", base),
-        ("two_thirds", {**base, "nu": 0.5}),
-        ("two_thirds", {**base, "dt": 0.02}),
-        ("two_thirds", {**base, "delta": 0.4}),
-        ("two_thirds", {**base, "order": 1}),
-        ("none", base),
+        base,
+        {**base, "nu": 0.5},
+        {**base, "dt": 0.02},
+        {**base, "delta": 0.4},
+        {**base, "order": 1},
     ]
-    cases = [forced_start(make_grid(K, rule), rng, **keys) for rule, keys in variants]
+    cases = [forced_start(make_grid(K), rng, **keys) for keys in variants]
     for _ in range(2):
         for forcing, state, dt in cases:
             assert_step_matches(state, forcing, dt)
@@ -251,24 +244,20 @@ def test_interleaved_models_use_their_own_tables():
 def test_cached_tables_are_read_only(tables):
     # The grid's tables are shared by every run and thread at their key, and
     # a model's H_N symbol by every thread that steps under the model.
-    for rule in DEALIAS_RULES:
-        for table in tables(make_grid(8, rule)):
-            with pytest.raises(ValueError):
-                table[...] = 0
+    for table in tables(make_grid(8)):
+        with pytest.raises(ValueError):
+            table[...] = 0
 
 
 def test_make_grid_returns_one_object_per_key():
     K = 16
     grid = make_grid(K)
-    assert make_grid(K, "two_thirds") is grid
-    assert make_grid(np.int64(K), "two_thirds") is grid
-    assert make_grid(K, dealias_rule="two_thirds") is grid
-    other = make_grid(K, "none")
-    assert other is not grid and make_grid(K, "none") is other
+    assert make_grid(np.int64(K)) is grid
+    other = make_grid(8)
+    assert other is not grid and make_grid(8) is other
 
 
-@pytest.mark.parametrize("rule", DEALIAS_RULES)
-def test_a_run_builds_one_grid(rule):
+def test_a_run_builds_one_grid():
     # Every table of a run reads the run's own grid: a table cache that
     # built its lattice through make_grid under another key would add one.
     config = SolverConfig(
@@ -276,7 +265,6 @@ def test_a_run_builds_one_grid(rule):
         nu=0.3,
         delta=0.7,
         order=3,
-        dealias=rule,
         forcing=FieldSpec(kind="random_spectrum", seed=3, target_norm=0.5),
     )
     _grid.cache_clear()
