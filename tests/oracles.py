@@ -18,12 +18,14 @@ def random_div_free(grid, seed, target=1.0):
     )
 
 
-def masked_shear(value):
-    """A divergence-free shear at K=16 holding `value` on component 1 of mode (7, 0, 0),
-    which the dealias mask drops, and the pattern naming that mode and the cut."""
-    field = SpectralVectorField.from_modes(make_grid(16), {(1, 0, 0): (0.0, 1.0, 0.0)})
-    field.coeff[1, 7, 0, 0] = value
-    return field, r"\(7, 0, 0\), which the dealias cut \|k_i\| <= 5 drops$"
+def masked_shear(value, K=16):
+    """A divergence-free shear on the K grid holding `value` on component 1 of mode
+    (K/2 - 1, 0, 0), which the dealias mask drops, and the pattern naming that mode and
+    the cut."""
+    grid = make_grid(K)
+    field = SpectralVectorField.from_modes(grid, {(1, 0, 0): (0.0, 1.0, 0.0)})
+    field.coeff[1, K // 2 - 1, 0, 0] = value
+    return field, rf"\({K // 2 - 1}, 0, 0\), which the dealias cut \|k_i\| <= {grid.cut} drops$"
 
 
 def full_layout_read(blob, grid):

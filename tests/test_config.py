@@ -298,7 +298,7 @@ class TestGenerateIC:
         )
         assert sobolev_norm(w, 0.0) > 0.0
 
-    @pytest.mark.parametrize("K", [8, 12, 16, 18, 32])
+    @pytest.mark.parametrize("K", [6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 32])
     @pytest.mark.parametrize(
         "seed, exponent, cutoff, target",
         [(0, 4.0, None, 1.0), (9, 2.0, 3.0, 2.5), (10, 0.5, 1.5, 0.3), (11, 6.0, 40.0, 1.0)],

@@ -22,6 +22,18 @@ def test_two_thirds_mask_small_grid():
     assert grid.mask.sum() == 3 * 3 * 2  # k1,k2 in {-1,0,1}, k3 in {0,1}
 
 
+@pytest.mark.parametrize("K", [6, 8, 12, 14])
+def test_two_thirds_mask_keeps_exactly_the_cut_box(K):
+    # Every stored mode below the Nyquist planes is kept iff max |k_i| <= cut.
+    grid = make_grid(K)
+    k_line = np.array(exact_lattice(K))
+    for i1 in range(K):
+        for i2 in range(K):
+            for i3 in range(K // 2 + 1):
+                inside = max(abs(k_line[i1]), abs(k_line[i2]), i3) <= grid.cut
+                assert grid.mask[i1, i2, i3] == inside
+
+
 def test_lattice_closed_under_negation():
     grid = make_grid(8)
     k_line = (np.fft.fftfreq(8) * 8).astype(int)
@@ -46,7 +58,10 @@ def test_lattice_is_exact_integers():
         assert grid.kz.ravel().tolist() == list(range(K // 2 + 1))
 
 
-@pytest.mark.parametrize("K, cut", [(4, 1), (6, 1), (12, 3), (14, 4), (18, 5), (32, 10), (64, 21)])
+@pytest.mark.parametrize(
+    "K, cut",
+    [(4, 1), (6, 1), (8, 2), (10, 3), (12, 3), (14, 4), (16, 5), (18, 5), (20, 6), (32, 10), (64, 21)],
+)
 def test_two_thirds_cut_is_alias_free(K, cut):
     # The largest cut with 3 * cut < K: a product of retained modes reaches
     # 2 * cut and aliases to 2 * cut - K, which must fall outside the mask.
@@ -84,7 +99,7 @@ def test_smallest_eigenvalue_degenerate_grid(grid8):
         smallest_eigenvalue(starved)
 
 
-@pytest.mark.parametrize("K", [4, 6, 8, 12, 18, 32])
+@pytest.mark.parametrize("K", [4, 6, 8, 10, 12, 14, 16, 18, 20, 24, 32, 64])
 def test_retained_index_follows_the_pruned_inverse_columns(K):
     # ret_flat lists each retained mode once, the mean first, laid out as
     # the pruned inverse's columns: (ky, kz, kx) with ky and kx over

@@ -45,13 +45,21 @@ def params16(grid16):
 
 
 class TestModelParams:
-    def test_rejects_forcing_on_masked_modes(self, grid16):
-        # beyond the 2/3 cut 5, with its conjugate at (-7, 0, 0)
+    @pytest.mark.parametrize(
+        "index, amp, named",
+        [
+            # beyond the 2/3 cut 5 along each axis; on k3 = 0 with its conjugate
+            ([(7, 0, 0), (9, 0, 0)], (0.0, 1.0, 0.0), r"\(7, 0, 0\).*<= 5"),
+            ([(0, 10, 1)], (1.0, 0.0, 0.0), r"\(0, -6, 1\).*<= 5"),
+            ([(1, 0, 6)], (0.0, 1.0, 0.0), r"\(1, 0, 6\).*<= 5"),
+        ],
+    )
+    def test_rejects_forcing_on_masked_modes(self, grid16, index, amp, named):
         forcing = shear(grid16)
-        for i in [(7, 0, 0), (9, 0, 0)]:
-            forcing.coeff[(slice(None),) + i] = (0.0, 1.0, 0.0)
+        for i in index:
+            forcing.coeff[(slice(None),) + i] = amp
         assert divergence_error(forcing) == 0.0
-        with pytest.raises(ValueError, match=r"\(7, 0, 0\).*<= 5"):
+        with pytest.raises(ValueError, match=named):
             ModelParams(nu=1.0, filters=FilterParams(0.5, 1), forcing=forcing)
 
     @pytest.mark.parametrize("nu", [0.0, -1.0, math.inf, -math.inf, math.nan])
@@ -77,8 +85,9 @@ class TestModelParams:
         with pytest.raises(ValueError, match="^" + re.escape(named) + "$"):
             initial_state(random_div_free(grid16, seed=68), unforced)
 
-    def test_accepts_forcing_on_retained_modes(self):
-        grid = make_grid(8)
+    @pytest.mark.parametrize("K", [8, 12])
+    def test_accepts_forcing_on_retained_modes(self, K):
+        grid = make_grid(K)
         forcing = shear(grid)
         forcing.coeff *= grid.mask  # signed zeros on the masked modes are no content
         ModelParams(nu=1.0, filters=FilterParams(0.5, 1), forcing=forcing)
@@ -154,11 +163,12 @@ class TestInitialState:
             state = initial_state(u0, params)
             assert sobolev_norm(state.w, 0.0) <= sobolev_norm(u0, 0.0)
 
-    def test_rejects_a_field_off_the_forced_grid(self):
+    @pytest.mark.parametrize("K", [16, 12])
+    def test_rejects_a_field_off_the_forced_grid(self, K):
         forcing = random_div_free(make_grid(8), seed=62, target=0.3)
         model = ModelParams(nu=1.0, filters=FilterParams(0.5, 1), forcing=forcing)
-        u0 = random_div_free(make_grid(16), seed=63)
-        named = "the field and the forcing live on different grids: K = 16 and K = 8"
+        u0 = random_div_free(make_grid(K), seed=63)
+        named = f"the field and the forcing live on different grids: K = {K} and K = 8"
         with pytest.raises(ValueError, match="^" + re.escape(named) + "$"):
             initial_state(u0, model)
 
@@ -365,8 +375,9 @@ def run_bound(state):
 class TestCflCertificate:
     SINGLE = FieldSpec(kind="single_mode", mode=(1, -2, 1), amplitude=(2.0, 1.0, 0.0))
 
-    def test_bound_covers_the_grid_maximum(self):
-        grid = make_grid(12)
+    @pytest.mark.parametrize("K", [12, 18])
+    def test_bound_covers_the_grid_maximum(self, K):
+        grid = make_grid(K)
         rng = np.random.default_rng(70)
         shape = (3,) + grid.spectral_shape
         # Unmasked and not Hermitian on the k3 = 0 and Nyquist planes too.
@@ -423,21 +434,23 @@ class TestMaskedContent:
     # Each entry point that takes a caller's field rejects content on a mode
     # the dealias mask drops, naming the first such mode and the cut, since
     # a step keeps only the retained modes. -0.0 is no content.
-    def test_rejected_naming_the_mode_and_the_cut(self):
-        u, named = masked_shear(1.0)
+    @pytest.mark.parametrize("K", [8, 16])
+    def test_rejected_naming_the_mode_and_the_cut(self, K):
+        u, named = masked_shear(1.0, K)
         model = ModelParams(nu=1.0, filters=FilterParams(0.5, 1), grid=u.grid)
         with pytest.raises(ValueError, match="^initial condition has content on mode " + named):
             initial_state(u, model)
         field_named = "^the state's field has content on mode " + named
         with pytest.raises(ValueError, match=field_named):
             make_state(0.0, u, model)
-        state = initial_state(masked_shear(0.0)[0], model)
+        state = initial_state(masked_shear(0.0, K)[0], model)
         for given in (SolverState(0.0, u, model), dataclasses.replace(state, w=u)):
             with pytest.raises(ValueError, match=field_named):
                 step(given, 0.01)
 
-    def test_negative_zero_is_no_content(self):
-        u, _ = masked_shear(-0.0)
+    @pytest.mark.parametrize("K", [8, 16])
+    def test_negative_zero_is_no_content(self, K):
+        u, _ = masked_shear(-0.0, K)
         model = ModelParams(nu=1.0, filters=FilterParams(0.5, 1), grid=u.grid)
         for state in (initial_state(u, model), make_state(0.0, u, model)):
             w = step(state, 0.01).w.coeff

@@ -119,10 +119,11 @@ class TestLerayProjection:
         rhs = inner_product(a, leray_project(b))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
-    def test_from_physical_writes_positive_zeros_on_masked_modes(self):
+    @pytest.mark.parametrize("K", [12, 16])
+    def test_from_physical_writes_positive_zeros_on_masked_modes(self, K):
         # The mask used to be applied as a multiply, which leaves -0.0 on
         # masked modes whose transform is negative.
-        grid = make_grid(12)
+        grid = make_grid(K)
         values = np.random.default_rng(6).standard_normal((3,) + grid.shape)
         coeff = SpectralVectorField.from_physical(grid, values).coeff
         masked = coeff[:, ~grid.mask]
@@ -185,15 +186,17 @@ class TestTrilinearForm:
         want = trilinear_collocation(u, v, w, points=8)
         assert got == pytest.approx(want, rel=1e-10)
 
-    def test_matches_collocation_oracle(self):
-        # 3 divides K = 6, where the 2/3 cut is (K-1)//3; any quadrature
-        # finer than K points is exact under the 2/3 rule.
-        grid = make_grid(6)
+    @pytest.mark.parametrize("K, points", [(6, 24), (8, 12), (12, 16)])
+    def test_matches_collocation_oracle(self, K, points):
+        # 3 divides K = 6, where the 2/3 cut is (K-1)//3. A triple product
+        # of modes with |k_i| <= cut has |k_i| <= 3 cut, so any quadrature
+        # on more than 3 cut points is exact under the 2/3 rule.
+        grid = make_grid(K)
         u, v, w = (random_div_free(grid, seed=s) for s in (13, 14, 15))
-        want = trilinear_collocation(u, v, w, points=24)
+        want = trilinear_collocation(u, v, w, points=points)
         assert trilinear_b(u, v, w) == pytest.approx(want, rel=1e-10)
 
-    @pytest.mark.parametrize("K", [16, 32])
+    @pytest.mark.parametrize("K", [8, 12, 16, 32])
     def test_pairs_the_steppers_convective_term(self, K):
         # Leray is self-adjoint and w divergence-free, so b(u, v, w) is the
         # pairing of nonlinear_term(u, v) with w.
@@ -251,7 +254,11 @@ def random_pair(grid, seed):
 
 
 class TestDealiasedInverse:
-    @pytest.mark.parametrize("K", [4, 6, 8, 12, 14, 16, 18, 32, 48])
+    # Every residue of K mod 6, and K = 36 and 40, where the x-blocks of the
+    # convective term split the grid unevenly and evenly.
+    @pytest.mark.parametrize(
+        "K", [4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30, 32, 36, 40, 48]
+    )
     @settings(max_examples=4, deadline=None, phases=NO_SHRINK)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_bytes_equal_numpy_irfftn(self, K, seed):
@@ -268,7 +275,7 @@ class TestDealiasedInverse:
         u, v = random_pair(grid, seed)
         assert nonlinear_term(u, v).coeff.tobytes() == _nonlinear_reference(u, v).tobytes()
 
-    @pytest.mark.parametrize("K", [16, 32])
+    @pytest.mark.parametrize("K", [8, 12, 16, 18, 32])
     def test_steady_shears_equal_the_reference_in_every_word(self, K):
         # Their products are -0.0 at some points; the reference masks by
         # selection, so the sign of every zero word must agree too.
@@ -317,7 +324,7 @@ class TestGridSymmetries:
     # so both must commute with the discrete convective term and with a step
     # under the transformed forcing; a layout slip in the pruned transforms
     # (a swapped half, a wrong-signed derivative factor) breaks one of them.
-    @pytest.mark.parametrize("K", [12, 16, 18])
+    @pytest.mark.parametrize("K", [10, 12, 14, 16, 18, 20])
     @settings(max_examples=3, deadline=None, phases=NO_SHRINK)
     @given(seed=st.integers(0, 2**16), n=st.tuples(*[st.integers(0, 17)] * 3))
     def test_nonlinear_term_commutes(self, K, seed, n):
@@ -327,7 +334,7 @@ class TestGridSymmetries:
             got = nonlinear_term(transform(u), transform(w)).coeff
             assert_close(got, transform(nonlinear_term(u, w)).coeff)
 
-    @pytest.mark.parametrize("K", [12, 16, 18])
+    @pytest.mark.parametrize("K", [10, 12, 14, 16, 18, 20])
     @settings(max_examples=3, deadline=None, phases=NO_SHRINK)
     @given(seed=st.integers(0, 2**16), n=st.tuples(*[st.integers(0, 17)] * 3))
     def test_step_commutes_under_the_transformed_forcing(self, K, seed, n):
@@ -367,7 +374,7 @@ class TestReflections:
     # forcing) commute with each mirror, and the norms are unchanged by it.
     # A lattice slip that is not odd in k (a wrong entry of ret_k or ret_ik)
     # breaks this, though it keeps shifts and the x <-> y swap.
-    @pytest.mark.parametrize("K", [12, 16, 18])
+    @pytest.mark.parametrize("K", [10, 12, 14, 16, 18, 20])
     def test_operators_commute_with_each_mirror_and_norms_keep(self, K):
         grid = make_grid(K)
         rng = np.random.default_rng(K)
@@ -385,7 +392,7 @@ class TestReflections:
             got = nonlinear_term(mirror(u), mirror(w)).coeff
             assert_close(got, mirror(nonlinear_term(u, w)).coeff)
 
-    @pytest.mark.parametrize("K", [12, 16, 18])
+    @pytest.mark.parametrize("K", [10, 12, 14, 16, 18, 20])
     def test_step_commutes_under_the_mirrored_forcing(self, K):
         grid = make_grid(K)
         forcing, w = random_div_free(grid, K, 0.5), random_div_free(grid, K + 1)

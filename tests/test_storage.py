@@ -106,7 +106,7 @@ class TestSnapshot:
         assert np.array_equal(back.w.coeff, state.w.coeff)
         assert back.t == state.t
 
-    @pytest.mark.parametrize("K", [8, 12, 16])
+    @pytest.mark.parametrize("K", [8, 10, 12, 14, 16, 18])
     def test_payload_is_the_fftshifted_component_last_spectrum(self, tmp_path, K):
         # Distinct content on every stored mode, masked ones included, so a
         # misplaced quadrant or component shows.
@@ -250,14 +250,15 @@ class TestSnapshot:
         back = read_snapshot(path, grid=grid, params=params)
         assert back.w.coeff.tobytes() == coeff.tobytes()
 
-    def test_masked_content_rejected(self, tmp_path):
-        u, named = masked_shear(1.0)
+    @pytest.mark.parametrize("K", [8, 16])
+    def test_masked_content_rejected(self, tmp_path, K):
+        u, named = masked_shear(1.0, K)
         params = ModelParams(nu=0.7, filters=FilterParams(0.5, 2), grid=u.grid)
         path = tmp_path / "s.snap"
         write_snapshot(SolverState(0.25, u, params), params, path)
         with pytest.raises(ValueError, match="^snapshot payload has content on mode " + named):
             read_snapshot(path, grid=u.grid, params=params)
-        zero = masked_shear(-0.0)[0]  # -0.0 is no content
+        zero = masked_shear(-0.0, K)[0]  # -0.0 is no content
         write_snapshot(SolverState(0.25, zero, params), params, path)
         back = read_snapshot(path, grid=zero.grid, params=params)
         assert back.w.coeff.tobytes() == zero.coeff.tobytes()
@@ -268,7 +269,7 @@ class TestRetainedBoxRead:
     a state that holds only the box; any other payload is read and checked in the full
     layout, naming the first bad mode in the in-memory order."""
 
-    KS = (8, 12, 14, 18)
+    KS = (8, 10, 12, 14, 16, 18)
 
     def write(self, path, grid, rng, edits=()):
         # Distinct content on every retained mode, then `edits` (index, value) on top.
@@ -288,8 +289,11 @@ class TestRetainedBoxRead:
         assert "w" not in vars(back)  # built on each read
         assert back.w.coeff.tobytes() == full_layout_read(blob, grid)[0].tobytes()
 
-    def test_snapshot_of_a_from_physical_field_reads_through_the_box(self, tmp_path, monkeypatch):
-        grid = make_grid(12)
+    @pytest.mark.parametrize("K", [12, 16])
+    def test_snapshot_of_a_from_physical_field_reads_through_the_box(
+        self, tmp_path, monkeypatch, K
+    ):
+        grid = make_grid(K)
         values = np.random.default_rng(7).standard_normal((3,) + grid.shape)
         w = SpectralVectorField.from_physical(grid, values)
         params = ModelParams(nu=0.7, filters=FilterParams(0.5, 2), grid=grid)
@@ -302,15 +306,25 @@ class TestRetainedBoxRead:
         assert back.w.coeff.tobytes() == w.coeff.tobytes()
 
     @pytest.mark.parametrize(
-        "case", ["-0.0 outside", "nan inside", "nan outside", "content outside", "both"]
+        "case",
+        [
+            "-0.0 outside", "nan inside", "nan outside", "content outside", "both",
+            "-0.0 beyond the cut", "content beyond the cut",
+        ],
     )
     @pytest.mark.parametrize("K", KS)
     def test_fallback_keeps_messages_and_bytes(self, tmp_path, K, case):
-        # Outside the box: k3 = K/2, and kx = -K/2 (index K/2).
-        grid, h = make_grid(K), K // 2
+        # Outside the box: k3 = K/2, and kx = -K/2 (index K/2); below the
+        # Nyquist planes but beyond the cut: kx = cut + 1 and kx = -(cut + 1).
+        grid, h, c = make_grid(K), K // 2, make_grid(K).cut
         inside, outside, nyquist_x = (1, 1, K - 1, 1), (2, 1, 2, h), (0, h, 1, 0)
+        beyond, beyond_neg = (1, c + 1, 0, 1), (2, K - c - 1, 1, 0)
         edits = {
             "-0.0 outside": [(outside, complex(-0.0, -0.0)), (nyquist_x, complex(0.0, -0.0))],
+            "-0.0 beyond the cut": [
+                (outside, complex(-0.0, -0.0)), (beyond_neg, complex(-0.0, -0.0)),
+            ],
+            "content beyond the cut": [(beyond, 1e-300), (beyond_neg, -1.0)],
             "nan inside": [(inside, np.nan)],
             "nan outside": [(outside, complex(0.0, np.nan))],
             "content outside": [(nyquist_x, 1e-300)],
@@ -323,6 +337,7 @@ class TestRetainedBoxRead:
             back = read_snapshot(path, grid=grid, params=params)
             assert back.w.coeff.tobytes() == want.tobytes()
             assert np.signbit(back.w.coeff[outside].imag)
+            assert all(back.w.coeff[index].tobytes() == want[index].tobytes() for index, _ in edits)
         else:
             with pytest.raises(ValueError) as exc:
                 read_snapshot(path, grid=grid, params=params)

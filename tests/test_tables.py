@@ -45,7 +45,9 @@ from deconvbox.verify import (
     _step_reference,
 )
 
-KS = (4, 6, 8, 12, 14, 16, 32)
+# Every residue of K mod 6 at several sizes: the cut (K-1)//3 and the
+# retained box follow K mod 3.
+KS = (4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 32)
 SEEDS = st.integers(0, 2**32 - 1)
 
 
@@ -110,7 +112,7 @@ class TestBytesEqualClosedForms:
 
 
 @pytest.mark.parametrize("masked_content", [False, True])
-@pytest.mark.parametrize("K", (8, 12, 18))
+@pytest.mark.parametrize("K", (8, 10, 12, 14, 16, 18))
 def test_five_steps_equal_the_iterated_reference(K, masked_content):
     # The stepper runs on the retained modes only; every word of w and
     # H_N w stays the closed-form stepper's, which holds +0.0 on masked
@@ -137,7 +139,7 @@ def test_five_steps_equal_the_iterated_reference(K, masked_content):
 
 
 @pytest.mark.parametrize("sample_every", [1, 3])
-@pytest.mark.parametrize("K", (8, 12, 18))
+@pytest.mark.parametrize("K", (8, 10, 12, 14, 16, 18))
 def test_simulate_equals_the_full_layout_reference(K, sample_every, monkeypatch):
     # A run steps retained coefficients only: every time-series column is the
     # full-layout reference loop's bytes, and the final w holds its retained
@@ -173,7 +175,7 @@ def test_simulate_equals_the_full_layout_reference(K, sample_every, monkeypatch)
     assert final.t == want_final.t
 
 
-@pytest.mark.parametrize("K", (8, 12, 18, 64))
+@pytest.mark.parametrize("K", (8, 10, 12, 14, 16, 18, 32, 64))
 def test_work_rate_equals_the_full_layout_pairing(K):
     # The work rate pairs only the retained modes of H_N f and w; its bytes
     # are inner_product's, for w with -0.0 on the masked modes and for w = 0.
@@ -188,7 +190,7 @@ def test_work_rate_equals_the_full_layout_pairing(K):
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
-@pytest.mark.parametrize("K", (8, 14, 32))
+@pytest.mark.parametrize("K", (8, 10, 12, 14, 18, 32))
 def test_model_forcing_equals_the_gathered_full_layout_truncation(K):
     grid = make_grid(K)
     forcing, start, _ = forced_start(grid, np.random.default_rng(K))
@@ -257,11 +259,12 @@ def test_make_grid_returns_one_object_per_key():
     assert other is not grid and make_grid(8) is other
 
 
-def test_a_run_builds_one_grid():
+@pytest.mark.parametrize("K", (10, 12))
+def test_a_run_builds_one_grid(K):
     # Every table of a run reads the run's own grid: a table cache that
     # built its lattice through make_grid under another key would add one.
     config = SolverConfig(
-        K=10,
+        K=K,
         nu=0.3,
         delta=0.7,
         order=3,
