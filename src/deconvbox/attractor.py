@@ -27,13 +27,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import FieldSpec, SolverConfig, generate_ic
+from .config import FieldSpec, SolverConfig, _INT, generate_ic
 from .solver import BlowUpError, Trajectory, _retained, build_model, initial_state, simulate
 from .spectral import _retained_norms, smallest_eigenvalue, sobolev_norm
 
 # Relative slack of a member's energy over its decay envelope before the
 # envelope counts as broken.
 BOUND_TOLERANCE = 0.01
+# Relative growth allowed between successive H1 window maxima past absorption.
+WINDOW_TOLERANCE = 0.01
 
 
 def rho0(nu: float, lambda1: float, f_norm: float) -> float:
@@ -172,19 +174,14 @@ class H1Report:
     k2_empirical: float
 
 
-def h1_absorbing_report(
-    traj: Trajectory,
-    params: AbsorbingParams,
-    r: float,
-    slack: float = 0.01,
-) -> H1Report:
+def h1_absorbing_report(traj: Trajectory, params: AbsorbingParams, r: float) -> H1Report:
     """Assess the eventual H1 level of a trajectory past absorption.
 
     Computes the Gronwall inputs k1 = r ||f||^2 / (nu^2 lam1) + rho0'^2/nu
     and k3 = (2 r / nu) ||f||^2 from the model constants, verifies that
     sup_{t >= T0 + r} ||w(t)||_1^2 is finite and that the successive
     window maxima have stabilized (nonincreasing over the trailing half of
-    the windows, within `slack` relative), and back-solves the empirical
+    the windows, within `WINDOW_TOLERANCE` relative), and back-solves the empirical
     k2 that would make the Gronwall bound (k1/r + k3) exp(k2) tight.
     Equilibration toward a forced steady level counts as transient, which
     is why only the trailing windows enter the monotonicity check.
@@ -214,7 +211,7 @@ def h1_absorbing_report(
         a += r
     window_max = np.asarray(maxima)
     tail = window_max[len(window_max) // 2 :]
-    nonincreasing = bool(np.all(tail[1:] <= tail[:-1] * (1.0 + slack)))
+    nonincreasing = bool(np.all(tail[1:] <= tail[:-1] * (1.0 + WINDOW_TOLERANCE)))
 
     base = k1 / r + k3
     with np.errstate(divide="ignore"):
@@ -293,8 +290,7 @@ def ensemble_absorb_probe(
     worker count and never changes results. A blown-up member is recorded
     with its failure time and fails the probe.
     """
-    whole = isinstance(ensemble_size, (int, np.integer)) and not isinstance(ensemble_size, bool)
-    if not whole or ensemble_size < 1:
+    if not _INT.holds(ensemble_size) or ensemble_size < 1:
         raise ValueError(f"ensemble_size must be an integer >= 1, got {ensemble_size!r}")
     if not 0.0 <= template.epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and nonnegative, got {template.epsilon!r}")

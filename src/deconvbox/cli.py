@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 
 from .attractor import ensemble_absorb_probe
 from .config import ConfigError, parse_config
@@ -55,23 +54,11 @@ def _cmd_verify_operators(args) -> int:
 
 
 def _cmd_absorb_probe(args) -> int:
-    for flag, value in (
-        ("--radius", args.radius),
-        ("--rho0-prime", args.rho0_prime),
-        ("--epsilon", args.epsilon),
-    ):
-        if value is not None and not math.isfinite(value):
-            raise ConfigError([f"absorb-probe: {flag} must be finite, got {value!r}"])
-    if args.epsilon is not None and args.epsilon < 0.0:
-        raise ConfigError([f"absorb-probe: --epsilon must be nonnegative, got {args.epsilon!r}"])
-    config = _load_config(args.config)
-    if args.epsilon is not None:
-        config = replace(config, epsilon=args.epsilon)
     report = ensemble_absorb_probe(
         R=args.radius,
         rho0_prime=args.rho0_prime,
         ensemble_size=args.members,
-        template=config,
+        template=_load_config(args.config),
         keep_trajectories=False,
     )
     print(
@@ -113,12 +100,8 @@ def _write_probe_csv(report, path) -> None:
 def _cmd_deconv_table(args) -> int:
     if not (math.isfinite(args.k2max) and args.k2max > 0.0):
         raise ConfigError([f"k2max: must be finite and positive, got {args.k2max!r}"])
-    if args.K is not None:
-        K = args.K
-    else:
-        K = 3 * math.ceil(math.sqrt(args.k2max)) + 2
-        K += K % 2
-    grid = make_grid(K)
+    K = 3 * math.ceil(math.sqrt(args.k2max)) + 2
+    grid = make_grid(K + K % 2)
     try:
         table = SymbolTable.build(grid, args.delta, args.N)
     except RuntimeError as err:
@@ -175,7 +158,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--members", type=int, default=8)
     p.add_argument("--radius", type=float, default=None, help="initial ball radius R")
     p.add_argument("--rho0-prime", dest="rho0_prime", type=float, default=None)
-    p.add_argument("--epsilon", type=float, default=None, help="entry-time slack")
     p.add_argument("--output", default=None, help="per-member CSV report path")
     p.set_defaults(func=_cmd_absorb_probe)
 
@@ -183,7 +165,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--k2max", type=float, default=10.0)
-    p.add_argument("--K", type=int, default=None, help="lattice resolution override")
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_deconv_table)
 

@@ -10,6 +10,7 @@ stopping at the first one. The schema is the key tables below
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -61,14 +62,7 @@ class SolverConfig:
     sample_every: int = 1
     ic: FieldSpec = field(default_factory=FieldSpec)
     forcing: FieldSpec = field(default_factory=FieldSpec)
-    auto_project_ic: bool = False
     epsilon: float = 0.05
-
-
-_BOOL_WORDS = {
-    **dict.fromkeys(("true", "yes", "on", "1"), True),
-    **dict.fromkeys(("false", "no", "off", "0"), False),
-}
 
 
 def _finite(s: str) -> float:
@@ -79,9 +73,10 @@ def _finite(s: str) -> float:
 
 
 class _Type(NamedTuple):
-    parse: Callable[[str], object]  # raises ValueError or KeyError on bad text
+    parse: Callable[[str], object]  # raises ValueError on bad text
     expected: str  # completes "<key>: expected ..., got '<text>'"
     render: Callable[[object], str]  # inverse of parse, for format_config
+    holds: Callable[[object], bool]  # whether a built value is one the key can take
 
 
 def _triple(item: _Type, expected: str) -> _Type:
@@ -91,13 +86,20 @@ def _triple(item: _Type, expected: str) -> _Type:
             raise ValueError(s)
         return parts
 
-    return _Type(parse, expected, lambda v: ",".join(item.render(x) for x in v))
+    def holds(v) -> bool:
+        return isinstance(v, (tuple, list)) and len(v) == 3 and all(map(item.holds, v))
+
+    return _Type(parse, expected, lambda v: ",".join(item.render(x) for x in v), holds)
 
 
-_INT = _Type(lambda s: int(s, 10), "an integer", str)
-_FLOAT = _Type(_finite, "a finite number", lambda x: repr(float(x)))
-_STR = _Type(str, "a string", str)
-_BOOL = _Type(lambda s: _BOOL_WORDS[s.lower()], "a boolean (true/false)", lambda b: str(b).lower())
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)  # a bool is not one
+
+
+_INT = _Type(lambda s: int(s, 10), "an integer", str, _is_int)
+_FLOAT = _Type(_finite, "a finite number", lambda x: repr(float(x)),
+               lambda x: (_is_int(x) or isinstance(x, (float, np.floating))) and math.isfinite(x))
+_STR = _Type(str, "a string", str, lambda x: isinstance(x, (str, os.PathLike)))
 _INTS = _triple(_INT, "three comma-separated integers")
 _FLOATS = _triple(_FLOAT, "three comma-separated finite numbers")
 
@@ -119,7 +121,6 @@ _TOP_KEYS = (
     _Key("dt", "dt", _FLOAT),
     _Key("T", "T", _FLOAT),
     _Key("sample_every", "sample_every", _INT),
-    _Key("auto_project_ic", "auto_project_ic", _BOOL),
     _Key("epsilon", "epsilon", _FLOAT),
 )
 # The FieldSpec-valued SolverConfig fields; each is also the key naming its kind.
@@ -181,7 +182,7 @@ def _read(
         if name in raw:
             try:
                 values[key.field] = key.type.parse(raw[name])
-            except (ValueError, KeyError):
+            except ValueError:
                 errors.append(f"{name}: expected {key.type.expected}, got {raw[name]!r}")
     return values
 
@@ -203,15 +204,16 @@ def _read_field_spec(raw: dict[str, str], prefix: str, errors: list[str]) -> Fie
 
 
 def _field_spec_errors(v: dict, prefix: str) -> list[str]:
-    """parse_config's problems with the numbers among FieldSpec fields v, named with `prefix`;
-    a non-finite one (only a built FieldSpec holds one) is worded as its text would be."""
-    nums = {k: v[k] for k in ("target_norm", "cutoff", "exponent") if v.get(k) is not None}
-    errors = [f"{prefix}{k}: expected {_FLOAT.expected}, got {x!r}"
-              for k, x in nums.items() if not math.isfinite(x)]
-    errors += [f"{prefix}{k}: must be positive" for k, x in nums.items()
-               if k != "exponent" and -math.inf < x <= 0.0]
-    if v.get("seed", 0) < 0:
-        errors.append(f"{prefix}seed: must be nonnegative, got {v['seed']}")
+    """parse_config's problems with the FieldSpec fields v, named with `prefix`; a value that no
+    text parses to (only a built FieldSpec holds one) is worded as its text would be."""
+    present = [key for keys in _KIND_KEYS.values() for key in keys if v.get(key.field) is not None]
+    good = {key.field: v[key.field] for key in present if key.type.holds(v[key.field])}
+    errors = [f"{prefix}{key.name[1:]}: expected {key.type.expected}, got {v[key.field]!r}"
+              for key in present if key.field not in good]
+    errors += [f"{prefix}{k}: must be positive" for k in ("target_norm", "cutoff")
+               if good.get(k, 1.0) <= 0.0]
+    if good.get("seed", 0) < 0:
+        errors.append(f"{prefix}seed: must be nonnegative, got {good['seed']}")
     return errors
 
 
@@ -226,7 +228,7 @@ def _stepping_errors(v: dict) -> list[str]:
     if "T" in v and v["T"] < 0.0:
         errors.append(f"T: must be nonnegative, got {v['T']}")
     every = v.get("sample_every", 1)
-    if isinstance(every, bool) or not isinstance(every, (int, np.integer)):
+    if not _INT.holds(every):
         errors.append(f"sample_every: expected {_INT.expected}, got {every!r}")
     elif every < 1:
         errors.append(f"sample_every: must be at least 1, got {every}")

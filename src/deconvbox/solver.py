@@ -103,19 +103,16 @@ class ModelParams:
 del ModelParams.forcing
 
 
-def _solenoidal(u: SpectralVectorField, what: str, model=None, project=None) -> np.ndarray:
+def _solenoidal(u: SpectralVectorField, what: str, model=None) -> np.ndarray:
     """The retained (3, M) coefficients of a field that fits (`_require_fits`), is zero-mean and
-    is divergence-free: a defect relative to H_1 above DIVERGENCE_TOL is Leray-projected if
-    `project`, else rejected (naming auto_project if `project` is False rather than None)."""
+    is divergence-free: a defect relative to H_1 above DIVERGENCE_TOL is rejected."""
     _require_fits(u, what, model)
     grid = u.grid
     c = _gather(u.coeff, grid)
     err = _divergence_error(c, grid.ret_k, _retained_norms(c, grid, 1.0)[0])
     if err > DIVERGENCE_TOL:
-        if not project:
-            hint = "" if project is None else "; pass auto_project=True to project it"
-            raise ValueError(f"{what} is not divergence-free (relative defect {err:.3e}){hint}")
-        c = _leray(c, grid.ret_k, grid.ret_ksq_safe)
+        raise ValueError(f"{what} is not divergence-free (relative defect {err:.3e}); "
+                         "project it with leray_project")
     if c[:, 0].any():
         raise ValueError(f"{what} must have zero mean")
     return c
@@ -207,16 +204,10 @@ def make_state(t: float, w: SpectralVectorField, params: ModelParams) -> SolverS
     return SolverState(t=float(t), w=w, model=params)
 
 
-def initial_state(
-    u0: SpectralVectorField, params: ModelParams, auto_project: bool = False
-) -> SolverState:
-    """Apply the initial truncation w(0) = H_N(u0) and start the clock.
-
-    Inputs failing divergence-freeness by more than 1e-10 (relative) are
-    rejected unless `auto_project` is set, in which case they are
-    Leray-projected first.
-    """
-    u_r = _solenoidal(u0, "initial condition", params, bool(auto_project))
+def initial_state(u0: SpectralVectorField, params: ModelParams) -> SolverState:
+    """Apply the initial truncation w(0) = H_N(u0) and start the clock. u0 must be
+    divergence-free to DIVERGENCE_TOL relative; leray_project makes it so."""
+    u_r = _solenoidal(u0, "initial condition", params)
     return _retained_state(0.0, u_r * params.hn_r, params)
 
 
@@ -381,7 +372,7 @@ def _start_state(config: SolverConfig) -> SolverState:
 
         return read_snapshot(config.ic.path, params=params)
     u0 = generate_ic(config.ic, params.grid)
-    return initial_state(u0, params, auto_project=config.auto_project_ic)
+    return initial_state(u0, params)
 
 
 def _require_model(config: SolverConfig, model: ModelParams) -> None:

@@ -1,3 +1,7 @@
+import argparse
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +15,8 @@ from deconvbox import (
     read_timeseries,
     simulate_with_state,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 GOOD_CONFIG = """
 K = 8
@@ -145,22 +151,30 @@ class TestOtherCommands:
         assert rows[1.0][1] == pytest.approx(0.75, abs=1e-15)
         assert max(rows) <= 4.0
 
+    @pytest.mark.parametrize("k2max", ["4", "10", "27.5"])
+    def test_deconv_table_lists_every_sum_of_three_squares(self, k2max, capsys):
+        # K follows --k2max, so the lattice holds every k^2 up to it.
+        assert cli_main(["deconv-table", "--delta", "1", "--N", "1", "--k2max", k2max]) == 0
+        k2s = [float(row.split(",")[0]) for row in capsys.readouterr().out.splitlines()[1:]]
+        sums = {a * a + b * b + c * c for a in range(6) for b in range(6) for c in range(6)}
+        assert k2s == sorted(n for n in sums if n <= float(k2max))
+
     @pytest.mark.parametrize(
         "flags",
-        [["--delta", "1", "--k2max", "inf"], ["--delta", "1", "--k2max", "nan", "--K", "8"]],
+        [["--delta", "1", "--k2max", "inf"], ["--delta", "1", "--k2max", "nan"]],
     )
     def test_deconv_table_non_finite_k2max_exits_1(self, flags, capsys):
         assert cli_main(["deconv-table", "--N", "1", *flags]) == 1
         assert "k2max: must be finite and positive" in capsys.readouterr().err
 
     def test_deconv_table_infinite_delta_exits_1(self, capsys):
-        assert cli_main(["deconv-table", "--delta", "inf", "--N", "1", "--K", "8"]) == 1
+        assert cli_main(["deconv-table", "--delta", "inf", "--N", "1"]) == 1
         assert "delta must be positive and finite" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("error")
     def test_deconv_table_symbol_failure_exits_2(self, capsys):
         # delta^2 |k|^2 overflows, so H_N rounds to 0 outside (0, 1].
-        assert cli_main(["deconv-table", "--delta", "1e308", "--N", "1", "--K", "8"]) == 2
+        assert cli_main(["deconv-table", "--delta", "1e308", "--N", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "symbol values escaped" in captured.err
@@ -209,14 +223,20 @@ class TestOtherCommands:
             capsys.readouterr().err
         )
 
-    @pytest.mark.parametrize("flag", ["--epsilon", "--radius", "--rho0-prime"])
+    @pytest.mark.parametrize("flag", ["--radius", "--rho0-prime"])
     def test_absorb_probe_non_finite_flag_exits_1(self, tmp_path, capsys, flag):
+        # AbsorbingParams rejects the value, naming its field.
         cfg = write(tmp_path, "run.cfg", FORCED_CONFIG)
         assert cli_main(["absorb-probe", "--config", cfg, "--members", "2", flag, "nan"]) == 1
-        assert f"{flag} must be finite, got nan" in capsys.readouterr().err
+        name = {"--radius": "R", "--rho0-prime": "rho0_prime"}[flag]
+        assert f"error: {name} must be finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags, slack", [([], 0.5), (["--epsilon", "0.2"], 0.2)])
-    def test_absorb_probe_slack_from_config_or_flag(self, tmp_path, monkeypatch, flags, slack):
+    def test_absorb_probe_negative_radius_exits_1(self, tmp_path, capsys):
+        cfg = write(tmp_path, "run.cfg", FORCED_CONFIG)
+        assert cli_main(["absorb-probe", "--config", cfg, "--radius", "-1"]) == 1
+        assert "error: R must be finite and positive, got -1.0" in capsys.readouterr().err
+
+    def test_absorb_probe_slack_from_config(self, tmp_path, monkeypatch):
         reports = []
 
         def recording(**kwargs):
@@ -225,13 +245,20 @@ class TestOtherCommands:
 
         monkeypatch.setattr(cli, "ensemble_absorb_probe", recording)
         cfg = write(tmp_path, "run.cfg", FORCED_CONFIG + "epsilon = 0.5\n")
-        assert cli_main(["absorb-probe", "--config", cfg, "--members", "1"] + flags) == 0
-        assert [r.epsilon for r in reports] == [slack]
+        assert cli_main(["absorb-probe", "--config", cfg, "--members", "1"]) == 0
+        assert [r.epsilon for r in reports] == [0.5]
 
-    def test_absorb_probe_negative_epsilon_exits_1(self, tmp_path, capsys):
-        cfg = write(tmp_path, "run.cfg", FORCED_CONFIG)
-        assert cli_main(["absorb-probe", "--config", cfg, "--epsilon", "-0.1"]) == 1
-        assert "--epsilon must be nonnegative" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["absorb-probe", "--config", "run.cfg", "--epsilon", "0.2"],
+            ["deconv-table", "--delta", "1", "--N", "1", "--K", "8"],
+        ],
+    )
+    def test_deleted_flags_are_usage_errors(self, argv, capsys):
+        # The probe's slack is the config's `epsilon`; the table's K follows --k2max.
+        assert cli_main(argv) == 1
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
     def test_model_built_once_per_command(self, tmp_path, capsys, monkeypatch):
         built = []
@@ -270,3 +297,23 @@ class TestOtherCommands:
 
     def test_help_exits_0(self, capsys):
         assert cli_main(["--help"]) == 0
+
+
+class TestReadme:
+    def test_command_line_block_lists_exactly_the_flags_and_defaults(self):
+        block = README.read_text(encoding="utf-8").split("## Command line", 1)[1].split("```")[1]
+        usage = {}
+        for line in block.strip().splitlines():
+            if line.startswith("deconvbox "):
+                command = line.split()[1]
+            usage[command] = usage.get(command, "") + line
+        parser = cli._build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(usage) == list(sub.choices)
+        for command, parser in sub.choices.items():
+            actions = {flag: a for a in parser._actions for flag in a.option_strings}
+            del actions["-h"], actions["--help"]
+            assert set(re.findall(r"--[\w-]+", usage[command])) == set(actions), command
+            for flag, value in re.findall(r"\[(--[\w-]+) ([^\]]+)\]", usage[command]):
+                if re.fullmatch(r"[\d.]+", value):
+                    assert float(value) == actions[flag].default, (command, flag)

@@ -44,7 +44,7 @@ class TestParseConfig:
         assert cfg.sample_every == 1
         assert cfg.ic.kind == "zero"
         assert cfg.forcing.kind == "zero"
-        assert not cfg.auto_project_ic
+        assert cfg.epsilon == 0.05
 
     def test_comments_and_sections_ignored(self):
         text = "[domain]\nK = 16  # points per axis\n[model]\nnu = 1\ndelta = 0.5\nN = 0\n"
@@ -100,12 +100,11 @@ class TestParseConfig:
         assert any("ic_amplitude" in e for e in exc.value.errors)
 
     def test_full_round_trip_through_format(self):
-        # Every field kind for ic and forcing and both auto_project_ic values.
+        # Every field kind for ic and forcing.
         extras = [
             "dt = 0.005\nT = 0.75\nsample_every = 3\nepsilon = 0.1\n"
             "ic = random_spectrum\nic_seed = 9\nic_target_norm = 2.5\n"
             "forcing = single_mode\nforcing_k = 1,0,0\nforcing_amplitude = 0,0.25,0\n",
-            "auto_project_ic = true\n"
             "ic = single_mode\nic_k = 0,-2,1\nic_amplitude = 1.5,0,0\n"
             "forcing = random_spectrum\nforcing_seed = 4\nforcing_exponent = 2.5\n"
             "forcing_cutoff = 3.25\nforcing_target_norm = 0.125\n",
@@ -133,13 +132,21 @@ class TestParseConfig:
 
     def test_bad_vector_and_bool(self):
         text = MINIMAL + (
-            "auto_project_ic = maybe\nic = single_mode\nic_k = 1,0\nic_amplitude = a,b,c\n"
+            "forcing = random_spectrum\nforcing_seed = true\n"
+            "ic = single_mode\nic_k = 1,0\nic_amplitude = a,b,c\n"
         )
         with pytest.raises(ConfigError) as exc:
             parse_config(text)
-        assert any("auto_project_ic" in e for e in exc.value.errors)
+        assert "forcing_seed: expected an integer, got 'true'" in exc.value.errors
         assert any("ic_k" in e for e in exc.value.errors)
         assert any("ic_amplitude" in e for e in exc.value.errors)
+
+    def test_auto_project_ic_is_an_unknown_key(self):
+        # Initial data must be divergence-free; leray_project makes them so.
+        with pytest.raises(ConfigError) as exc:
+            parse_config(MINIMAL + "auto_project_ic = true\n")
+        assert exc.value.errors == ["auto_project_ic: unknown key"]
+        assert "auto_project_ic" not in {f.name for f in dataclasses.fields(SolverConfig)}
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
@@ -272,10 +279,13 @@ class TestGenerateIC:
             (dict(cutoff=-math.inf), "cutoff: expected a finite number, got -inf"),
             (dict(cutoff=0.0), "cutoff: must be positive"),
             (dict(seed=-2), "seed: must be nonnegative, got -2"),
+            (dict(seed=2.5), "seed: expected an integer, got 2.5"),
+            (dict(seed=True), "seed: expected an integer, got True"),
         ],
     )
     def test_hand_built_spec_rejected_as_its_text_would_be(self, grid16, fields, message):
-        # A sign-flipped or all-NaN field is never returned, and no run starts from one.
+        # A sign-flipped or all-NaN field, numpy's bare TypeError or a bool seed read as 1 is
+        # never the result, and no run starts from one.
         spec = FieldSpec(kind="random_spectrum", **fields)
         with pytest.raises(ConfigError) as exc:
             generate_ic(spec, grid16)
@@ -291,6 +301,33 @@ class TestGenerateIC:
         # Text that does not parse is quoted.
         quoted = message.replace(f"got {value}", f"got {str(value)!r}")
         assert exc.value.errors == ["ic_" + (quoted if ": expected " in message else message)]
+
+    @pytest.mark.parametrize(
+        "fields, message, text",
+        [
+            (dict(kind="single_mode", mode=(1, 0, 0), amplitude=(0.0, math.nan, 0.0)),
+             "amplitude: expected three comma-separated finite numbers, got (0.0, nan, 0.0)",
+             "ic = single_mode\nic_k = 1,0,0\nic_amplitude = 0,nan,0\n"),
+            (dict(kind="single_mode", mode=(1.5, 0, 0), amplitude=(0.0, 1.0, 0.0)),
+             "k: expected three comma-separated integers, got (1.5, 0, 0)",
+             "ic = single_mode\nic_k = 1.5,0,0\nic_amplitude = 0,1,0\n"),
+        ],
+    )
+    def test_hand_built_vector_rejected_as_its_text_would_be(self, grid16, fields, message, text):
+        # Neither a NaN field nor one on the truncated mode (1, 0, 0).
+        spec = FieldSpec(**fields)
+        with pytest.raises(ConfigError) as exc:
+            generate_ic(spec, grid16)
+        assert str(exc.value) == message
+        for key in ("ic", "forcing"):
+            cfg = SolverConfig(K=16, nu=1.0, delta=0.5, order=2, T=0.0, **{key: spec})
+            with pytest.raises(ConfigError) as exc:
+                simulate(cfg)
+            assert str(exc.value) == message
+        with pytest.raises(ConfigError) as exc:
+            parse_config(MINIMAL + text)
+        (error,) = exc.value.errors
+        assert error.startswith("ic_" + message.split(", got ")[0] + ", got '")
 
     def test_filters_argument_accepted(self, grid16):
         w = generate_ic(

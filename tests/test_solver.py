@@ -22,6 +22,7 @@ from deconvbox import (
     generate_ic,
     hn_symbol,
     initial_state,
+    leray_project,
     make_grid,
     make_state,
     parse_config,
@@ -180,19 +181,19 @@ class TestInitialState:
         u0.coeff[2, -3, 2, 1] = bad
         u0.coeff[0, 4, -1, 0] = bad
         with pytest.raises(ValueError) as exc:
-            initial_state(u0, params16, auto_project=True)
+            initial_state(u0, params16)
         assert str(exc.value) == (
             "initial condition has a non-finite coefficient at mode (4, -1, 0)"
         )
 
     def test_rejects_divergent_data(self, grid16, params16):
         bad = SpectralVectorField.from_modes(grid16, {(1, 0, 0): (1.0, 1.0, 0.0)})
-        with pytest.raises(ValueError, match="divergence-free"):
+        with pytest.raises(ValueError, match="divergence-free.*; project it with leray_project$"):
             initial_state(bad, params16)
 
-    def test_auto_projection_flag(self, grid16, params16):
+    def test_leray_projected_data_accepted(self, grid16, params16):
         bad = SpectralVectorField.from_modes(grid16, {(1, 0, 0): (1.0, 1.0, 0.0)})
-        state = initial_state(bad, params16, auto_project=True)
+        state = initial_state(leray_project(bad), params16)
         # projection keeps only the transverse part, then H_N halves it
         np.testing.assert_allclose(state.w.coeff[:, 1, 0, 0], [0.0, 0.5, 0.0], atol=1e-15)
         assert divergence_error(state.w) <= 1e-13
