@@ -290,10 +290,9 @@ def ensemble_absorb_probe(
     worker count and never changes results. A blown-up member is recorded
     with its failure time and fails the probe.
     """
-    if not _INT.holds(ensemble_size) or ensemble_size < 1:
-        raise ValueError(f"ensemble_size must be an integer >= 1, got {ensemble_size!r}")
-    if not 0.0 <= template.epsilon < math.inf:
-        raise ValueError(f"epsilon must be finite and nonnegative, got {template.epsilon!r}")
+    for name, value, low in (("ensemble_size", ensemble_size, 1), ("base_seed", base_seed, 0)):
+        if not _INT.holds(value) or value < low:
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     workers = _worker_count()
     model = build_model(template)
     grid = model.grid

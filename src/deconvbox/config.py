@@ -37,7 +37,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Recipe for one divergence-free field (initial condition or forcing)."""
+    """Recipe for one divergence-free field (initial condition or forcing); a
+    value its key cannot take raises ConfigError, in parse_config's words."""
 
     kind: str = "zero"
     mode: tuple[int, int, int] | None = None
@@ -48,10 +49,15 @@ class FieldSpec:
     target_norm: float = 1.0
     path: str | None = None
 
+    def __post_init__(self):
+        if problems := _spec_problems(vars(self)):
+            raise ConfigError(problems)
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Everything needed to reproduce one run."""
+    """Everything needed to reproduce one run; a value its key cannot take
+    raises ConfigError, in parse_config's words."""
 
     K: int
     nu: float
@@ -63,6 +69,13 @@ class SolverConfig:
     ic: FieldSpec = field(default_factory=FieldSpec)
     forcing: FieldSpec = field(default_factory=FieldSpec)
     epsilon: float = 0.05
+
+    def __post_init__(self):
+        problems = _problems(vars(self), _TOP_KEYS)
+        problems += [f"{name}: expected a FieldSpec, got {getattr(self, name)!r}"
+                     for name in _FIELD_PREFIXES if not isinstance(getattr(self, name), FieldSpec)]
+        if problems:
+            raise ConfigError(problems)
 
 
 def _finite(s: str) -> float:
@@ -104,24 +117,39 @@ _INTS = _triple(_INT, "three comma-separated integers")
 _FLOATS = _triple(_FLOAT, "three comma-separated finite numbers")
 
 
+class _Rule(NamedTuple):
+    holds: Callable[[object], bool]
+    words: str  # completes "<key>: must be ..., got <value>"
+
+
+def _at_least(low) -> _Rule:
+    return _Rule(lambda x: x >= low, f"at least {low}")
+
+
+_POSITIVE = _Rule(lambda x: x > 0, "positive")
+_NONNEGATIVE = _Rule(lambda x: x >= 0, "nonnegative")
+
+
 class _Key(NamedTuple):
     name: str  # the key, or its suffix after an "ic"/"forcing" prefix
     field: str  # the SolverConfig or FieldSpec field it sets
     type: _Type
     required: bool = False
+    rules: tuple[_Rule, ...] = ()  # range rules, the first broken one reported
 
 
 # The config schema. Defaults come from SolverConfig and FieldSpec; the
 # order is format_config's.
 _TOP_KEYS = (
-    _Key("K", "K", _INT, required=True),
-    _Key("nu", "nu", _FLOAT, required=True),
-    _Key("delta", "delta", _FLOAT, required=True),
-    _Key("N", "order", _INT, required=True),
-    _Key("dt", "dt", _FLOAT),
-    _Key("T", "T", _FLOAT),
-    _Key("sample_every", "sample_every", _INT),
-    _Key("epsilon", "epsilon", _FLOAT),
+    _Key("K", "K", _INT, True, (_at_least(4), _Rule(lambda x: x % 2 == 0, "even"))),
+    _Key("nu", "nu", _FLOAT, True, (_POSITIVE,)),
+    _Key("delta", "delta", _FLOAT, True, (_POSITIVE,)),
+    _Key("N", "order", _INT, True,
+         (_Rule(lambda x: 0 <= x <= MAX_DECONV_ORDER, f"in [0, {MAX_DECONV_ORDER}]"),)),
+    _Key("dt", "dt", _FLOAT, rules=(_POSITIVE,)),
+    _Key("T", "T", _FLOAT, rules=(_NONNEGATIVE,)),
+    _Key("sample_every", "sample_every", _INT, rules=(_at_least(1),)),
+    _Key("epsilon", "epsilon", _FLOAT, rules=(_NONNEGATIVE,)),
 )
 # The FieldSpec-valued SolverConfig fields; each is also the key naming its kind.
 _FIELD_PREFIXES = ("ic", "forcing")
@@ -132,20 +160,19 @@ _KIND_KEYS = {
         _Key("_amplitude", "amplitude", _FLOATS, required=True),
     ),
     "random_spectrum": (
-        _Key("_seed", "seed", _INT),
+        _Key("_seed", "seed", _INT, rules=(_NONNEGATIVE,)),
         _Key("_exponent", "exponent", _FLOAT),
-        _Key("_cutoff", "cutoff", _FLOAT),
-        _Key("_target_norm", "target_norm", _FLOAT),
+        _Key("_cutoff", "cutoff", _FLOAT, rules=(_POSITIVE,)),
+        _Key("_target_norm", "target_norm", _FLOAT, rules=(_POSITIVE,)),
     ),
     "snapshot": (_Key("_path", "path", _STR, required=True),),
 }
 
 FIELD_KINDS = tuple(_KIND_KEYS)
+_SPEC_KEYS = tuple(key for keys in _KIND_KEYS.values() for key in keys)
 
 _KNOWN_KEYS = {key.name for key in _TOP_KEYS} | {
-    prefix + suffix
-    for prefix in _FIELD_PREFIXES
-    for suffix in ("", *(key.name for keys in _KIND_KEYS.values() for key in keys))
+    prefix + suffix for prefix in _FIELD_PREFIXES for suffix in ("", *(k.name for k in _SPEC_KEYS))
 }
 
 
@@ -168,71 +195,55 @@ def _parse_lines(text: str, errors: list[str]) -> dict[str, str]:
     return raw
 
 
-def _read(
-    raw: dict[str, str], prefix: str, keys: tuple[_Key, ...], errors: list[str]
-) -> dict[str, object]:
-    """Parse the keys present in `raw` into {field: value}.
-
-    A value that does not parse is reported and left out, so its field
-    keeps the dataclass default.
-    """
+def _read(raw: dict[str, str], prefix: str, keys: tuple[_Key, ...]) -> dict[str, object]:
+    """The keys present in `raw` as {field: value}; a value that does not parse is kept as its
+    text, which no key's type holds."""
     values = {}
     for key in keys:
-        name = prefix + key.name
-        if name in raw:
+        if (text := raw.get(prefix + key.name)) is not None:
             try:
-                values[key.field] = key.type.parse(raw[name])
+                values[key.field] = key.type.parse(text)
             except ValueError:
-                errors.append(f"{name}: expected {key.type.expected}, got {raw[name]!r}")
+                values[key.field] = text
     return values
 
 
-def _read_field_spec(raw: dict[str, str], prefix: str, errors: list[str]) -> FieldSpec:
+def _problems(values: dict, keys: tuple[_Key, ...], prefix: str = "") -> list[str]:
+    """The type and range problems of the fields in `values` that `keys` set, each named by its
+    key after `prefix` and shown with repr, so that text that did not parse is quoted."""
+    errors = []
+    for key in keys:
+        name, value = (prefix + key.name).lstrip("_"), values.get(key.field)
+        if value is None:
+            continue
+        if not key.type.holds(value):
+            errors.append(f"{name}: expected {key.type.expected}, got {value!r}")
+        elif broken := [rule.words for rule in key.rules if not rule.holds(value)]:
+            errors.append(f"{name}: must be {broken[0]}, got {value!r}")
+    return errors
+
+
+def _spec_problems(values: dict, prefix: str = "") -> list[str]:
+    """The problems of the FieldSpec fields in `values`, its kind under the key `prefix`."""
+    kind, owner = values.get("kind"), prefix or "kind"
+    if kind not in FIELD_KINDS:
+        return [f"{owner}: must be one of {', '.join(FIELD_KINDS)}, got {kind!r}"]
+    errors = [f"{(prefix + key.name).lstrip('_')}: required for {owner} = {kind}"
+              for key in _KIND_KEYS[kind] if key.required and values.get(key.field) is None]
+    return errors + _problems(values, _SPEC_KEYS, prefix)
+
+
+def _read_field_spec(raw: dict[str, str], prefix: str, errors: list[str]) -> FieldSpec | None:
     kind = raw.get(prefix, FieldSpec.kind)
-    if kind not in _KIND_KEYS:
-        errors.append(f"{prefix}: must be one of {', '.join(FIELD_KINDS)}, got {kind!r}")
-        return FieldSpec()
-    for other, keys in _KIND_KEYS.items():
-        stale = [prefix + key.name for key in keys if other != kind and prefix + key.name in raw]
-        errors.extend(f"{name}: not a key of {prefix} = {kind}" for name in stale)
-    values = _read(raw, prefix, _KIND_KEYS[kind], errors)
-    for key in _KIND_KEYS[kind]:
-        if key.required and prefix + key.name not in raw:
-            errors.append(f"{prefix}{key.name}: required for {prefix} = {kind}")
-    errors += _field_spec_errors(values, prefix + "_")
-    return FieldSpec(kind=kind, **values)
-
-
-def _field_spec_errors(v: dict, prefix: str) -> list[str]:
-    """parse_config's problems with the FieldSpec fields v, named with `prefix`; a value that no
-    text parses to (only a built FieldSpec holds one) is worded as its text would be."""
-    present = [key for keys in _KIND_KEYS.values() for key in keys if v.get(key.field) is not None]
-    good = {key.field: v[key.field] for key in present if key.type.holds(v[key.field])}
-    errors = [f"{prefix}{key.name[1:]}: expected {key.type.expected}, got {v[key.field]!r}"
-              for key in present if key.field not in good]
-    errors += [f"{prefix}{k}: must be positive" for k in ("target_norm", "cutoff")
-               if good.get(k, 1.0) <= 0.0]
-    if good.get("seed", 0) < 0:
-        errors.append(f"{prefix}seed: must be nonnegative, got {good['seed']}")
-    return errors
-
-
-def _stepping_errors(v: dict) -> list[str]:
-    """parse_config's problems with dt, T and sample_every among the fields of v. A non-finite dt
-    or T or a bool or non-integer sample_every (only a built SolverConfig holds one) is worded
-    as its text would be."""
-    errors = [f"{k}: expected {_FLOAT.expected}, got {v[k]!r}"
-              for k in ("dt", "T") if k in v and not math.isfinite(v[k])]
-    if "dt" in v and v["dt"] <= 0.0:
-        errors.append(f"dt: must be positive, got {v['dt']}")
-    if "T" in v and v["T"] < 0.0:
-        errors.append(f"T: must be nonnegative, got {v['T']}")
-    every = v.get("sample_every", 1)
-    if not _INT.holds(every):
-        errors.append(f"sample_every: expected {_INT.expected}, got {every!r}")
-    elif every < 1:
-        errors.append(f"sample_every: must be at least 1, got {every}")
-    return errors
+    values = {"kind": kind}
+    if kind in _KIND_KEYS:
+        errors.extend(f"{prefix}{key.name}: not a key of {prefix} = {kind}" for key in _SPEC_KEYS
+                      if key not in _KIND_KEYS[kind] and prefix + key.name in raw)
+        values |= _read(raw, prefix, _KIND_KEYS[kind])
+    if problems := _spec_problems(values, prefix):
+        errors += problems
+        return None
+    return FieldSpec(**values)
 
 
 def parse_config(text: str) -> SolverConfig:
@@ -247,22 +258,8 @@ def parse_config(text: str) -> SolverConfig:
         if key.required and key.name not in raw:
             errors.append(f"{key.name}: required key is missing")
 
-    v = _read(raw, "", _TOP_KEYS, errors)
-    if "K" in v:
-        if v["K"] < 4:
-            errors.append(f"K: must be at least 4, got {v['K']}")
-        elif v["K"] % 2 != 0:
-            errors.append(f"K: must be even, got {v['K']}")
-    if "nu" in v and v["nu"] <= 0.0:
-        errors.append(f"nu: must be positive, got {v['nu']}")
-    if "delta" in v and v["delta"] <= 0.0:
-        errors.append(f"delta: must be positive, got {v['delta']}")
-    if "order" in v and not 0 <= v["order"] <= MAX_DECONV_ORDER:
-        errors.append(f"N: must be in [0, {MAX_DECONV_ORDER}], got {v['order']}")
-    errors += _stepping_errors(v)
-    if "epsilon" in v and v["epsilon"] < 0.0:
-        errors.append(f"epsilon: must be nonnegative, got {v['epsilon']}")
-
+    v = _read(raw, "", _TOP_KEYS)
+    errors += _problems(v, _TOP_KEYS)
     for prefix in _FIELD_PREFIXES:
         v[prefix] = _read_field_spec(raw, prefix, errors)
 
@@ -321,15 +318,11 @@ def generate_ic(
 
     Serves both initial conditions and steady forcings. Deterministic for a
     fixed seed. `filters` is ignored; it is kept for callers that still
-    pass one (bench/workloads.py). A spec parse_config could not read raises ConfigError.
+    pass one (bench/workloads.py).
     """
-    if problems := _field_spec_errors(vars(spec), ""):
-        raise ConfigError(problems)
     if spec.kind == "zero":
         return SpectralVectorField.zeros(grid)
     if spec.kind == "single_mode":
-        if spec.mode is None or spec.amplitude is None:
-            raise ValueError("single_mode spec needs both mode and amplitude")
         k = np.asarray(spec.mode, dtype=np.float64)
         a = np.asarray(spec.amplitude, dtype=np.float64)
         dot = abs(float(k @ a))
@@ -342,13 +335,9 @@ def generate_ic(
         return SpectralVectorField.from_modes(grid, {tuple(spec.mode): spec.amplitude})
     if spec.kind == "random_spectrum":
         return _random_spectrum_field(spec, grid)
-    if spec.kind == "snapshot":
-        from .storage import read_snapshot
+    from .storage import read_snapshot
 
-        if spec.path is None:
-            raise ValueError("snapshot spec needs a path")
-        return read_snapshot(spec.path, grid=grid).w
-    raise ValueError(f"unknown field kind {spec.kind!r}")
+    return read_snapshot(spec.path, grid=grid).w
 
 
 def format_config(config: SolverConfig) -> str:

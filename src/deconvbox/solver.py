@@ -23,7 +23,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .config import ConfigError, SolverConfig, _stepping_errors, generate_ic
+from .config import SolverConfig, generate_ic
 from .deconv import FilterParams, hn_symbol
 from .spectral import (
     SpectralVectorField,
@@ -398,8 +398,6 @@ def simulate_with_state(
     config, initial: SolverState | None = None
 ) -> tuple[Trajectory, SolverState]:
     """Like `simulate` but also returns the final solver state."""
-    if problems := _stepping_errors(vars(config)):
-        raise ConfigError(problems)
     state = _start_state(config) if initial is None else initial
     params = state.model
     grid, w_r = params.grid, _retained(state)

@@ -6,6 +6,7 @@ import pytest
 
 from deconvbox import (
     AbsorbingParams,
+    ConfigError,
     FieldSpec,
     SolverConfig,
     absorbing_bound,
@@ -231,9 +232,23 @@ class TestEnsembleProbe:
 
     @pytest.mark.parametrize("epsilon", [float("nan"), -0.1, float("inf")])
     def test_invalid_entry_slack_rejected(self, epsilon):
-        template = SolverConfig(K=8, nu=1.0, delta=0.5, order=1, epsilon=epsilon)
-        with pytest.raises(ValueError, match="epsilon must be finite and nonnegative"):
-            ensemble_absorb_probe(R=0.1, rho0_prime=0.5, ensemble_size=1, template=template)
+        # The template itself is rejected, in the parser's words, before any probe.
+        with pytest.raises(ConfigError) as exc:
+            SolverConfig(K=8, nu=1.0, delta=0.5, order=1, epsilon=epsilon)
+        words = "must be nonnegative" if epsilon < 0 else "expected a finite number"
+        assert str(exc.value) == f"epsilon: {words}, got {epsilon!r}"
+
+    @pytest.mark.parametrize("ic", ["single_mode", "random_spectrum"])
+    @pytest.mark.parametrize("seed", [True, 2.5, -1, "3"])
+    def test_base_seed_not_a_nonnegative_integer_rejected(self, ic, seed):
+        # Not a member seeded 1 or 2.5, nor an error naming a `seed` the caller did not pass.
+        spec = dict(mode=(1, 0, 0), amplitude=(0.0, 1.0, 0.0)) if ic == "single_mode" else {}
+        template = SolverConfig(K=8, nu=1.0, delta=0.5, order=1, ic=FieldSpec(kind=ic, **spec))
+        with pytest.raises(ValueError) as exc:
+            ensemble_absorb_probe(
+                R=0.1, rho0_prime=0.5, ensemble_size=2, template=template, base_seed=seed
+            )
+        assert str(exc.value) == f"base_seed must be an integer >= 0, got {seed!r}"
 
     @pytest.mark.parametrize("size", [2.5, 2.0, True, "2", 0, -1])
     def test_ensemble_size_not_a_positive_integer_rejected(self, size):

@@ -199,6 +199,109 @@ class TestParseConfig:
             format_config(config)
 
 
+# Values no text parses to, by the type a key parses to, with whether some text could name
+# them at all (every text is a string, so a bad path has no text counterpart).
+UNPARSABLE = {
+    "an integer": (True, 2.5, "one"),
+    "a finite number": (True, "one", math.nan, math.inf, -math.inf),
+    "three comma-separated integers": ((1.5, 0, 0), (True, 0, 0), (1, 0), "one"),
+    "three comma-separated finite numbers": ((0.0, math.nan, 0.0), (True, 0.0, 0.0), "one"),
+    "a string": (True, 3),
+}
+# Per key, values of the right type out of its range; a new key must be listed here.
+OUT_OF_RANGE = {
+    "K": (2, 3, 15), "nu": (0.0, -1.0), "delta": (0.0, -0.5), "N": (-1, 65),
+    "dt": (0.0, -0.5), "T": (-1.0,), "sample_every": (0, -1), "epsilon": (-0.1,),
+    "_k": (), "_amplitude": (), "_seed": (-1,), "_exponent": (), "_cutoff": (0.0, -2.0),
+    "_target_norm": (0.0, -1.0), "_path": (),
+}
+# The required keys of each kind, as fields and as text.
+REQUIRED = {
+    "zero": ({}, {}),
+    "single_mode": (
+        dict(mode=(1, 0, 0), amplitude=(0.0, 1.0, 0.0)), {"_k": "1,0,0", "_amplitude": "0,1,0"}
+    ),
+    "random_spectrum": ({}, {}),
+    "snapshot": (dict(path="a.snap"), {"_path": "a.snap"}),
+}
+MINIMAL_KEYS = {"K": 16, "nu": 1.0, "delta": 0.5, "order": 2}
+
+
+def _text(value) -> str:
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+def _bad_values():
+    for kind, keys in [(None, _TOP_KEYS), *_KIND_KEYS.items()]:
+        for key in keys:
+            for value in UNPARSABLE[key.type.expected]:
+                yield pytest.param(kind, key, value, True, id=f"{key.name}={value!r}")
+            for value in OUT_OF_RANGE[key.name]:
+                yield pytest.param(kind, key, value, False, id=f"{key.name}={value!r}")
+
+
+class TestBuiltConfig:
+    def test_every_key_has_its_bad_values(self):
+        keys = _TOP_KEYS + tuple(key for keys in _KIND_KEYS.values() for key in keys)
+        assert set(OUT_OF_RANGE) == {key.name for key in keys}
+        assert {key.name for key in keys if key.rules} == {k for k, v in OUT_OF_RANGE.items() if v}
+        assert set(REQUIRED) == set(FIELD_KINDS)
+
+    @pytest.mark.parametrize("kind, key, value, unparsable", _bad_values())
+    def test_bad_value_rejected_when_built_in_the_parsers_words(
+        self, kind, key, value, unparsable
+    ):
+        name = key.name.lstrip("_")
+        with pytest.raises(ConfigError) as exc:
+            if kind is None:
+                SolverConfig(**(MINIMAL_KEYS | {key.field: value}))
+            else:
+                FieldSpec(kind=kind, **(REQUIRED[kind][0] | {key.field: value}))
+        (message,) = exc.value.errors
+        assert message.startswith(f"{name}: ") and message.endswith(f", got {value!r}")
+        text = f"{key.name} = {_text(value)}\n"
+        if kind is not None:
+            lines = REQUIRED[kind][1] | {key.name: _text(value)}
+            text = f"ic = {kind}\n" + "".join(f"ic{k} = {v}\n" for k, v in lines.items())
+        if key.type.expected == "a string":
+            return  # every text is a string
+        with pytest.raises(ConfigError) as exc:
+            parse_config(MINIMAL.replace(f"{key.name} = ", "# ") + text)
+        # Text that does not parse is quoted.
+        if unparsable:
+            message = message.replace(f"got {value!r}", f"got {_text(value)!r}")
+        assert exc.value.errors == [("" if kind is None else "ic_") + message]
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: SolverConfig(K=8, nu=1.0, delta=1.0, order=1, T=0.02, dt="0.01"),
+             "dt: expected a finite number, got '0.01'"),
+            (lambda: SolverConfig(K=8, nu=True, delta=1.0, order=1),
+             "nu: expected a finite number, got True"),
+            (lambda: SolverConfig(K=8, nu=1.0, delta=1.0, order=True),
+             "N: expected an integer, got True"),
+            (lambda: SolverConfig(K=8, nu=1.0, delta="0.5", order=1),
+             "delta: expected a finite number, got '0.5'"),
+            (lambda: FieldSpec(kind="snapshot"), "path: required for kind = snapshot"),
+            (lambda: SolverConfig(K=8, nu=1.0, delta=1.0, order=1, ic=None),
+             "ic: expected a FieldSpec, got None"),
+            (lambda: SolverConfig(K=8, nu=1.0, delta=1.0, order=1, epsilon=math.nan),
+             "epsilon: expected a finite number, got nan"),
+            (lambda: FieldSpec(kind="single_mode", mode=(1, 0, 0)),
+             "amplitude: required for kind = single_mode"),
+            (lambda: FieldSpec(kind="vortex"),
+             "kind: must be one of zero, single_mode, random_spectrum, snapshot, got 'vortex'"),
+        ],
+    )
+    def test_value_that_used_to_run_wrong_rejected_when_built(self, build, message):
+        # Each of these used to run as another value or fail only when used, some with a bare
+        # TypeError or AttributeError.
+        with pytest.raises(ConfigError) as exc:
+            build()
+        assert str(exc.value) == message
+
+
 class TestReadme:
     def test_config_section_names_exactly_the_schema_keys(self):
         text = README.read_text(encoding="utf-8")
@@ -221,6 +324,42 @@ class TestReadme:
         per_kind = section.split("Per-kind keys", 1)[1].split("\n\n", 1)[0]
         suffixes = set(re.findall(r"`\*(_\w+)", per_kind))
         assert suffixes == {key.name for keys in _KIND_KEYS.values() for key in keys}
+        # The meaning column states each key's range rule in parentheses, one per key.
+        stated = {}
+        for cell, meaning, _ in rows:
+            bounds = re.findall(r"\(([^)]*)\)", meaning)
+            names = re.findall(r"`(\w+)`", cell)
+            assert len(bounds) in (0, len(names)), cell
+            stated |= dict(zip(names, bounds))
+        by_name = {key.name: key for key in _TOP_KEYS}
+        assert set(stated) == {key.name for key in _TOP_KEYS if key.rules}
+        for name, bound in stated.items():
+            for clause in bound.split(", "):
+                self._probe_edge(by_name[name], clause)
+
+    @staticmethod
+    def _probe_edge(key, clause):
+        """The key's rules accept a stated bound and reject the value just past it."""
+        def holds(x):
+            return all(rule.holds(x) for rule in key.rules)
+
+        integer = isinstance(key.type.parse("1"), int)
+
+        def past(x, direction):
+            return x + direction if integer else math.nextafter(x, direction * math.inf)
+
+        if clause == "even":
+            assert holds(64) and not holds(63) and not holds(65), (key.name, clause)
+        elif clause.startswith(("≥ ", "> ")):
+            edge = key.type.parse(clause[2:])
+            if clause[0] == "≥":
+                assert holds(edge) and not holds(past(edge, -1)), (key.name, clause)
+            else:
+                assert not holds(edge) and holds(past(edge, 1)), (key.name, clause)
+        else:
+            low, high = (key.type.parse(x) for x in clause.split(" … "))
+            assert holds(low) and holds(high), (key.name, clause)
+            assert not holds(past(low, -1)) and not holds(past(high, 1)), (key.name, clause)
 
 
 class TestGenerateIC:
@@ -272,29 +411,23 @@ class TestGenerateIC:
     @pytest.mark.parametrize(
         "fields, message",
         [
-            (dict(target_norm=-1.0), "target_norm: must be positive"),
+            (dict(target_norm=-1.0), "target_norm: must be positive, got -1.0"),
             (dict(target_norm=math.nan), "target_norm: expected a finite number, got nan"),
             (dict(cutoff=math.nan), "cutoff: expected a finite number, got nan"),
             (dict(exponent=math.nan), "exponent: expected a finite number, got nan"),
             (dict(cutoff=-math.inf), "cutoff: expected a finite number, got -inf"),
-            (dict(cutoff=0.0), "cutoff: must be positive"),
+            (dict(cutoff=0.0), "cutoff: must be positive, got 0.0"),
             (dict(seed=-2), "seed: must be nonnegative, got -2"),
             (dict(seed=2.5), "seed: expected an integer, got 2.5"),
             (dict(seed=True), "seed: expected an integer, got True"),
         ],
     )
-    def test_hand_built_spec_rejected_as_its_text_would_be(self, grid16, fields, message):
+    def test_hand_built_spec_rejected_as_its_text_would_be(self, fields, message):
         # A sign-flipped or all-NaN field, numpy's bare TypeError or a bool seed read as 1 is
-        # never the result, and no run starts from one.
-        spec = FieldSpec(kind="random_spectrum", **fields)
+        # never the result: the spec is not built, so no field or run starts from one.
         with pytest.raises(ConfigError) as exc:
-            generate_ic(spec, grid16)
+            FieldSpec(kind="random_spectrum", **fields)
         assert str(exc.value) == message
-        for key in ("ic", "forcing"):
-            cfg = SolverConfig(K=16, nu=1.0, delta=0.5, order=2, T=0.0, **{key: spec})
-            with pytest.raises(ConfigError) as exc:
-                simulate(cfg)
-            assert str(exc.value) == message
         ((name, value),) = fields.items()
         with pytest.raises(ConfigError) as exc:
             parse_config(MINIMAL + f"ic = random_spectrum\nic_{name} = {value}\n")
@@ -313,17 +446,11 @@ class TestGenerateIC:
              "ic = single_mode\nic_k = 1.5,0,0\nic_amplitude = 0,1,0\n"),
         ],
     )
-    def test_hand_built_vector_rejected_as_its_text_would_be(self, grid16, fields, message, text):
+    def test_hand_built_vector_rejected_as_its_text_would_be(self, fields, message, text):
         # Neither a NaN field nor one on the truncated mode (1, 0, 0).
-        spec = FieldSpec(**fields)
         with pytest.raises(ConfigError) as exc:
-            generate_ic(spec, grid16)
+            FieldSpec(**fields)
         assert str(exc.value) == message
-        for key in ("ic", "forcing"):
-            cfg = SolverConfig(K=16, nu=1.0, delta=0.5, order=2, T=0.0, **{key: spec})
-            with pytest.raises(ConfigError) as exc:
-                simulate(cfg)
-            assert str(exc.value) == message
         with pytest.raises(ConfigError) as exc:
             parse_config(MINIMAL + text)
         (error,) = exc.value.errors

@@ -296,15 +296,15 @@ class TestSimulate:
         ],
     )
     def test_bad_stepping_keys_rejected_up_front(self, monkeypatch, keys, message):
-        # A directly built config is checked as parse_config checks its text,
-        # before a model is built or a given state is read.
-        cfg = SolverConfig(K=8, nu=1.0, delta=1.0, order=1, **keys)
-        state = solver._start_state(dataclasses.replace(cfg, dt=0.01, T=0.0, sample_every=1))
+        # A directly built config is checked as parse_config checks its text, when it is
+        # built: no model is built and no state is read.
+        good = SolverConfig(K=8, nu=1.0, delta=1.0, order=1)
         monkeypatch.setattr(solver, "build_model", lambda config: pytest.fail("model built"))
         monkeypatch.setattr(solver, "_retained", lambda state: pytest.fail("state read"))
-        for run, initial in ((simulate, None), (simulate_with_state, None), (simulate, state)):
+        for build in (lambda: SolverConfig(K=8, nu=1.0, delta=1.0, order=1, **keys),
+                      lambda: dataclasses.replace(good, **keys)):
             with pytest.raises(ConfigError) as exc:
-                run(cfg, initial)
+                build()
             assert str(exc.value) == message
         (key, value), = keys.items()
         text = f"K = 8\nnu = 1\ndelta = 1\nN = 1\n{key} = {value}\n"
