@@ -10,7 +10,6 @@ stopping at the first one. The schema is the key tables below
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -100,7 +99,7 @@ def _triple(item: _Type, expected: str) -> _Type:
         return parts
 
     def holds(v) -> bool:
-        return isinstance(v, (tuple, list)) and len(v) == 3 and all(map(item.holds, v))
+        return isinstance(v, tuple) and len(v) == 3 and all(map(item.holds, v))
 
     return _Type(parse, expected, lambda v: ",".join(item.render(x) for x in v), holds)
 
@@ -112,7 +111,7 @@ def _is_int(x) -> bool:
 _INT = _Type(lambda s: int(s, 10), "an integer", str, _is_int)
 _FLOAT = _Type(_finite, "a finite number", lambda x: repr(float(x)),
                lambda x: (_is_int(x) or isinstance(x, (float, np.floating))) and math.isfinite(x))
-_STR = _Type(str, "a string", str, lambda x: isinstance(x, (str, os.PathLike)))
+_STR = _Type(str, "a string", str, lambda x: isinstance(x, str))
 _INTS = _triple(_INT, "three comma-separated integers")
 _FLOATS = _triple(_FLOAT, "three comma-separated finite numbers")
 
@@ -216,6 +215,7 @@ def _problems(values: dict, keys: tuple[_Key, ...], prefix: str = "") -> list[st
         name, value = (prefix + key.name).lstrip("_"), values.get(key.field)
         if value is None:
             continue
+        value = value.item() if isinstance(value, np.generic) else value  # as the parser reads it
         if not key.type.holds(value):
             errors.append(f"{name}: expected {key.type.expected}, got {value!r}")
         elif broken := [rule.words for rule in key.rules if not rule.holds(value)]:
@@ -228,17 +228,27 @@ def _spec_problems(values: dict, prefix: str = "") -> list[str]:
     kind, owner = values.get("kind"), prefix or "kind"
     if kind not in FIELD_KINDS:
         return [f"{owner}: must be one of {', '.join(FIELD_KINDS)}, got {kind!r}"]
+    keys = _KIND_KEYS[kind]
     errors = [f"{(prefix + key.name).lstrip('_')}: required for {owner} = {kind}"
-              for key in _KIND_KEYS[kind] if key.required and values.get(key.field) is None]
-    return errors + _problems(values, _SPEC_KEYS, prefix)
+              for key in keys if key.required and values.get(key.field) is None]
+    errors += [f"{(prefix + key.name).lstrip('_')}: not a key of {owner} = {kind}"
+               for key in _SPEC_KEYS if key not in keys and not _is_default(key, values)]
+    return errors + _problems(values, keys, prefix)
+
+
+def _is_default(key: _Key, values: dict) -> bool:
+    """Whether `values` leaves `key`'s field at its FieldSpec default (or omits it)."""
+    default = getattr(FieldSpec, key.field)
+    value = values.get(key.field, default)
+    return value is default or (key.type.holds(value) and value == default)
 
 
 def _read_field_spec(raw: dict[str, str], prefix: str, errors: list[str]) -> FieldSpec | None:
     kind = raw.get(prefix, FieldSpec.kind)
-    values = {"kind": kind}
+    # A key of another kind keeps its text, which is never that field's default.
+    values = {key.field: raw[prefix + key.name] for key in _SPEC_KEYS if prefix + key.name in raw}
+    values["kind"] = kind
     if kind in _KIND_KEYS:
-        errors.extend(f"{prefix}{key.name}: not a key of {prefix} = {kind}" for key in _SPEC_KEYS
-                      if key not in _KIND_KEYS[kind] and prefix + key.name in raw)
         values |= _read(raw, prefix, _KIND_KEYS[kind])
     if problems := _spec_problems(values, prefix):
         errors += problems

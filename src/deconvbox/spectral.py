@@ -398,10 +398,9 @@ class _Workspace:
     """One thread's buffers for the convective term at one K.
 
     `line` holds one channel's retained (ky, kz) columns at a time, with
-    a zero middle kx range, and is transformed in place. by_ky, by_kz and
-    phys hold one round's 4 channels, by_kz and phys for `planes` x-planes.
-    Every call writes only the lines the dealias mask keeps, so the lines
-    it drops in by_ky and by_kz stay zero. conv and chat are full size.
+    a zero middle kx range, and is transformed in place. by_ky holds one
+    round's 4 channels, phys `planes` x-planes of them; conv is full size.
+    chat shares by_ky's buffer: it is written after the last round reads by_ky.
     """
 
     def __init__(self, grid: WaveGrid) -> None:
@@ -409,11 +408,11 @@ class _Workspace:
         self.K = K
         self.planes = min(K, max(1, _BLOCK_BYTES // (4 * K * K * 8)))
         self.line = np.empty((2 * cut + 1, cut + 1, K), dtype=np.complex128)
-        self.by_ky = np.zeros((4, K, cut + 1, K), dtype=np.complex128)
-        self.by_kz = np.zeros((4, self.planes) + grid.spectral_shape[1:], dtype=np.complex128)
+        shapes = (4, K, cut + 1, K), (3,) + grid.spectral_shape
+        shared = np.empty(max(map(np.prod, shapes)), dtype=np.complex128)
+        self.by_ky, self.chat = (shared[: np.prod(s)].reshape(s) for s in shapes)
         self.phys = np.empty((4, self.planes, K, K))
         self.conv = np.empty((3, K, K, K))
-        self.chat = np.empty((3,) + grid.spectral_shape, dtype=np.complex128)
 
 
 # Probe members step on pool threads, so each thread gets its own buffers;
@@ -440,7 +439,8 @@ def _convective(u: np.ndarray, v: np.ndarray, grid: WaveGrid) -> np.ndarray:
     byte-identical to its planes of irfftn of the masked channels.
     Each pass transforms only the lines the mask leaves nonzero, along the
     contiguous last axis: the kx pass (one channel at a time) the retained
-    (ky, kz) columns, the ky pass (per block) the kz <= cut planes. Adding
+    (ky, kz) columns, the ky pass (per block, in place) the kz <= cut planes,
+    and the kz pass those cut+1 columns, which numpy pads with zeros. Adding
     u_i d v_j / d x_i to +0.0 in round order is einsum("ixyz,ijxyz->jxyz")
     byte for byte. The forward transform is numpy's 3-channel rfftn; only
     its retained outputs are kept.
@@ -453,9 +453,10 @@ def _convective(u: np.ndarray, v: np.ndarray, grid: WaveGrid) -> np.ndarray:
     line = ws.line
     halves = ((line[..., : c + 1], slice(0, c + 1)), (line[..., K - c :], slice(c + 1, None)))
     view = ws.by_ky.transpose(0, 3, 2, 1)  # (channel, ky, kz, x)
-    by_kz = ws.by_kz.transpose(0, 1, 3, 2)
     for i in range(3):
         ik = grid.ret_ik[i].reshape(shape[1:])
+        # The last ky pass and the forward spectrum wrote the ky rows the kx pass leaves.
+        ws.by_ky[..., c + 1 : K - c] = 0.0
         for ch in range(4):
             line[..., c + 1 : K - c] = 0.0
             for lines, kx in halves:
@@ -469,12 +470,13 @@ def _convective(u: np.ndarray, v: np.ndarray, grid: WaveGrid) -> np.ndarray:
         for x0 in range(0, K, ws.planes):
             n = min(ws.planes, K - x0)
             xs = slice(x0, x0 + n)
-            # ky pass into (x, y, kz) order.
-            np.fft.ifft(ws.by_ky[:, xs], axis=-1, out=by_kz[:, :n, : c + 1])
+            # ky pass in place, then read in (x, y, kz) order.
+            cols = ws.by_ky[:, xs]
+            np.fft.ifft(cols, axis=-1, out=cols)
             # Real kz pass: numpy runs irfftn over one axis as exactly this
             # irfft. Calling it as irfftn keeps the inverse visible to
             # bench/spans.py, which wraps numpy's n-d transforms.
-            block = np.fft.irfftn(ws.by_kz[:, :n], s=(K,), axes=(-1,), out=ws.phys[:, :n])
+            block = np.fft.irfftn(cols.swapaxes(2, 3), s=(K,), axes=(-1,), out=ws.phys[:, :n])
             block *= grid.n_points
             block[1:] *= block[0]
             np.add(ws.conv[:, xs] if i else 0.0, block[1:], out=ws.conv[:, xs])

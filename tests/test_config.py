@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deconvbox import (
     ConfigError,
@@ -200,13 +202,16 @@ class TestParseConfig:
 
 
 # Values no text parses to, by the type a key parses to, with whether some text could name
-# them at all (every text is a string, so a bad path has no text counterpart).
+# them at all (every text is a string, so a bad path has no text counterpart). A list or a
+# path object is one: it would read back as a tuple or a str, unequal to it.
 UNPARSABLE = {
     "an integer": (True, 2.5, "one"),
     "a finite number": (True, "one", math.nan, math.inf, -math.inf),
-    "three comma-separated integers": ((1.5, 0, 0), (True, 0, 0), (1, 0), "one"),
-    "three comma-separated finite numbers": ((0.0, math.nan, 0.0), (True, 0.0, 0.0), "one"),
-    "a string": (True, 3),
+    "three comma-separated integers": ((1.5, 0, 0), (True, 0, 0), (1, 0), "one", [1, 0, 0]),
+    "three comma-separated finite numbers": (
+        (0.0, math.nan, 0.0), (True, 0.0, 0.0), "one", [0.0, 1.0, 0.0]
+    ),
+    "a string": (True, 3, Path("a.snap")),
 }
 # Per key, values of the right type out of its range; a new key must be listed here.
 OUT_OF_RANGE = {
@@ -292,6 +297,17 @@ class TestBuiltConfig:
              "amplitude: required for kind = single_mode"),
             (lambda: FieldSpec(kind="vortex"),
              "kind: must be one of zero, single_mode, random_spectrum, snapshot, got 'vortex'"),
+            # format_config writes only the kind's keys, so these were lost on the way back.
+            (lambda: FieldSpec(kind="zero", seed=5), "seed: not a key of kind = zero"),
+            (lambda: FieldSpec(kind="random_spectrum", path="x"),
+             "path: not a key of kind = random_spectrum"),
+            (lambda: FieldSpec(kind="snapshot", path="a", mode=(1, 0, 0)),
+             "k: not a key of kind = snapshot"),
+            # A numpy scalar is shown as the number the parser would read.
+            (lambda: SolverConfig(K=8, nu=np.float64(-1.0), delta=1.0, order=1),
+             "nu: must be positive, got -1.0"),
+            (lambda: SolverConfig(K=np.int64(7), nu=1.0, delta=1.0, order=1),
+             "K: must be even, got 7"),
         ],
     )
     def test_value_that_used_to_run_wrong_rejected_when_built(self, build, message):
@@ -300,6 +316,70 @@ class TestBuiltConfig:
         with pytest.raises(ConfigError) as exc:
             build()
         assert str(exc.value) == message
+
+
+def mostly(valid, *invalid):
+    """A strategy drawing from `valid`, or one in 20 times one of the values in `invalid`."""
+    return st.integers(0, 19).flatmap(lambda i: valid if i else st.sampled_from(invalid))
+
+
+# Per FieldSpec field, values equal to its default in several types, and other values,
+# rarely ones its key cannot take. Paths are ones format_config can write (see
+# test_format_rejects_a_path_the_parser_cannot_read_back).
+AT_DEFAULT = dict(mode=(None,), amplitude=(None,), seed=(0, np.int64(0)),
+                  exponent=(4.0, 4, np.float64(4.0)), cutoff=(None,), target_norm=(1.0, 1),
+                  path=(None,))
+OTHER = dict(
+    mode=mostly(st.tuples(*[st.integers(-3, 3)] * 3), [1, 0, 0], (1, 0)),
+    amplitude=mostly(st.tuples(*[st.floats(-2, 2) | st.integers(-2, 2)] * 3), (0.0, math.nan, 0.0)),
+    seed=mostly(st.integers(0, 2**40) | st.just(np.int64(7)), -1, 2.0),
+    exponent=mostly(st.floats(-8, 8) | st.just(np.float64(2.5)), math.inf),
+    cutoff=mostly(st.floats(0.01, 1e3) | st.integers(1, 9), 0.0),
+    target_norm=mostly(st.floats(1e-3, 1e3) | st.just(np.float64(0.5)), -1.0),
+    path=mostly(st.text("ab/._ ", max_size=6).map(str.strip), Path("a.snap")),
+)
+
+
+@st.composite
+def field_specs(draw):
+    """FieldSpec arguments: other values for the kind's keys, and for the rest their defaults,
+    or one in 20 times other values."""
+    kind = draw(st.sampled_from(FIELD_KINDS))
+    own = {key.field for key in _KIND_KEYS[kind]}
+    values = {}
+    for name, other in OTHER.items():
+        at_default = name not in own and draw(st.integers(0, 19)) > 0
+        values[name] = draw(st.sampled_from(AT_DEFAULT[name]) if at_default else other)
+    return dict(kind=kind, **values)
+
+
+class TestFormatRoundTrip:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        top=st.fixed_dictionaries(dict(
+            K=mostly(st.sampled_from([4, 16, np.int64(8)]), 7),
+            nu=mostly(st.floats(1e-3, 10) | st.just(np.float64(0.5)), -1.0),
+            delta=mostly(st.floats(1e-3, 2) | st.integers(1, 3), 0),
+            order=mostly(st.integers(0, 64), 65),
+            dt=mostly(st.floats(1e-6, 1), 0.0),
+            T=mostly(st.floats(0, 10) | st.just(np.float64(1.5)), -1.0),
+            sample_every=mostly(st.integers(1, 4), 0),
+            epsilon=mostly(st.floats(0, 1), math.nan),
+        )),
+        ic=field_specs(),
+        forcing=field_specs(),
+    )
+    def test_every_config_that_builds_reads_back_from_its_text(self, top, ic, forcing):
+        try:
+            config = SolverConfig(**top, ic=FieldSpec(**ic), forcing=FieldSpec(**forcing))
+        except ConfigError:
+            return
+        assert parse_config(format_config(config)) == config
+
+    def test_fields_of_another_kind_at_their_defaults_build(self):
+        spec = FieldSpec(kind="zero", seed=np.int64(0), exponent=4, target_norm=1)
+        config = SolverConfig(K=8, nu=1.0, delta=1.0, order=1, forcing=spec)
+        assert parse_config(format_config(config)) == config
 
 
 class TestReadme:

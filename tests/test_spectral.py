@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -409,19 +410,18 @@ class TestReflections:
 class TestWorkspace:
     def test_concurrent_threads_match_serial_calls(self):
         # K=48 runs in x-blocks of 14, 14, 14 and 6 planes; each thread must
-        # use its own buffers.
+        # use its own buffers, and each call must clear what the last left.
         grid = make_grid(48)
         assert _Workspace(grid).planes == 14
-        inputs = [random_pair(grid, seed) for seed in (31, 32)]
-        serial = [nonlinear_term(u, w).coeff.tobytes() for u, w in inputs]
+        inputs = [[random_pair(grid, seed), random_pair(grid, seed + 10)] for seed in (31, 32)]
+        serial = [[nonlinear_term(u, w).coeff.tobytes() for u, w in pairs] for pairs in inputs]
         results = [[], []]
         start = threading.Barrier(2)
 
         def work(i):
             start.wait(timeout=30)
-            u, w = inputs[i]
-            for _ in range(6):
-                results[i].append(nonlinear_term(u, w).coeff.tobytes())
+            for j in range(6):
+                results[i].append(nonlinear_term(*inputs[i][j % 2]).coeff.tobytes())
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
         old = sys.getswitchinterval()
@@ -435,7 +435,35 @@ class TestWorkspace:
             sys.setswitchinterval(old)
         assert not any(t.is_alive() for t in threads)
         for i in range(2):
-            assert results[i] == [serial[i]] * 6
+            assert results[i] == serial[i] * 3
+
+    @pytest.mark.parametrize("K", [32, 48, 64])
+    def test_alternating_fields_leave_no_stale_lines(self, K):
+        # by_ky's middle ky rows hold the last ky pass's and the forward
+        # spectrum's output when a call or round starts; each round must
+        # zero them again, or the next call reads them as retained data.
+        grid = make_grid(K)
+        pairs = [random_pair(grid, seed) for seed in (35, 36)]
+        want = [_nonlinear_reference(u, w).tobytes() for u, w in pairs]
+        for j in range(5):
+            assert nonlinear_term(*pairs[j % 2]).coeff.tobytes() == want[j % 2], j
+
+    @pytest.mark.parametrize("K", [32, 48, 64])
+    def test_warm_call_allocates_little_beyond_its_result(self, K):
+        # A warm call allocates its (3, M) result, one gather and small
+        # temporaries, 1.17x the result at these K; a full-size buffer made
+        # per call would far exceed the 1.25x budget.
+        grid = make_grid(K)
+        u, v = (_gather(f.coeff, grid) for f in random_pair(grid, 37))
+        _convective(u, v, grid)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = _convective(u, v, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 1.25 * out.nbytes
 
     def test_each_call_returns_its_own_array(self):
         # The result is not a workspace buffer: a second call on the same
@@ -448,19 +476,23 @@ class TestWorkspace:
         assert not np.shares_memory(first, second)
         assert first.tobytes() == kept != second.tobytes()
 
-    def test_k64_buffers_hold_no_column_stack(self):
+    @pytest.mark.parametrize("K, total", [(32, 2_788_864), (64, 14_796_800)])
+    def test_buffers_hold_no_column_stack(self, K, total):
         # The kx pass fills one channel at a time: no (12, 2c+1, c+1, K)
         # stack of every channel's columns sits beside the other buffers,
         # which with one totalled 45,255,456 B at K=64. The inverse runs in
         # rounds of 4 channels, so by_ky holds 4 (a 12-channel one took the
-        # total to 34,599,712 B).
-        grid = make_grid(64)
+        # total to 34,599,712 B). by_ky and chat share one buffer, and the kz
+        # pass reads by_ky, so no by_kz copy is kept (with both, 21,645,312 B).
+        grid = make_grid(K)
         c = grid.cut
         ws = _Workspace(grid)
         arrays = [a for a in vars(ws).values() if isinstance(a, np.ndarray)]
-        assert all(a.shape != (12, 2 * c + 1, c + 1, 64) for a in arrays)
-        assert ws.by_ky.shape == (4, 64, c + 1, 64) and ws.planes == 8
-        assert sum(a.nbytes for a in arrays) <= 23_597_856
+        assert all(a.shape != (12, 2 * c + 1, c + 1, K) for a in arrays)
+        assert ws.by_ky.shape == (4, K, c + 1, K) and not hasattr(ws, "by_kz")
+        assert np.shares_memory(ws.by_ky, ws.chat)
+        bases = {id(b): b for b in (a if a.base is None else a.base for a in arrays)}
+        assert sum(b.nbytes for b in bases.values()) == total
 
     def test_grid_switches_rebuild_the_workspace(self):
         for K in [16, 32, 16]:
