@@ -29,7 +29,7 @@ import numpy as np
 
 from .config import FieldSpec, SolverConfig, _INT, generate_ic
 from .solver import BlowUpError, Trajectory, _retained, build_model, initial_state, simulate
-from .spectral import _retained_norms, smallest_eigenvalue, sobolev_norm
+from .spectral import _binder, _retained_norms, smallest_eigenvalue, sobolev_norm
 
 # Relative slack of a member's energy over its decay envelope before the
 # envelope counts as broken.
@@ -347,7 +347,8 @@ def ensemble_absorb_probe(
         )
 
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        # Each member thread holds one CPU of the mask, so no member's run starts helpers.
+        with ThreadPoolExecutor(workers, initializer=_binder(os.sched_getaffinity(0))) as pool:
             members = tuple(pool.map(run_member, range(ensemble_size)))
     else:
         members = tuple(run_member(i) for i in range(ensemble_size))

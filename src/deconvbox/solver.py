@@ -36,6 +36,7 @@ from .spectral import (
     _require_same_grid,
     _retained_norms,
     _scatter,
+    _workers,
     make_grid,
     smallest_eigenvalue,
 )
@@ -422,18 +423,19 @@ def simulate_with_state(
     h1_prev, work_prev = norms[0], _work_rate(state)
     builder.record(state, norms)
     try:
-        for i in range(1, n_steps + 1):
-            state = step(state, dt)
-            sampled = i % config.sample_every == 0 or i == n_steps
-            with np.errstate(over="ignore", invalid="ignore"):
-                norms = _squared_norms(_retained(state), grid, sampled)
-                h1_new, work_new = norms[0], _work_rate(state)
-            if not (math.isfinite(h1_new) and math.isfinite(work_new)):
-                raise BlowUpError(state.t - dt)
-            builder.accumulate(dt, h1_prev, work_prev, h1_new, work_new, params.nu)
-            h1_prev, work_prev = h1_new, work_new
-            if sampled:
-                builder.record(state, norms)
+        with _workers(grid):
+            for i in range(1, n_steps + 1):
+                state = step(state, dt)
+                sampled = i % config.sample_every == 0 or i == n_steps
+                with np.errstate(over="ignore", invalid="ignore"):
+                    norms = _squared_norms(_retained(state), grid, sampled)
+                    h1_new, work_new = norms[0], _work_rate(state)
+                if not (math.isfinite(h1_new) and math.isfinite(work_new)):
+                    raise BlowUpError(state.t - dt)
+                builder.accumulate(dt, h1_prev, work_prev, h1_new, work_new, params.nu)
+                h1_prev, work_prev = h1_new, work_new
+                if sampled:
+                    builder.record(state, norms)
     except BlowUpError as err:
         err.trajectory = builder.build()
         raise

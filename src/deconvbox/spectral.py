@@ -22,8 +22,11 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import os
 import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -394,8 +397,13 @@ def smallest_eigenvalue(grid: WaveGrid) -> float:
     return float(vals.min())
 
 
+def _planes(K: int) -> int:
+    """x-planes per block of the convective term's physical stack."""
+    return min(K, max(1, _BLOCK_BYTES // (4 * K * K * 8)))
+
+
 class _Workspace:
-    """One thread's buffers for the convective term at one K.
+    """One thread's buffers for the convective term at one K; a `line` and a `phys` per worker.
 
     `line` holds one channel's retained (ky, kz) columns at a time, with
     a zero middle kx range, and is transformed in place. by_ky holds one
@@ -403,29 +411,66 @@ class _Workspace:
     chat shares by_ky's buffer: it is written after the last round reads by_ky.
     """
 
-    def __init__(self, grid: WaveGrid) -> None:
+    def __init__(self, grid: WaveGrid, workers: int = 1) -> None:
         K, cut = grid.K, grid.cut
         self.K = K
-        self.planes = min(K, max(1, _BLOCK_BYTES // (4 * K * K * 8)))
-        self.line = np.empty((2 * cut + 1, cut + 1, K), dtype=np.complex128)
+        self.planes = _planes(K)
+        self.line = [np.empty((2 * cut + 1, cut + 1, K), np.complex128) for _ in range(workers)]
         shapes = (4, K, cut + 1, K), (3,) + grid.spectral_shape
         shared = np.empty(max(map(np.prod, shapes)), dtype=np.complex128)
         self.by_ky, self.chat = (shared[: np.prod(s)].reshape(s) for s in shapes)
-        self.phys = np.empty((4, self.planes, K, K))
+        self.phys = [np.empty((4, self.planes, K, K)) for _ in range(workers)]
         self.conv = np.empty((3, K, K, K))
 
 
 # Probe members step on pool threads, so each thread gets its own buffers;
-# they are freed when the thread exits.
+# they are freed when the thread exits. `_workers` sets a thread's helpers.
 _local = threading.local()
 
 
-def _workspace(grid: WaveGrid) -> _Workspace:
-    """This thread's workspace for grid, rebuilt when K changes."""
+def _workspace(grid: WaveGrid, workers: int = 1) -> _Workspace:
+    """This thread's workspace for grid, rebuilt when K changes or it has too few workers."""
     ws = getattr(_local, "workspace", None)
-    if ws is None or ws.K != grid.K:
-        ws = _local.workspace = _Workspace(grid)
+    if ws is None or ws.K != grid.K or len(ws.line) < workers:
+        ws = _local.workspace = _Workspace(grid, workers)
     return ws
+
+
+def _binder(cpus):
+    """A pool initializer that binds each new pool thread to the next CPU of cpus, in turn."""
+    cpus = itertools.cycle(sorted(cpus))
+    return lambda: os.sched_setaffinity(0, {next(cpus)})
+
+
+@contextlib.contextmanager
+def _workers(grid: WaveGrid):
+    """While the block runs, this thread's convective kernel runs on one worker per CPU of its
+    mask, up to one per x-block of grid: the thread on the first CPU, a helper on each other."""
+    mask = os.sched_getaffinity(0)
+    cpus = sorted(mask)[: -(-grid.K // _planes(grid.K))]
+    if len(cpus) < 2:
+        yield
+        return
+    pool = ThreadPoolExecutor(len(cpus) - 1, initializer=_binder(cpus[1:]))
+    _local.helpers, _local.workers = pool, len(cpus)
+    try:
+        os.sched_setaffinity(0, cpus[:1])
+        yield
+    finally:
+        del _local.helpers, _local.workers
+        pool.shutdown()
+        os.sched_setaffinity(0, mask)
+
+
+def _deal(phase, workers: int) -> None:
+    """Run phase(w) for each worker w < workers, 0 here, the rest on helpers; wait, then raise."""
+    futures = [_local.helpers.submit(phase, w) for w in range(1, workers)]
+    try:
+        phase(0)
+    finally:
+        errors = [err for err in map(Future.exception, futures) if err is not None]
+    if errors:
+        raise errors[0]
 
 
 def _convective(u: np.ndarray, v: np.ndarray, grid: WaveGrid) -> np.ndarray:
@@ -442,22 +487,27 @@ def _convective(u: np.ndarray, v: np.ndarray, grid: WaveGrid) -> np.ndarray:
     (ky, kz) columns, the ky pass (per block, in place) the kz <= cut planes,
     and the kz pass those cut+1 columns, which numpy pads with zeros. Adding
     u_i d v_j / d x_i to +0.0 in round order is einsum("ixyz,ijxyz->jxyz")
-    byte for byte. The forward transform is numpy's 3-channel rfftn; only
-    its retained outputs are kept.
+    byte for byte. The forward transform is numpy's 3-channel rfftn, as its
+    passes: kz, ky per x-range, then kx per ky-range; only its retained outputs
+    are kept. Each phase is dealt to the thread's `_workers`, which write
+    disjoint words, so the bytes do not depend on the worker count.
     """
     K, c = grid.K, grid.cut
-    ws = _workspace(grid)
+    workers = getattr(_local, "workers", 1)
+    ws = _workspace(grid, workers)
     # The retained kx of each column sit at 0..c and K-c..K-1 of the kx line.
     shape = (3, 2 * c + 1, c + 1, 2 * c + 1)
     u4, v4 = u.reshape(shape), v.reshape(shape)
-    line = ws.line
-    halves = ((line[..., : c + 1], slice(0, c + 1)), (line[..., K - c :], slice(c + 1, None)))
     view = ws.by_ky.transpose(0, 3, 2, 1)  # (channel, ky, kz, x)
-    for i in range(3):
-        ik = grid.ret_ik[i].reshape(shape[1:])
-        # The last ky pass and the forward spectrum wrote the ky rows the kx pass leaves.
-        ws.by_ky[..., c + 1 : K - c] = 0.0
-        for ch in range(4):
+    own = [slice(w * K // workers, (w + 1) * K // workers) for w in range(workers)]
+
+    # Each phase runs within one iteration of the loop below that reads its round i.
+    def kx_pass(w: int) -> None:
+        ik, line = grid.ret_ik[i].reshape(shape[1:]), ws.line[w]
+        halves = ((line[..., : c + 1], slice(0, c + 1)), (line[..., K - c :], slice(c + 1, None)))
+        for ch in range(w, 4, workers):
+            # The last ky pass and the forward spectrum wrote the ky rows the kx pass leaves.
+            ws.by_ky[ch, ..., c + 1 : K - c] = 0.0
             line[..., c + 1 : K - c] = 0.0
             for lines, kx in halves:
                 if ch == 0:
@@ -467,8 +517,10 @@ def _convective(u: np.ndarray, v: np.ndarray, grid: WaveGrid) -> np.ndarray:
             # kx pass in place, then into (x, kz, ky) order.
             np.fft.ifft(line, axis=-1, out=line)
             view[ch, : c + 1], view[ch, K - c :] = line[: c + 1], line[c + 1 :]
-        for x0 in range(0, K, ws.planes):
-            n = min(ws.planes, K - x0)
+
+    def x_blocks(w: int) -> None:
+        for x0 in range(own[w].start, own[w].stop, ws.planes):
+            n = min(ws.planes, own[w].stop - x0)
             xs = slice(x0, x0 + n)
             # ky pass in place, then read in (x, y, kz) order.
             cols = ws.by_ky[:, xs]
@@ -476,12 +528,17 @@ def _convective(u: np.ndarray, v: np.ndarray, grid: WaveGrid) -> np.ndarray:
             # Real kz pass: numpy runs irfftn over one axis as exactly this
             # irfft. Calling it as irfftn keeps the inverse visible to
             # bench/spans.py, which wraps numpy's n-d transforms.
-            block = np.fft.irfftn(cols.swapaxes(2, 3), s=(K,), axes=(-1,), out=ws.phys[:, :n])
+            block = np.fft.irfftn(cols.swapaxes(2, 3), s=(K,), axes=(-1,), out=ws.phys[w][:, :n])
             block *= grid.n_points
             block[1:] *= block[0]
             np.add(ws.conv[:, xs] if i else 0.0, block[1:], out=ws.conv[:, xs])
-    chat = np.fft.rfftn(ws.conv, axes=(1, 2, 3), out=ws.chat)
-    out = _gather(chat, grid)
+
+    for i in range(3):
+        _deal(kx_pass, workers)
+        _deal(x_blocks, workers)
+    _deal(lambda w: np.fft.rfftn(ws.conv[:, own[w]], axes=(2, 3), out=ws.chat[:, own[w]]), workers)
+    _deal(lambda w: np.fft.fft(ws.chat[:, :, own[w]], axis=1, out=ws.chat[:, :, own[w]]), workers)
+    out = _gather(ws.chat, grid)
     out /= grid.n_points
     out[:, 0] = 0.0
     return out

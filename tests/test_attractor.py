@@ -1,5 +1,7 @@
 import hashlib
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from deconvbox import (
     sobolev_norm,
     uniform_gronwall,
 )
-from deconvbox import solver
+from deconvbox import solver, spectral
 
 
 class TestRho0:
@@ -320,6 +322,49 @@ class TestEnsembleProbe:
         serial = digests()
         monkeypatch.setenv("DECONV_THREADS", "2")
         assert digests() == serial
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs in the mask")
+    def test_member_threads_hold_one_cpu_each_and_start_no_helper(self, monkeypatch):
+        # K=48 has four x-blocks, so a run of its own would split its kernel; a probe
+        # gives its CPUs to the members instead. On one thread the members run one after
+        # another, each splitting its kernel. Neither changes a bit.
+        template = SolverConfig(
+            K=48, nu=1.0, delta=0.5, order=1, dt=0.02, T=1.0,
+            forcing=FieldSpec(kind="random_spectrum", seed=63, target_norm=0.3),
+        )
+        seen = []
+
+        def watched(state, dt, _step=solver.step):
+            seen.append((threading.current_thread().name, os.sched_getaffinity(0),
+                         getattr(spectral._local, "workers", 1)))
+            return _step(state, dt)
+
+        monkeypatch.setattr(solver, "step", watched)
+
+        def digests():
+            seen.clear()
+            # The data start inside the slack ball, so each member takes 10 steps.
+            report = ensemble_absorb_probe(
+                R=0.9, rho0_prime=1.0, ensemble_size=2, template=template
+            )
+            return [
+                hashlib.sha256(
+                    b"".join(col.tobytes() for col in m.trajectory.columns().values())
+                ).hexdigest()
+                for m in report.members
+            ]
+
+        mask = os.sched_getaffinity(0)
+        monkeypatch.setenv("DECONV_THREADS", "1")
+        serial = digests()
+        assert {(name, workers) for name, _, workers in seen} == {("MainThread", 2)}
+        monkeypatch.setenv("DECONV_THREADS", "2")
+        assert digests() == serial
+        by_thread = {name: (cpus, workers) for name, cpus, workers in seen}
+        assert len(by_thread) == 2 and "MainThread" not in by_thread
+        assert all(len(cpus) == 1 and cpus <= mask and workers == 1
+                   for cpus, workers in by_thread.values())
+        assert len({frozenset(cpus) for cpus, _ in by_thread.values()}) == 2
 
     def test_members_check_and_gather_their_start_once(self, monkeypatch):
         # The forcing and each member's initial condition are checked and

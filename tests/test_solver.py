@@ -1,6 +1,9 @@
 import dataclasses
 import math
+import os
 import re
+import resource
+import threading
 import warnings
 
 import numpy as np
@@ -31,7 +34,7 @@ from deconvbox import (
     sobolev_norm,
     step,
 )
-from deconvbox import solver
+from deconvbox import solver, spectral
 from deconvbox.spectral import _gather
 from oracles import hermitian_defect, masked_shear, random_div_free
 
@@ -578,3 +581,106 @@ class TestTrajectoryContainer:
         cols = [np.array([0.0, 1.0])] + [np.array([0.0, -1.0])] + [np.zeros(2)] * 6
         with pytest.raises(ValueError, match="nonnegative"):
             Trajectory(*cols)
+
+
+def forced_run(K, T, **keys):
+    """The README quick-start physics from a random start under a random forcing."""
+    cfg = SolverConfig(
+        K=K, nu=1.0, delta=0.5, order=1, dt=0.01, T=T,
+        ic=FieldSpec(kind="random_spectrum", seed=71, target_norm=2.0),
+        forcing=FieldSpec(kind="random_spectrum", seed=72, target_norm=0.5),
+    )
+    return dataclasses.replace(cfg, **keys)
+
+
+two_cpus = pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2, reason="a run's helper needs two CPUs in the mask"
+)
+
+
+class TestRunWorkers:
+    """A run on a grid of several x-blocks steps on the CPUs of its thread's mask."""
+
+    @staticmethod
+    def watch(monkeypatch):
+        """Per step: live threads, the kernel's workers and each worker's CPU mask."""
+        seen = []
+
+        def watched(state, dt, _step=solver.step):
+            workers = getattr(spectral._local, "workers", 1)
+            masks = [None] * workers
+            spectral._deal(lambda w: masks.__setitem__(w, os.sched_getaffinity(0)), workers)
+            seen.append((threading.active_count(), workers, masks))
+            return _step(state, dt)
+
+        monkeypatch.setattr(solver, "step", watched)
+        return seen
+
+    @two_cpus
+    def test_a_run_binds_each_worker_to_its_own_cpu_and_restores(self, monkeypatch):
+        threads, mask = threading.active_count(), os.sched_getaffinity(0)
+        seen = self.watch(monkeypatch)
+        simulate_with_state(forced_run(48, 0.03))
+        assert [workers for _, workers, _ in seen] == [2, 2, 2]
+        # One helper lives for the run.
+        assert [count for count, _, _ in seen] == [threads + 1] * 3
+        for _, _, (caller, helper) in seen:
+            assert len(caller) == len(helper) == 1 and caller != helper
+            assert caller | helper <= mask
+        assert threading.active_count() == threads and os.sched_getaffinity(0) == mask
+
+    @two_cpus
+    def test_a_blown_up_run_joins_its_helper_and_restores(self, monkeypatch):
+        threads, mask = threading.active_count(), os.sched_getaffinity(0)
+        seen = self.watch(monkeypatch)
+        cfg = forced_run(48, 50.0, nu=1e-4, dt=5.0,
+                         ic=FieldSpec(kind="random_spectrum", seed=46, target_norm=10.0))
+        with pytest.warns(RuntimeWarning), pytest.raises(BlowUpError):
+            simulate(cfg)
+        assert seen and all(workers == 2 for _, workers, _ in seen)
+        assert threading.active_count() == threads and os.sched_getaffinity(0) == mask
+
+    def test_a_one_cpu_mask_starts_no_helper_and_changes_no_bit(self, monkeypatch):
+        mask = os.sched_getaffinity(0)
+        cfg = forced_run(48, 0.03)
+        split = simulate_with_state(cfg)
+        seen = self.watch(monkeypatch)
+        threads = threading.active_count()
+        os.sched_setaffinity(0, {min(mask)})
+        try:
+            alone = simulate_with_state(cfg)
+        finally:
+            os.sched_setaffinity(0, mask)
+        assert seen == [(threads, 1, [{min(mask)}])] * 3
+        for got, want in zip(alone[0].columns().values(), split[0].columns().values()):
+            assert got.tobytes() == want.tobytes()
+        assert alone[1].w.coeff.tobytes() == split[1].w.coeff.tobytes()
+
+    def test_a_run_without_steps_starts_no_thread(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+        simulate_with_state(forced_run(64, 0.0))
+        assert started == []
+
+    @pytest.mark.parametrize("K, workers", [(32, 1), pytest.param(64, 2, marks=two_cpus)])
+    def test_steady_steps_take_few_page_faults(self, K, workers, monkeypatch):
+        # The steps of a run reuse their buffers: a fresh full-size array per step
+        # would be faulted in again each time (546 faults per step at K=64 once).
+        # The difference of a 13- and a 3-step run leaves out the run's set-up; the
+        # second run of a process still faults some of it in (about 320 at K=64).
+        seen = set()
+
+        def watched(state, dt, _step=solver.step):
+            seen.add(getattr(spectral._local, "workers", 1))
+            return _step(state, dt)
+
+        monkeypatch.setattr(solver, "step", watched)
+        for _ in range(2):
+            simulate_with_state(forced_run(K, 0.03))
+        faults = []
+        for steps in (3, 13):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            simulate_with_state(forced_run(K, steps * 0.01))
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        assert (faults[1] - faults[0]) / 10 < 20, faults
+        assert seen == {workers}

@@ -1,6 +1,9 @@
+import contextlib
+import os
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -28,6 +31,9 @@ from deconvbox.spectral import (
     _mode_energy,
     _norm_from_energy,
     _Workspace,
+    _deal,
+    _local,
+    _workers,
     _workspace,
 )
 from deconvbox.verify import _nonlinear_reference
@@ -37,6 +43,12 @@ from oracles import hermitian_defect, random_div_free, trilinear_collocation
 # Hypothesis without its shrink phase: shrinking a failing example reruns the
 # convective transforms for minutes; the failing example is reported as drawn.
 NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
+
+# A run on a grid of several x-blocks splits its convective kernel over the CPUs of its
+# thread's affinity mask; these tests split it in two.
+two_cpus = pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2, reason="a two-worker kernel needs two CPUs in the mask"
+)
 
 
 def shear_mode(grid, amp=(0.0, 1.0, 0.0)):
@@ -448,21 +460,28 @@ class TestWorkspace:
         for j in range(5):
             assert nonlinear_term(*pairs[j % 2]).coeff.tobytes() == want[j % 2], j
 
-    @pytest.mark.parametrize("K", [32, 48, 64])
-    def test_warm_call_allocates_little_beyond_its_result(self, K):
+    @pytest.mark.parametrize(
+        "K, split",
+        [(32, False), (48, False), (64, False),
+         pytest.param(48, True, marks=two_cpus), pytest.param(64, True, marks=two_cpus)],
+    )
+    def test_warm_call_allocates_little_beyond_its_result(self, K, split):
         # A warm call allocates its (3, M) result, one gather and small
         # temporaries, 1.17x the result at these K; a full-size buffer made
-        # per call would far exceed the 1.25x budget.
+        # per call would far exceed the 1.25x budget. tracemalloc sees the
+        # helper's allocations too, and the split's hand-offs are small.
         grid = make_grid(K)
         u, v = (_gather(f.coeff, grid) for f in random_pair(grid, 37))
-        _convective(u, v, grid)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            out = _convective(u, v, grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        with _workers(grid) if split else contextlib.nullcontext():
+            assert getattr(_local, "workers", 1) == (2 if split else 1)
+            _convective(u, v, grid)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                out = _convective(u, v, grid)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         assert peak - base <= 1.25 * out.nbytes
 
     def test_each_call_returns_its_own_array(self):
@@ -476,18 +495,25 @@ class TestWorkspace:
         assert not np.shares_memory(first, second)
         assert first.tobytes() == kept != second.tobytes()
 
-    @pytest.mark.parametrize("K, total", [(32, 2_788_864), (64, 14_796_800)])
-    def test_buffers_hold_no_column_stack(self, K, total):
+    @pytest.mark.parametrize(
+        "K, workers, total",
+        [(32, 1, 2_788_864), (64, 1, 14_796_800), (32, 2, 3_955_712), (64, 2, 16_814_080)],
+    )
+    def test_buffers_hold_no_column_stack(self, K, workers, total):
         # The kx pass fills one channel at a time: no (12, 2c+1, c+1, K)
         # stack of every channel's columns sits beside the other buffers,
         # which with one totalled 45,255,456 B at K=64. The inverse runs in
         # rounds of 4 channels, so by_ky holds 4 (a 12-channel one took the
         # total to 34,599,712 B). by_ky and chat share one buffer, and the kz
         # pass reads by_ky, so no by_kz copy is kept (with both, 21,645,312 B).
+        # Each further worker adds one kx line buffer and one physical block:
+        # 118,272 + 1,048,576 B at K=32 and 968,704 + 1,048,576 B at K=64.
         grid = make_grid(K)
         c = grid.cut
-        ws = _Workspace(grid)
-        arrays = [a for a in vars(ws).values() if isinstance(a, np.ndarray)]
+        ws = _Workspace(grid, workers)
+        assert len(ws.line) == len(ws.phys) == workers
+        arrays = [a for v in vars(ws).values() for a in (v if isinstance(v, list) else [v])]
+        arrays = [a for a in arrays if isinstance(a, np.ndarray)]
         assert all(a.shape != (12, 2 * c + 1, c + 1, K) for a in arrays)
         assert ws.by_ky.shape == (4, K, c + 1, K) and not hasattr(ws, "by_kz")
         assert np.shares_memory(ws.by_ky, ws.chat)
@@ -499,6 +525,68 @@ class TestWorkspace:
             grid = make_grid(K)
             u, v = random_pair(grid, K)
             assert nonlinear_term(u, v).coeff.tobytes() == _nonlinear_reference(u, v).tobytes()
+
+
+class TestWorkers:
+    # K=36 and 40 have two x-blocks of 25 and 20 planes, so two workers take one
+    # 18- or 20-plane range each; at K=48 each takes 24 planes as blocks of 14 and 10,
+    # and at K=64 32 planes as 4 blocks of 8.
+    @two_cpus
+    @pytest.mark.parametrize("K", [36, 40, 48, 64])
+    def test_two_workers_equal_one_and_the_reference(self, K):
+        grid = make_grid(K)
+        u, v = random_pair(grid, K)
+        ur, vr = _gather(u.coeff, grid), _gather(v.coeff, grid)
+        one, projected = _convective(ur, vr, grid), nonlinear_term(u, v)
+        with _workers(grid):
+            assert _local.workers == 2
+            two = _convective(ur, vr, grid)
+            assert nonlinear_term(u, v).coeff.tobytes() == projected.coeff.tobytes()
+        assert two.tobytes() == one.tobytes()
+        assert projected.coeff.tobytes() == _nonlinear_reference(u, v).tobytes()
+
+    def test_a_one_block_grid_starts_no_worker(self):
+        # K=32 is one block of 32 planes: splitting it made the kx phase slower.
+        with _workers(make_grid(32)):
+            assert not hasattr(_local, "workers")
+
+    def test_more_workers_than_cpus_on_a_short_switch_interval_equal_one(self):
+        # Four workers (a channel and 16 planes each), unbound and switching threads as
+        # often as the interpreter allows: a worker that wrote outside its own channels,
+        # planes or buffers would change the bytes.
+        grid = make_grid(64)
+        u, v = (_gather(f.coeff, grid) for f in random_pair(grid, 38))
+        one = _convective(u, v, grid)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(3) as pool:
+                _local.helpers, _local.workers = pool, 4
+                try:
+                    split = [_convective(u, v, grid).tobytes() for _ in range(3)]
+                finally:
+                    del _local.helpers, _local.workers
+        finally:
+            sys.setswitchinterval(old)
+        assert split == [one.tobytes()] * 3
+
+    @two_cpus
+    def test_an_error_is_raised_after_every_worker_finished(self):
+        # No worker may still write into the buffers when the caller moves on.
+        finished = []
+
+        def phase(w):
+            if w == failing:
+                raise ValueError(f"worker {w} failed")
+            threading.Event().wait(0.05)
+            finished.append(w)
+
+        with _workers(make_grid(64)):
+            for failing in (0, 1):
+                finished.clear()
+                with pytest.raises(ValueError, match=f"worker {failing} failed"):
+                    _deal(phase, 2)
+                assert finished == [1 - failing]
 
 
 class TestFieldConstruction:
