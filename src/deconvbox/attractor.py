@@ -21,7 +21,6 @@ computed trajectories.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -29,7 +28,7 @@ import numpy as np
 
 from .config import FieldSpec, SolverConfig, _INT, generate_ic
 from .solver import BlowUpError, Trajectory, _retained, build_model, initial_state, simulate
-from .spectral import _binder, _retained_norms, smallest_eigenvalue, sobolev_norm
+from .spectral import _binder, _cpus, _retained_norms, smallest_eigenvalue, sobolev_norm
 
 # Relative slack of a member's energy over its decay envelope before the
 # envelope counts as broken.
@@ -255,18 +254,6 @@ class ProbeReport:
     passed: bool
 
 
-def _worker_count() -> int:
-    """DECONV_THREADS as a worker count: unset means 1, else a decimal >= 1."""
-    raw = os.environ.get("DECONV_THREADS")
-    if raw is None:
-        return 1
-    if not (raw.isascii() and raw.isdigit() and int(raw) >= 1):
-        raise ValueError(
-            f"DECONV_THREADS must be a base-10 integer >= 1, got {raw!r}"
-        )
-    return int(raw)
-
-
 def ensemble_absorb_probe(
     R: float | None,
     rho0_prime: float | None,
@@ -286,14 +273,14 @@ def ensemble_absorb_probe(
     are judged on (a) entering the slack ball no later than
     T0 (1 + template.epsilon), (b) never leaving it afterwards, and
     (c) staying below the per-member decay envelope within
-    `BOUND_TOLERANCE`. Members run independently; DECONV_THREADS sets the
-    worker count and never changes results. A blown-up member is recorded
-    with its failure time and fails the probe.
+    `BOUND_TOLERANCE`. Members run independently, on one thread per CPU of
+    the caller's mask up to one per member, and the threads never change
+    results. A blown-up member is recorded with its failure time and fails
+    the probe.
     """
     for name, value, low in (("ensemble_size", ensemble_size, 1), ("base_seed", base_seed, 0)):
         if not _INT.holds(value) or value < low:
             raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-    workers = _worker_count()
     model = build_model(template)
     grid = model.grid
     params = AbsorbingParams(nu=model.nu, lambda1=smallest_eigenvalue(grid), f_norm=model.f_norm)
@@ -346,12 +333,12 @@ def ensemble_absorb_probe(
             trajectory=traj if keep_trajectories else None,
         )
 
-    if workers > 1:
-        # Each member thread holds one CPU of the mask, so no member's run starts helpers.
-        with ThreadPoolExecutor(workers, initializer=_binder(os.sched_getaffinity(0))) as pool:
-            members = tuple(pool.map(run_member, range(ensemble_size)))
-    else:
-        members = tuple(run_member(i) for i in range(ensemble_size))
+    # Two or more member threads hold one CPU of the mask each, so no member's run starts
+    # helpers; a lone member thread keeps the mask and splits its kernel as a single run does.
+    cpus = _cpus(ensemble_size)
+    bind = _binder(cpus) if len(cpus) > 1 else None
+    with ThreadPoolExecutor(len(cpus), initializer=bind) as pool:
+        members = tuple(pool.map(run_member, range(ensemble_size)))
 
     passed = all(
         m.blow_up_time is None

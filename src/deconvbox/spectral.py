@@ -436,9 +436,14 @@ def _workspace(grid: WaveGrid, workers: int = 1) -> _Workspace:
     return ws
 
 
+def _cpus(units: int) -> list[int]:
+    """The CPUs that share units of work: the first `units` CPUs of this thread's mask."""
+    return sorted(os.sched_getaffinity(0))[:units]
+
+
 def _binder(cpus):
-    """A pool initializer that binds each new pool thread to the next CPU of cpus, in turn."""
-    cpus = itertools.cycle(sorted(cpus))
+    """A pool initializer that binds each new pool thread to the next CPU of cpus, once each."""
+    cpus = iter(cpus)
     return lambda: os.sched_setaffinity(0, {next(cpus)})
 
 
@@ -447,7 +452,7 @@ def _workers(grid: WaveGrid):
     """While the block runs, this thread's convective kernel runs on one worker per CPU of its
     mask, up to one per x-block of grid: the thread on the first CPU, a helper on each other."""
     mask = os.sched_getaffinity(0)
-    cpus = sorted(mask)[: -(-grid.K // _planes(grid.K))]
+    cpus = _cpus(-(-grid.K // _planes(grid.K)))
     if len(cpus) < 2:
         yield
         return

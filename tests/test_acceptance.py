@@ -6,7 +6,6 @@ lines are replayed in the terminal summary after the session.
 
 import dataclasses
 import math
-import os
 import time
 
 import numpy as np
@@ -74,22 +73,14 @@ def absorb_ensemble():
         K=32, nu=1.0, delta=0.5, order=1, dt=0.01, T=1.0, sample_every=2,
         forcing=FieldSpec(kind="random_spectrum", seed=101, target_norm=0.5),
     )
-    old = os.environ.get("DECONV_THREADS")
-    os.environ["DECONV_THREADS"] = "2"  # worker count never changes results
     t0 = time.perf_counter()
-    try:
-        report = ensemble_absorb_probe(
-            R=2.0,
-            rho0_prime=math.sqrt(0.5),
-            ensemble_size=8,
-            template=template,
-            base_seed=500,
-        )
-    finally:
-        if old is None:
-            os.environ.pop("DECONV_THREADS", None)
-        else:
-            os.environ["DECONV_THREADS"] = old
+    report = ensemble_absorb_probe(
+        R=2.0,
+        rho0_prime=math.sqrt(0.5),
+        ensemble_size=8,
+        template=template,
+        base_seed=500,
+    )
     elapsed = time.perf_counter() - t0
     params = AbsorbingParams(
         nu=1.0, lambda1=1.0, f_norm=report.rho0, rho0_prime=math.sqrt(0.5), R=2.0

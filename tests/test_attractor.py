@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import math
 import os
@@ -25,6 +26,21 @@ from deconvbox import (
     uniform_gronwall,
 )
 from deconvbox import solver, spectral
+
+TWO_CPUS = pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs in the mask"
+)
+
+
+@contextlib.contextmanager
+def on_cpus(n):
+    """Run the block with the calling thread's mask narrowed to its first n CPUs."""
+    mask = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, sorted(mask)[:n])
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, mask)
 
 
 class TestRho0:
@@ -300,7 +316,8 @@ class TestEnsembleProbe:
             assert m.max_bound_ratio <= 1.01
             assert m.stayed_inside
 
-    def test_two_members_digests_equal_on_one_and_two_threads(self, monkeypatch):
+    @TWO_CPUS
+    def test_two_members_digests_equal_on_one_and_two_threads(self):
         # Each pool thread steps in its own convective workspace.
         template = SolverConfig(
             K=12, nu=1.0, delta=0.5, order=1, dt=0.05, T=1.0,
@@ -318,16 +335,16 @@ class TestEnsembleProbe:
                 for m in report.members
             ]
 
-        monkeypatch.setenv("DECONV_THREADS", "1")
-        serial = digests()
-        monkeypatch.setenv("DECONV_THREADS", "2")
-        assert digests() == serial
+        with on_cpus(1):
+            serial = digests()
+        with on_cpus(2):
+            assert digests() == serial
 
-    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs in the mask")
+    @TWO_CPUS
     def test_member_threads_hold_one_cpu_each_and_start_no_helper(self, monkeypatch):
         # K=48 has four x-blocks, so a run of its own would split its kernel; a probe
-        # gives its CPUs to the members instead. On one thread the members run one after
-        # another, each splitting its kernel. Neither changes a bit.
+        # gives its CPUs to the members instead. On a one-CPU mask the members run one
+        # after another on one thread, which has no CPU to split over. Neither changes a bit.
         template = SolverConfig(
             K=48, nu=1.0, delta=0.5, order=1, dt=0.02, T=1.0,
             forcing=FieldSpec(kind="random_spectrum", seed=63, target_norm=0.3),
@@ -341,11 +358,11 @@ class TestEnsembleProbe:
 
         monkeypatch.setattr(solver, "step", watched)
 
-        def digests():
+        def digests(members=2):
             seen.clear()
             # The data start inside the slack ball, so each member takes 10 steps.
             report = ensemble_absorb_probe(
-                R=0.9, rho0_prime=1.0, ensemble_size=2, template=template
+                R=0.9, rho0_prime=1.0, ensemble_size=members, template=template
             )
             return [
                 hashlib.sha256(
@@ -355,16 +372,25 @@ class TestEnsembleProbe:
             ]
 
         mask = os.sched_getaffinity(0)
-        monkeypatch.setenv("DECONV_THREADS", "1")
-        serial = digests()
-        assert {(name, workers) for name, _, workers in seen} == {("MainThread", 2)}
-        monkeypatch.setenv("DECONV_THREADS", "2")
-        assert digests() == serial
+        with on_cpus(1):
+            serial = digests()
         by_thread = {name: (cpus, workers) for name, cpus, workers in seen}
-        assert len(by_thread) == 2 and "MainThread" not in by_thread
-        assert all(len(cpus) == 1 and cpus <= mask and workers == 1
-                   for cpus, workers in by_thread.values())
-        assert len({frozenset(cpus) for cpus, _ in by_thread.values()}) == 2
+        assert len(by_thread) == 1 and "MainThread" not in by_thread
+        assert list(by_thread.values()) == [({min(mask)}, 1)]
+        with on_cpus(2):
+            assert digests() == serial
+            by_thread = {name: (cpus, workers) for name, cpus, workers in seen}
+            assert len(by_thread) == 2 and "MainThread" not in by_thread
+            assert all(len(cpus) == 1 and cpus <= mask and workers == 1
+                       for cpus, workers in by_thread.values())
+            assert len({frozenset(cpus) for cpus, _ in by_thread.values()}) == 2
+
+            # A lone member thread keeps the mask, so its run splits its kernel as a
+            # single run does.
+            digests(members=1)
+            by_thread = {name: workers for name, _, workers in seen}
+            assert len(by_thread) == 1 and "MainThread" not in by_thread
+            assert list(by_thread.values()) == [2]
 
     def test_members_check_and_gather_their_start_once(self, monkeypatch):
         # The forcing and each member's initial condition are checked and
@@ -391,7 +417,8 @@ class TestEnsembleProbe:
             want = sobolev_norm(initial_state(u0, model).w, 0.0)
             assert np.float64(m.w0_norm).tobytes() == np.float64(want).tobytes()
 
-    def test_threads_do_not_change_results(self, monkeypatch):
+    @TWO_CPUS
+    def test_threads_do_not_change_results(self):
         template = SolverConfig(
             K=8, nu=1.0, delta=0.5, order=1, dt=0.05, T=1.0,
             forcing=FieldSpec(kind="random_spectrum", seed=62, target_norm=0.3),
@@ -402,10 +429,10 @@ class TestEnsembleProbe:
                 R=1.0, rho0_prime=0.5, ensemble_size=3, template=template
             )
 
-        monkeypatch.setenv("DECONV_THREADS", "1")
-        serial = run()
-        monkeypatch.setenv("DECONV_THREADS", "2")
-        threaded = run()
+        with on_cpus(1):
+            serial = run()
+        with on_cpus(2):
+            threaded = run()
         for a, b in zip(serial.members, threaded.members):
             assert a.entry_time == b.entry_time
             assert np.array_equal(a.trajectory.h0_sq, b.trajectory.h0_sq)

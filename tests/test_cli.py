@@ -214,14 +214,21 @@ class TestOtherCommands:
         assert lines[0].startswith("member,")
         assert len(lines) == 3
 
-    @pytest.mark.parametrize("threads", ["abc", "0", "-3", " 2x", ""])
-    def test_absorb_probe_invalid_threads_exits_1(self, tmp_path, capsys, monkeypatch, threads):
-        monkeypatch.setenv("DECONV_THREADS", threads)
+    def test_absorb_probe_ignores_deconv_threads(self, tmp_path, capsys, monkeypatch):
+        # The probe takes its threads from the CPU mask; the old variable changes nothing.
         cfg = write(tmp_path, "run.cfg", FORCED_CONFIG)
-        assert cli_main(["absorb-probe", "--config", cfg, "--members", "2"]) == 1
-        assert f"DECONV_THREADS must be a base-10 integer >= 1, got {threads!r}" in (
-            capsys.readouterr().err
-        )
+        report = tmp_path / "probe.csv"
+
+        def probe():
+            args = ["absorb-probe", "--config", cfg, "--members", "2", "--output", str(report)]
+            assert cli_main(args) == 0
+            return capsys.readouterr().out, report.read_bytes()
+
+        monkeypatch.delenv("DECONV_THREADS", raising=False)
+        unset = probe()
+        for threads in ("abc", "0", "2"):
+            monkeypatch.setenv("DECONV_THREADS", threads)
+            assert probe() == unset, threads
 
     @pytest.mark.parametrize("flag", ["--radius", "--rho0-prime"])
     def test_absorb_probe_non_finite_flag_exits_1(self, tmp_path, capsys, flag):

@@ -83,3 +83,17 @@ def test_every_private_helper_is_used_in_the_package():
         and everywhere[node.name] == _references(node)[node.name]
     ]
     assert unused == []
+
+
+def test_no_module_reads_the_environment():
+    # Every setting comes from a config or an argument; parallelism comes from the
+    # caller's CPU mask. A module that reads os.environ or calls os.getenv adds a
+    # value that no config names.
+    reads = [
+        f"{path.stem}:{node.lineno}"
+        for path in Path(deconvbox.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Attribute, ast.Name))
+        and (getattr(node, "attr", None) or getattr(node, "id", None)) in ("environ", "getenv")
+    ]
+    assert reads == []
