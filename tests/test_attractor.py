@@ -340,11 +340,11 @@ class TestEnsembleProbe:
         with on_cpus(2):
             assert digests() == serial
 
-    @TWO_CPUS
-    def test_member_threads_hold_one_cpu_each_and_start_no_helper(self, monkeypatch):
-        # K=48 has four x-blocks, so a run of its own would split its kernel; a probe
-        # gives its CPUs to the members instead. On a one-CPU mask the members run one
-        # after another on one thread, which has no CPU to split over. Neither changes a bit.
+    @pytest.fixture
+    def k48_probe(self, monkeypatch):
+        # K=48 has four x-blocks, so a run of its own would split its kernel. Returns
+        # the probe, as member digests, and the (thread, mask, kernel workers) of each
+        # step of its last call.
         template = SolverConfig(
             K=48, nu=1.0, delta=0.5, order=1, dt=0.02, T=1.0,
             forcing=FieldSpec(kind="random_spectrum", seed=63, target_norm=0.3),
@@ -371,6 +371,14 @@ class TestEnsembleProbe:
                 for m in report.members
             ]
 
+        return digests, seen
+
+    @TWO_CPUS
+    def test_member_threads_hold_one_cpu_each_and_start_no_helper(self, k48_probe):
+        # A probe gives its CPUs to the members instead of their kernels. On a one-CPU
+        # mask the members run one after another on one thread, which has no CPU to
+        # split over. Neither changes a bit.
+        digests, seen = k48_probe
         mask = os.sched_getaffinity(0)
         with on_cpus(1):
             serial = digests()
@@ -385,12 +393,15 @@ class TestEnsembleProbe:
                        for cpus, workers in by_thread.values())
             assert len({frozenset(cpus) for cpus, _ in by_thread.values()}) == 2
 
-            # A lone member thread keeps the mask, so its run splits its kernel as a
-            # single run does.
+    @TWO_CPUS
+    def test_one_member_thread_splits_its_kernel_as_a_single_run_does(self, k48_probe):
+        # A lone member thread keeps the mask, so its run splits its kernel over both CPUs.
+        digests, seen = k48_probe
+        with on_cpus(2):
             digests(members=1)
-            by_thread = {name: workers for name, _, workers in seen}
-            assert len(by_thread) == 1 and "MainThread" not in by_thread
-            assert list(by_thread.values()) == [2]
+        by_thread = {name: workers for name, _, workers in seen}
+        assert len(by_thread) == 1 and "MainThread" not in by_thread
+        assert list(by_thread.values()) == [2]
 
     def test_members_check_and_gather_their_start_once(self, monkeypatch):
         # The forcing and each member's initial condition are checked and
