@@ -21,14 +21,13 @@ computed trajectories.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import FieldSpec, SolverConfig, _INT, generate_ic
 from .solver import BlowUpError, Trajectory, _retained, build_model, initial_state, simulate
-from .spectral import _binder, _cpus, _retained_norms, smallest_eigenvalue, sobolev_norm
+from .spectral import _bound_pool, _map, _retained_norms, smallest_eigenvalue, sobolev_norm
 
 # Relative slack of a member's energy over its decay envelope before the
 # envelope counts as broken.
@@ -273,10 +272,10 @@ def ensemble_absorb_probe(
     are judged on (a) entering the slack ball no later than
     T0 (1 + template.epsilon), (b) never leaving it afterwards, and
     (c) staying below the per-member decay envelope within
-    `BOUND_TOLERANCE`. Members run independently, on one thread per CPU of
-    the caller's mask up to one per member, and the threads never change
-    results. A blown-up member is recorded with its failure time and fails
-    the probe.
+    `BOUND_TOLERANCE`. Members run independently, on one bound thread per
+    CPU of the caller's mask up to one per member (in turn on the caller
+    when that is one CPU or one member); the threads never change results.
+    A blown-up member is recorded with its failure time and fails the probe.
     """
     for name, value, low in (("ensemble_size", ensemble_size, 1), ("base_seed", base_seed, 0)):
         if not _INT.holds(value) or value < low:
@@ -333,12 +332,9 @@ def ensemble_absorb_probe(
             trajectory=traj if keep_trajectories else None,
         )
 
-    # Two or more member threads hold one CPU of the mask each, so no member's run starts
-    # helpers; a lone member thread keeps the mask and splits its kernel as a single run does.
-    cpus = _cpus(ensemble_size)
-    bind = _binder(cpus) if len(cpus) > 1 else None
-    with ThreadPoolExecutor(len(cpus), initializer=bind) as pool:
-        members = tuple(pool.map(run_member, range(ensemble_size)))
+    # A member on a pool thread sees one CPU, so its kernel does not split.
+    with _bound_pool(ensemble_size) as pool:
+        members = tuple(_map(pool, run_member, ensemble_size))
 
     passed = all(
         m.blow_up_time is None

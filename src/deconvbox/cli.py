@@ -213,3 +213,7 @@ __all__ = [
     "cli_main",
     "main",
 ]
+
+
+if __name__ == "__main__":
+    main()

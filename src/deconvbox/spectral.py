@@ -26,7 +26,7 @@ import contextlib
 import itertools
 import os
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -424,7 +424,7 @@ class _Workspace:
 
 
 # Probe members step on pool threads, so each thread gets its own buffers;
-# they are freed when the thread exits. `_workers` sets a thread's helpers.
+# they are freed when the thread exits. `_workers` sets a thread's worker pool.
 _local = threading.local()
 
 
@@ -436,46 +436,45 @@ def _workspace(grid: WaveGrid, workers: int = 1) -> _Workspace:
     return ws
 
 
-def _cpus(units: int) -> list[int]:
-    """The CPUs that share units of work: the first `units` CPUs of this thread's mask."""
-    return sorted(os.sched_getaffinity(0))[:units]
+@contextlib.contextmanager
+def _bound_pool(units: int):
+    """Up to `units` CPUs of this thread's mask as single-thread executors, each bound to its own
+    CPU, or None for fewer than two CPUs or no affinity calls; this thread's mask is unchanged."""
+    cpus = sorted(os.sched_getaffinity(0))[:units] if hasattr(os, "sched_getaffinity") else []
+    with contextlib.ExitStack() as stack:
+        yield None if len(cpus) < 2 else [stack.enter_context(ThreadPoolExecutor(
+            1, initializer=os.sched_setaffinity, initargs=(0, {cpu}))) for cpu in cpus]
 
 
-def _binder(cpus):
-    """A pool initializer that binds each new pool thread to the next CPU of cpus, once each."""
-    cpus = iter(cpus)
-    return lambda: os.sched_setaffinity(0, {next(cpus)})
+def _map(pool, fn, n: int) -> list:
+    """[fn(i) for i < n]: in turn on this thread without a pool, else item i on thread
+    i mod len(pool) while this thread waits; when all have finished, raise the first error."""
+    if pool is None:
+        return [fn(i) for i in range(n)]
+    futures = [pool[i % len(pool)].submit(fn, i) for i in range(n)]
+    for future in futures:
+        future.exception()  # waits; cheaper per hand-off than concurrent.futures.wait
+    return [future.result() for future in futures]
 
 
 @contextlib.contextmanager
 def _workers(grid: WaveGrid):
     """While the block runs, this thread's convective kernel runs on one worker per CPU of its
-    mask, up to one per x-block of grid: the thread on the first CPU, a helper on each other."""
-    mask = os.sched_getaffinity(0)
-    cpus = _cpus(-(-grid.K // _planes(grid.K)))
-    if len(cpus) < 2:
-        yield
-        return
-    pool = ThreadPoolExecutor(len(cpus) - 1, initializer=_binder(cpus[1:]))
-    _local.helpers, _local.workers = pool, len(cpus)
-    try:
-        os.sched_setaffinity(0, cpus[:1])
-        yield
-    finally:
-        del _local.helpers, _local.workers
-        pool.shutdown()
-        os.sched_setaffinity(0, mask)
+    mask, up to one per x-block of grid, each on its own `_bound_pool` thread."""
+    with _bound_pool(-(-grid.K // _planes(grid.K))) as pool:
+        if pool is None:
+            yield
+            return
+        _local.pool, _local.workers = pool, len(pool)
+        try:
+            yield
+        finally:
+            del _local.pool, _local.workers
 
 
 def _deal(phase, workers: int) -> None:
-    """Run phase(w) for each worker w < workers, 0 here, the rest on helpers; wait, then raise."""
-    futures = [_local.helpers.submit(phase, w) for w in range(1, workers)]
-    try:
-        phase(0)
-    finally:
-        errors = [err for err in map(Future.exception, futures) if err is not None]
-    if errors:
-        raise errors[0]
+    """Run phase(w) for each worker w < workers on this thread's `_workers` pool."""
+    _map(getattr(_local, "pool", None), phase, workers)
 
 
 def _convective(u: np.ndarray, v: np.ndarray, grid: WaveGrid) -> np.ndarray:

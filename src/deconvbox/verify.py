@@ -264,13 +264,10 @@ def operator_checks(K: int = 16, seed: int = 0) -> list[CheckResult]:
 
     hw = truncation_hn(w, delta, order)
     comm = 0.0
-    for op in (
-        lambda f: helmholtz_filter(f, delta),
-        stokes_apply,
-        leray_project,
-    ):
-        d = truncation_hn(op(w), delta, order) - op(hw)
-        comm = max(comm, _rel(sobolev_norm(d, 0.0), sobolev_norm(hw, 0.0)))
+    for op in (lambda f: helmholtz_filter(f, delta), stokes_apply, leray_project):
+        op_hw = op(hw)  # each defect on the scale of the field it is compared with
+        d = truncation_hn(op(w), delta, order) - op_hw
+        comm = max(comm, _rel(sobolev_norm(d, 0.0), sobolev_norm(op_hw, 0.0)))
     record("truncation commutes with filter, Laplacian, projection", comm, 1e-14)
 
     contr = 0.0

@@ -34,17 +34,24 @@ def grid16():
     return make_grid(16)
 
 
+def affinity_mask():
+    """The calling thread's CPU mask, or None where the platform has no affinity calls."""
+    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+
+
 @pytest.fixture(autouse=True)
 def threads_and_affinity_restored():
     """Fail a test that leaves a thread alive or the main thread's CPU mask changed.
 
-    A run binds its thread and starts helper threads (the CLI, `verify`, the
-    probe and the demos all run through it); each must be undone when it ends.
+    A run or a probe may start threads bound to CPUs of the caller's mask (the
+    CLI, `verify` and the demos all run through them); each must be joined when
+    it ends, and the caller's own mask is never changed. The mask is checked
+    only where the platform has the affinity calls.
     """
-    threads, mask = set(threading.enumerate()), os.sched_getaffinity(0)
+    threads, mask = set(threading.enumerate()), affinity_mask()
     yield
     left = [t.name for t in threading.enumerate() if t not in threads]
-    now = os.sched_getaffinity(0)
+    now = affinity_mask()
     if now != mask:
         os.sched_setaffinity(0, mask)
     assert not left, f"threads left alive: {left}"

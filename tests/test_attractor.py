@@ -28,7 +28,8 @@ from deconvbox import (
 from deconvbox import solver, spectral
 
 TWO_CPUS = pytest.mark.skipif(
-    len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs in the mask"
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs two CPUs in the mask",
 )
 
 
@@ -376,14 +377,14 @@ class TestEnsembleProbe:
     @TWO_CPUS
     def test_member_threads_hold_one_cpu_each_and_start_no_helper(self, k48_probe):
         # A probe gives its CPUs to the members instead of their kernels. On a one-CPU
-        # mask the members run one after another on one thread, which has no CPU to
+        # mask the members run one after another on the caller, which has no CPU to
         # split over. Neither changes a bit.
         digests, seen = k48_probe
         mask = os.sched_getaffinity(0)
         with on_cpus(1):
             serial = digests()
         by_thread = {name: (cpus, workers) for name, cpus, workers in seen}
-        assert len(by_thread) == 1 and "MainThread" not in by_thread
+        assert len(by_thread) == 1 and "MainThread" in by_thread
         assert list(by_thread.values()) == [({min(mask)}, 1)]
         with on_cpus(2):
             assert digests() == serial
@@ -395,13 +396,48 @@ class TestEnsembleProbe:
 
     @TWO_CPUS
     def test_one_member_thread_splits_its_kernel_as_a_single_run_does(self, k48_probe):
-        # A lone member thread keeps the mask, so its run splits its kernel over both CPUs.
+        # A lone member runs on the caller with its mask, so its run splits its kernel
+        # over both CPUs.
         digests, seen = k48_probe
         with on_cpus(2):
             digests(members=1)
         by_thread = {name: workers for name, _, workers in seen}
-        assert len(by_thread) == 1 and "MainThread" not in by_thread
+        assert len(by_thread) == 1 and "MainThread" in by_thread
         assert list(by_thread.values()) == [2]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="removes the affinity calls")
+    def test_a_platform_without_affinity_calls_runs_on_one_cpu(self, monkeypatch):
+        # Where CPython has no affinity calls (macOS, Windows), a K=48 run, four x-blocks,
+        # and a 2-member probe run on the caller alone and give their one-CPU bytes.
+        template = SolverConfig(
+            K=48, nu=1.0, delta=0.5, order=1, dt=0.02, T=0.06,
+            forcing=FieldSpec(kind="random_spectrum", seed=63, target_norm=0.3),
+        )
+        seen = set()
+
+        def watched(state, dt, _step=solver.step):
+            seen.add((threading.current_thread().name, getattr(spectral._local, "workers", 1)))
+            return _step(state, dt)
+
+        def digests():
+            report = ensemble_absorb_probe(
+                R=0.9, rho0_prime=1.0, ensemble_size=2, template=template
+            )
+            runs = [simulate(template)] + [m.trajectory for m in report.members]
+            return [
+                hashlib.sha256(b"".join(col.tobytes() for col in traj.columns().values()))
+                .hexdigest()
+                for traj in runs
+            ]
+
+        with on_cpus(1):
+            one_cpu = digests()
+        monkeypatch.setattr(solver, "step", watched)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.delattr(os, "sched_setaffinity")
+        threads = threading.active_count()
+        assert digests() == one_cpu
+        assert seen == {("MainThread", 1)} and threading.active_count() == threads
 
     def test_members_check_and_gather_their_start_once(self, monkeypatch):
         # The forcing and each member's initial condition are checked and

@@ -1,5 +1,10 @@
 import argparse
+import contextlib
+import io
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +21,8 @@ from deconvbox import (
     simulate_with_state,
 )
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 GOOD_CONFIG = """
 K = 8
@@ -190,6 +196,25 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize("K", ["36", "48", "64"])
+    def test_verify_operators_passes_on_grids_that_split_the_kernel(self, K, capsys):
+        # 2, 4 and 8 x-blocks: the checks' short run deals its kernel to the CPU pool,
+        # and the commutation check holds at K=64 on its own scale.
+        assert cli_main(["verify-operators", "--K", K]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out and out.splitlines()[-1] == "23/23 operator checks passed"
+
+    def test_module_route_runs_the_command_line(self, tmp_path):
+        def run(*argv):
+            env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+            return subprocess.run([sys.executable, "-m", "deconvbox.cli", *argv], cwd=tmp_path,
+                                  env=env, capture_output=True, text=True, timeout=120)
+
+        done = run("verify-operators", "--K", "8")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "23/23 operator checks passed"
+        assert run("simulate", "--config", "missing.cfg").returncode == 3
+
     def test_energy_check_reports_order(self, tmp_path, capsys):
         cfg = write(tmp_path, "run.cfg", FORCED_CONFIG)
         assert cli_main(["energy-check", "--config", cfg, "--levels", "3"]) == 0
@@ -214,22 +239,27 @@ class TestOtherCommands:
         assert lines[0].startswith("member,")
         assert len(lines) == 3
 
+    @pytest.fixture(scope="module")
+    def unset_probe(self, tmp_path_factory):
+        """A 2-member CLI probe's arguments, and its stdout and CSV with DECONV_THREADS unset."""
+        tmp_path = tmp_path_factory.mktemp("probe")
+        report = tmp_path / "probe.csv"
+        cfg = write(tmp_path, "run.cfg", FORCED_CONFIG)
+        args = ["absorb-probe", "--config", cfg, "--members", "2", "--output", str(report)]
+        out = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+            mp.delenv("DECONV_THREADS", raising=False)
+            assert cli_main(args) == 0
+        return args, (out.getvalue(), report.read_bytes())
+
     @pytest.mark.parametrize("threads", ["abc", "0", "-3", " 2x", "", "2"])
-    def test_absorb_probe_ignores_deconv_threads(self, tmp_path, capsys, monkeypatch, threads):
+    def test_absorb_probe_ignores_deconv_threads(self, unset_probe, capsys, monkeypatch, threads):
         # The probe takes its threads from the CPU mask; the old variable, valid or
         # not, changes nothing.
-        cfg = write(tmp_path, "run.cfg", FORCED_CONFIG)
-        report = tmp_path / "probe.csv"
-
-        def probe():
-            args = ["absorb-probe", "--config", cfg, "--members", "2", "--output", str(report)]
-            assert cli_main(args) == 0
-            return capsys.readouterr().out, report.read_bytes()
-
-        monkeypatch.delenv("DECONV_THREADS", raising=False)
-        unset = probe()
+        args, unset = unset_probe
         monkeypatch.setenv("DECONV_THREADS", threads)
-        assert probe() == unset
+        assert cli_main(args) == 0
+        assert (capsys.readouterr().out, Path(args[-1]).read_bytes()) == unset
 
     @pytest.mark.parametrize("flag", ["--radius", "--rho0-prime"])
     def test_absorb_probe_non_finite_flag_exits_1(self, tmp_path, capsys, flag):

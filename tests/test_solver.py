@@ -594,7 +594,8 @@ def forced_run(K, T, **keys):
 
 
 two_cpus = pytest.mark.skipif(
-    len(os.sched_getaffinity(0)) < 2, reason="a run's helper needs two CPUs in the mask"
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="a split run needs two CPUs in the mask",
 )
 
 
@@ -603,14 +604,15 @@ class TestRunWorkers:
 
     @staticmethod
     def watch(monkeypatch):
-        """Per step: live threads, the kernel's workers and each worker's CPU mask."""
+        """Per step: live threads, the kernel's workers, each worker's CPU mask and the
+        calling thread's mask."""
         seen = []
 
         def watched(state, dt, _step=solver.step):
             workers = getattr(spectral._local, "workers", 1)
             masks = [None] * workers
             spectral._deal(lambda w: masks.__setitem__(w, os.sched_getaffinity(0)), workers)
-            seen.append((threading.active_count(), workers, masks))
+            seen.append((threading.active_count(), workers, masks, os.sched_getaffinity(0)))
             return _step(state, dt)
 
         monkeypatch.setattr(solver, "step", watched)
@@ -621,12 +623,14 @@ class TestRunWorkers:
         threads, mask = threading.active_count(), os.sched_getaffinity(0)
         seen = self.watch(monkeypatch)
         simulate_with_state(forced_run(48, 0.03))
-        assert [workers for _, workers, _ in seen] == [2, 2, 2]
-        # One helper lives for the run.
-        assert [count for count, _, _ in seen] == [threads + 1] * 3
-        for _, _, (caller, helper) in seen:
-            assert len(caller) == len(helper) == 1 and caller != helper
-            assert caller | helper <= mask
+        assert [workers for _, workers, _, _ in seen] == [2, 2, 2]
+        # One pool thread per worker lives for the run, while the caller waits.
+        assert [count for count, _, _, _ in seen] == [threads + 2] * 3
+        for _, _, (first, second), caller in seen:
+            assert len(first) == len(second) == 1 and first != second
+            assert first | second <= mask
+            # The caller's own mask is never changed.
+            assert caller == mask
         assert threading.active_count() == threads and os.sched_getaffinity(0) == mask
 
     @two_cpus
@@ -637,9 +641,10 @@ class TestRunWorkers:
                          ic=FieldSpec(kind="random_spectrum", seed=46, target_norm=10.0))
         with pytest.warns(RuntimeWarning), pytest.raises(BlowUpError):
             simulate(cfg)
-        assert seen and all(workers == 2 for _, workers, _ in seen)
+        assert seen and all(workers == 2 for _, workers, _, _ in seen)
         assert threading.active_count() == threads and os.sched_getaffinity(0) == mask
 
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="narrows the CPU mask")
     def test_a_one_cpu_mask_starts_no_helper_and_changes_no_bit(self, monkeypatch):
         mask = os.sched_getaffinity(0)
         cfg = forced_run(48, 0.03)
@@ -651,7 +656,7 @@ class TestRunWorkers:
             alone = simulate_with_state(cfg)
         finally:
             os.sched_setaffinity(0, mask)
-        assert seen == [(threads, 1, [{min(mask)}])] * 3
+        assert seen == [(threads, 1, [{min(mask)}], {min(mask)})] * 3
         for got, want in zip(alone[0].columns().values(), split[0].columns().values()):
             assert got.tobytes() == want.tobytes()
         assert alone[1].w.coeff.tobytes() == split[1].w.coeff.tobytes()

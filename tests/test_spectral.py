@@ -47,7 +47,8 @@ NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
 # A run on a grid of several x-blocks splits its convective kernel over the CPUs of its
 # thread's affinity mask; these tests split it in two.
 two_cpus = pytest.mark.skipif(
-    len(os.sched_getaffinity(0)) < 2, reason="a two-worker kernel needs two CPUs in the mask"
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="a two-worker kernel needs two CPUs in the mask",
 )
 
 
@@ -469,7 +470,7 @@ class TestWorkspace:
         # A warm call allocates its (3, M) result, one gather and small
         # temporaries, 1.17x the result at these K; a full-size buffer made
         # per call would far exceed the 1.25x budget. tracemalloc sees the
-        # helper's allocations too, and the split's hand-offs are small.
+        # pool threads' allocations too, and the split's hand-offs are small.
         grid = make_grid(K)
         u, v = (_gather(f.coeff, grid) for f in random_pair(grid, 37))
         with _workers(grid) if split else contextlib.nullcontext():
@@ -551,21 +552,21 @@ class TestWorkers:
             assert not hasattr(_local, "workers")
 
     def test_more_workers_than_cpus_on_a_short_switch_interval_equal_one(self):
-        # Four workers (a channel and 16 planes each), unbound and switching threads as
-        # often as the interpreter allows: a worker that wrote outside its own channels,
-        # planes or buffers would change the bytes.
+        # Four workers (a channel and 16 planes each), on unbound threads of one shared
+        # executor switching as often as the interpreter allows: a worker that wrote
+        # outside its own channels, planes or buffers would change the bytes.
         grid = make_grid(64)
         u, v = (_gather(f.coeff, grid) for f in random_pair(grid, 38))
         one = _convective(u, v, grid)
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with ThreadPoolExecutor(3) as pool:
-                _local.helpers, _local.workers = pool, 4
+            with ThreadPoolExecutor(4) as pool:
+                _local.pool, _local.workers = [pool] * 4, 4
                 try:
                     split = [_convective(u, v, grid).tobytes() for _ in range(3)]
                 finally:
-                    del _local.helpers, _local.workers
+                    del _local.pool, _local.workers
         finally:
             sys.setswitchinterval(old)
         assert split == [one.tobytes()] * 3
