@@ -240,14 +240,14 @@ def step(state: SolverState, dt: float) -> SolverState:
     #   new = decay_half * (decay_half * w) + dt * (decay_half * k2),
     # so the bytes equal those expressions: decay_half * decay_half applied
     # as one factor rounds differently. Each factor is real-valued, and such
-    # a complex product commutes to the last bit.
+    # a complex product commutes to the last bit. H_N w's buffer takes H_N mid, then new.
     with np.errstate(over="ignore", invalid="ignore"):
-        mid = _explicit(np.multiply(w_r, hn_r), w_r, hn_f, grid)
+        mid = _explicit(hn := np.multiply(w_r, hn_r), w_r, hn_f, grid)
         np.multiply(0.5 * dt, mid, out=mid)
         np.add(w_r, mid, out=mid)
         np.multiply(decay_r, mid, out=mid)
-        k2 = _explicit(np.multiply(mid, hn_r), mid, hn_f, grid)
-        new_r = np.multiply(decay_r, w_r)
+        k2 = _explicit(np.multiply(mid, hn_r, out=hn), mid, hn_f, grid)
+        new_r = np.multiply(decay_r, w_r, out=hn)
         np.multiply(decay_r, new_r, out=new_r)
         np.multiply(decay_r, k2, out=k2)
         np.multiply(dt, k2, out=k2)

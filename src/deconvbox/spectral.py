@@ -347,11 +347,12 @@ def leray_project(w_raw: SpectralVectorField) -> SpectralVectorField:
     """
     grid = w_raw.grid
     ksq_safe = np.where(grid.ksq > 0.0, grid.ksq, 1.0)
-    return SpectralVectorField(grid, _leray(w_raw.coeff, grid.kvec, ksq_safe))
+    return SpectralVectorField(grid, _leray(w_raw.coeff.copy(), grid.kvec, ksq_safe))
 
 
 def _leray(c: np.ndarray, k: tuple, ksq_safe: np.ndarray) -> np.ndarray:
-    """leray_project of (3, ...) coefficients, given their layout's k_i and ksq_safe tables."""
+    """leray_project of (3, ...) coefficients c in place, given their layout's k_i and ksq_safe
+    tables; returns c."""
     # dot = (kx c0 + ky c1 + kz c2) / |k|^2, the operand order of the
     # closed form, so the bytes equal it.
     dot = np.multiply(k[0], c[0])
@@ -360,11 +361,10 @@ def _leray(c: np.ndarray, k: tuple, ksq_safe: np.ndarray) -> np.ndarray:
     np.multiply(k[2], c[2], out=tmp)
     dot += tmp
     dot /= ksq_safe
-    out = np.empty_like(c)
     for i in range(3):
         np.multiply(k[i], dot, out=tmp)
-        np.subtract(c[i], tmp, out=out[i])
-    return out
+        np.subtract(c[i], tmp, out=c[i])
+    return c
 
 
 def _gather(coeff: np.ndarray, grid: WaveGrid) -> np.ndarray:
@@ -403,7 +403,7 @@ def _planes(K: int) -> int:
 
 
 class _Workspace:
-    """One thread's buffers for the convective term at one K; a `line` and a `phys` per worker.
+    """A run's buffers for the convective term at one K; a `line` and a `phys` per worker.
 
     `line` holds one channel's retained (ky, kz) columns at a time, with
     a zero middle kx range, and is transformed in place. by_ky holds one
@@ -413,7 +413,6 @@ class _Workspace:
 
     def __init__(self, grid: WaveGrid, workers: int = 1) -> None:
         K, cut = grid.K, grid.cut
-        self.K = K
         self.planes = _planes(K)
         self.line = [np.empty((2 * cut + 1, cut + 1, K), np.complex128) for _ in range(workers)]
         shapes = (4, K, cut + 1, K), (3,) + grid.spectral_shape
@@ -423,17 +422,9 @@ class _Workspace:
         self.conv = np.empty((3, K, K, K))
 
 
-# Probe members step on pool threads, so each thread gets its own buffers;
-# they are freed when the thread exits. `_workers` sets a thread's worker pool.
+# The active run of each thread: its pool, worker count and workspace, set by `_workers`.
+# Probe members run on pool threads, so each member finds its own run.
 _local = threading.local()
-
-
-def _workspace(grid: WaveGrid, workers: int = 1) -> _Workspace:
-    """This thread's workspace for grid, rebuilt when K changes or it has too few workers."""
-    ws = getattr(_local, "workspace", None)
-    if ws is None or ws.K != grid.K or len(ws.line) < workers:
-        ws = _local.workspace = _Workspace(grid, workers)
-    return ws
 
 
 @contextlib.contextmanager
@@ -459,17 +450,16 @@ def _map(pool, fn, n: int) -> list:
 
 @contextlib.contextmanager
 def _workers(grid: WaveGrid):
-    """While the block runs, this thread's convective kernel runs on one worker per CPU of its
-    mask, up to one per x-block of grid, each on its own `_bound_pool` thread."""
+    """A run on grid: while the block runs, this thread's convective kernel uses one workspace
+    and runs on one worker per CPU of its mask, up to one per x-block of grid, each on its own
+    `_bound_pool` thread. Both are dropped when the block ends, also on error."""
     with _bound_pool(-(-grid.K // _planes(grid.K))) as pool:
-        if pool is None:
-            yield
-            return
-        _local.pool, _local.workers = pool, len(pool)
+        workers = 1 if pool is None else len(pool)
+        _local.pool, _local.workers, _local.workspace = pool, workers, _Workspace(grid, workers)
         try:
             yield
         finally:
-            del _local.pool, _local.workers
+            del _local.pool, _local.workers, _local.workspace
 
 
 def _deal(phase, workers: int) -> None:
@@ -494,11 +484,12 @@ def _convective(u: np.ndarray, v: np.ndarray, grid: WaveGrid) -> np.ndarray:
     byte for byte. The forward transform is numpy's 3-channel rfftn, as its
     passes: kz, ky per x-range, then kx per ky-range; only its retained outputs
     are kept. Each phase is dealt to the thread's `_workers`, which write
-    disjoint words, so the bytes do not depend on the worker count.
+    disjoint words, so the bytes do not depend on the worker count. A call
+    in a run uses the run's workspace; one outside a run builds its own.
     """
     K, c = grid.K, grid.cut
     workers = getattr(_local, "workers", 1)
-    ws = _workspace(grid, workers)
+    ws = getattr(_local, "workspace", None) or _Workspace(grid, workers)
     # The retained kx of each column sit at 0..c and K-c..K-1 of the kx line.
     shape = (3, 2 * c + 1, c + 1, 2 * c + 1)
     u4, v4 = u.reshape(shape), v.reshape(shape)

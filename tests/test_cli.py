@@ -215,11 +215,35 @@ class TestOtherCommands:
         assert done.stdout.splitlines()[-1] == "23/23 operator checks passed"
         assert run("simulate", "--config", "missing.cfg").returncode == 3
 
+    def test_package_route_runs_the_command_line_with_no_warning(self, tmp_path):
+        def run(*argv):
+            env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+            return subprocess.run([sys.executable, "-W", "error", "-m", "deconvbox", *argv],
+                                  cwd=tmp_path, env=env, capture_output=True, text=True,
+                                  timeout=120)
+
+        done = run("verify-operators", "--K", "8")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "23/23 operator checks passed"
+        assert run("simulate", "--config", "missing.cfg").returncode == 3
+
     def test_energy_check_reports_order(self, tmp_path, capsys):
         cfg = write(tmp_path, "run.cfg", FORCED_CONFIG)
         assert cli_main(["energy-check", "--config", cfg, "--levels", "3"]) == 0
         out = capsys.readouterr().out
         assert "observed order" in out
+
+    def test_energy_check_below_the_order_floor_exits_2(self, tmp_path, capsys, monkeypatch):
+        # A study reading order 0.14, as one did when the run was not dealiased.
+        study = solver.RefinementStudy(dts=(0.1, 0.05), residuals=(1e-3, 9.08e-4),
+                                       orders=(0.14,))
+        monkeypatch.setattr(cli, "energy_refinement_study", lambda config, levels: study)
+        cfg = write(tmp_path, "run.cfg", FORCED_CONFIG)
+        assert cli_main(["energy-check", "--config", cfg]) == cli.EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert "observed order: 0.140" in captured.out
+        assert captured.err == f"observed order 0.140 is below the floor {cli.ENERGY_ORDER_FLOOR}\n"
+        assert cli.ENERGY_ORDER_FLOOR == 1.5
 
     def test_energy_check_zero_residual_exits_1(self, tmp_path, capsys):
         cfg = write(tmp_path, "run.cfg", GOOD_CONFIG)

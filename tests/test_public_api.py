@@ -12,7 +12,9 @@ import pytest
 
 import deconvbox
 
-SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(deconvbox.__path__))
+# The library modules; __main__ runs the command line when imported and exports nothing.
+SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(deconvbox.__path__)
+                    if m.name != "__main__")
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 

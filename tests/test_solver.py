@@ -1,9 +1,11 @@
 import dataclasses
+import gc
 import math
 import os
 import re
 import resource
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -28,6 +30,7 @@ from deconvbox import (
     leray_project,
     make_grid,
     make_state,
+    nonlinear_term,
     parse_config,
     simulate,
     simulate_with_state,
@@ -593,6 +596,11 @@ def forced_run(K, T, **keys):
     return dataclasses.replace(cfg, **keys)
 
 
+def blow_up_run(K):
+    return forced_run(K, 50.0, nu=1e-4, dt=5.0,
+                      ic=FieldSpec(kind="random_spectrum", seed=46, target_norm=10.0))
+
+
 two_cpus = pytest.mark.skipif(
     not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
     reason="a split run needs two CPUs in the mask",
@@ -637,10 +645,8 @@ class TestRunWorkers:
     def test_a_blown_up_run_joins_its_helper_and_restores(self, monkeypatch):
         threads, mask = threading.active_count(), os.sched_getaffinity(0)
         seen = self.watch(monkeypatch)
-        cfg = forced_run(48, 50.0, nu=1e-4, dt=5.0,
-                         ic=FieldSpec(kind="random_spectrum", seed=46, target_norm=10.0))
         with pytest.warns(RuntimeWarning), pytest.raises(BlowUpError):
-            simulate(cfg)
+            simulate(blow_up_run(48))
         assert seen and all(workers == 2 for _, workers, _, _ in seen)
         assert threading.active_count() == threads and os.sched_getaffinity(0) == mask
 
@@ -689,3 +695,56 @@ class TestRunWorkers:
             faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         assert (faults[1] - faults[0]) / 10 < 20, faults
         assert seen == {workers}
+
+
+class TestRunWorkspace:
+    """A run owns its convective workspace and drops it when it ends, also on error."""
+
+    @staticmethod
+    def workspaces():
+        return [obj for obj in gc.get_objects() if isinstance(obj, spectral._Workspace)]
+
+    def test_a_run_leaves_less_than_one_workspace_behind(self):
+        # One workspace is 2,788,864 B at K=32 and 14,796,800 B at K=64 with one worker
+        # (tests/test_spectral.py); a run that kept its own would stay that far above.
+        for K in (32, 64):
+            make_grid(K)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for K, size in ((32, 2_788_864), (64, 14_796_800)):
+                simulate_with_state(forced_run(K, 0.03))
+                assert tracemalloc.get_traced_memory()[0] - base < size, K
+            with pytest.warns(RuntimeWarning), pytest.raises(BlowUpError):
+                simulate(blow_up_run(32))
+            assert tracemalloc.get_traced_memory()[0] - base < 2_788_864
+        finally:
+            tracemalloc.stop()
+
+    def test_no_thread_holds_a_workspace_after_a_run_or_a_bare_call(self):
+        grid = make_grid(48)
+        simulate_with_state(forced_run(48, 0.03))
+        assert not hasattr(spectral._local, "workspace") and not self.workspaces()
+        with pytest.warns(RuntimeWarning), pytest.raises(BlowUpError):
+            simulate(blow_up_run(48))
+        assert not hasattr(spectral._local, "workspace") and not self.workspaces()
+        u = random_div_free(grid, 81)
+        nonlinear_term(u, u)
+        assert not hasattr(spectral._local, "workspace") and not self.workspaces()
+
+    @pytest.mark.parametrize("K", [32, 64])
+    def test_a_warm_step_in_a_run_allocates_about_four_arrays(self, K):
+        # H_N w's buffer, which takes H_N mid and then the new state, the two stages'
+        # convective outputs, each projected in place, the decay factor and Leray's two
+        # (M,) temporaries: 4 (3, M) arrays. A stage projected into a new array makes 5.
+        state = solver._start_state(forced_run(K, 0.0))
+        with spectral._workers(state.model.grid):
+            state = step(state, 0.01)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                step(state, 0.01)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (peak - base) / solver._retained(state).nbytes < 4.5

@@ -31,10 +31,10 @@ from deconvbox.spectral import (
     _mode_energy,
     _norm_from_energy,
     _Workspace,
+    _bound_pool,
     _deal,
     _local,
     _workers,
-    _workspace,
 )
 from deconvbox.verify import _nonlinear_reference
 from oracles import hermitian_defect, random_div_free, trilinear_collocation
@@ -50,6 +50,20 @@ two_cpus = pytest.mark.skipif(
     not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
     reason="a two-worker kernel needs two CPUs in the mask",
 )
+
+
+@contextlib.contextmanager
+def on_cpus(n):
+    """Run the block with this thread's mask narrowed to its first n CPUs, where it has one."""
+    if not hasattr(os, "sched_getaffinity"):
+        yield
+        return
+    mask = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, sorted(mask)[:n])
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, mask)
 
 
 def shear_mode(grid, amp=(0.0, 1.0, 0.0)):
@@ -305,15 +319,18 @@ class TestDealiasedInverse:
         # einsum("ixyz,ijxyz->jxyz") byte for byte; with grad v = +0, where
         # every u_i < 0 all three products are -0.0 and the sum must be +0.0,
         # not the -0.0 a sum started from u_0 d_0 v_j leaves.
+        # conv is read from the workspace of the run the calls are made in.
         grid = make_grid(48)
         u, v = random_pair(grid, 5)
         for w in (v, SpectralVectorField.zeros(grid)):
-            _convective(_gather(u.coeff, grid), _gather(w.coeff, grid), grid)
+            with _workers(grid):
+                _convective(_gather(u.coeff, grid), _gather(w.coeff, grid), grid)
+                conv = _local.workspace.conv
             parts = [u.coeff * grid.mask] + [(1j * k) * (w.coeff * grid.mask) for k in grid.kvec]
             phys = np.fft.irfftn(np.concatenate(parts), s=grid.shape, axes=(1, 2, 3))
             phys *= grid.n_points
             want = np.einsum("ixyz,ijxyz->jxyz", phys[0:3], phys[3:12].reshape(3, 3, *grid.shape))
-            assert _workspace(grid).conv.tobytes() == want.tobytes()
+            assert conv.tobytes() == want.tobytes()
         assert (phys[0:3] < 0.0).all(axis=0).any() and not np.signbit(phys[3:12]).any()
 
 
@@ -467,14 +484,15 @@ class TestWorkspace:
          pytest.param(48, True, marks=two_cpus), pytest.param(64, True, marks=two_cpus)],
     )
     def test_warm_call_allocates_little_beyond_its_result(self, K, split):
-        # A warm call allocates its (3, M) result, one gather and small
+        # A warm call in a run allocates its (3, M) result, one gather and small
         # temporaries, 1.17x the result at these K; a full-size buffer made
         # per call would far exceed the 1.25x budget. tracemalloc sees the
         # pool threads' allocations too, and the split's hand-offs are small.
+        # An unsplit run is entered on one CPU.
         grid = make_grid(K)
         u, v = (_gather(f.coeff, grid) for f in random_pair(grid, 37))
-        with _workers(grid) if split else contextlib.nullcontext():
-            assert getattr(_local, "workers", 1) == (2 if split else 1)
+        with on_cpus(2 if split else 1), _workers(grid):
+            assert _local.workers == (2 if split else 1)
             _convective(u, v, grid)
             tracemalloc.start()
             try:
@@ -521,6 +539,30 @@ class TestWorkspace:
         bases = {id(b): b for b in (a if a.base is None else a.base for a in arrays)}
         assert sum(b.nbytes for b in bases.values()) == total
 
+    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=two_cpus)])
+    @pytest.mark.parametrize("K", [16, 36, 48, 64])
+    def test_a_workspace_of_nans_gives_the_clean_bytes(self, K, workers):
+        # Every run and every bare call starts from a fresh np.empty workspace, so the
+        # kernel must write each word of it before reading it.
+        grid = make_grid(K)
+        u, v = (_gather(f.coeff, grid) for f in random_pair(grid, 39))
+        got = [_convective(u, v, grid)]
+        for fill in (0.0, np.nan):
+            ws = _Workspace(grid, workers)
+            for value in vars(ws).values():
+                for a in value if isinstance(value, list) else [value]:
+                    if isinstance(a, np.ndarray):
+                        a.view(np.float64).fill(fill)
+            with _bound_pool(workers) as pool:
+                assert (1 if pool is None else len(pool)) == workers
+                _local.pool, _local.workers, _local.workspace = pool, workers, ws
+                try:
+                    got.append(_convective(u, v, grid))
+                finally:
+                    del _local.pool, _local.workers, _local.workspace
+        assert got[1].tobytes() == got[2].tobytes() == got[0].tobytes()
+        assert not np.isnan(got[0]).any()
+
     def test_grid_switches_rebuild_the_workspace(self):
         for K in [16, 32, 16]:
             grid = make_grid(K)
@@ -549,7 +591,7 @@ class TestWorkers:
     def test_a_one_block_grid_starts_no_worker(self):
         # K=32 is one block of 32 planes: splitting it made the kx phase slower.
         with _workers(make_grid(32)):
-            assert not hasattr(_local, "workers")
+            assert _local.workers == 1 and _local.pool is None
 
     def test_more_workers_than_cpus_on_a_short_switch_interval_equal_one(self):
         # Four workers (a channel and 16 planes each), on unbound threads of one shared
