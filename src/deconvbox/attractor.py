@@ -25,9 +25,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import FieldSpec, SolverConfig, _INT, generate_ic
-from .solver import BlowUpError, Trajectory, _retained, build_model, initial_state, simulate
-from .spectral import _bound_pool, _map, _retained_norms, smallest_eigenvalue, sobolev_norm
+from .config import FieldSpec, SolverConfig, _INT, _field_words
+from .solver import BlowUpError, Trajectory, _initial, build_model, simulate
+from .spectral import _bound_pool, _map, _retained_norms, smallest_eigenvalue
 
 # Relative slack of a member's energy over its decay envelope before the
 # envelope counts as broken.
@@ -303,11 +303,10 @@ def ensemble_absorb_probe(
             spec = replace(template.ic, seed=seed, target_norm=1.0)
         else:
             spec = FieldSpec(kind="random_spectrum", seed=seed, target_norm=1.0)
-        u0 = generate_ic(spec, grid)
-        hn_norm = sobolev_norm(model.filters.apply(u0), 0.0)
-        target = R * (i + 1) / ensemble_size
-        state0 = initial_state(u0 * (target / hn_norm), model)
-        (w0_norm,) = _retained_norms(_retained(state0), grid, 0.0)
+        u_r = _field_words(spec, grid)
+        (hn_norm,) = _retained_norms(u_r * model.hn_r, grid, 0.0)
+        state0 = _initial(u_r * (R * (i + 1) / ensemble_size / hn_norm), model)
+        (w0_norm,) = _retained_norms(state0._ret, grid, 0.0)
         entry_time, stayed, max_ratio, blow_up = None, False, math.inf, None
         try:
             traj = simulate(member_config, initial=state0)

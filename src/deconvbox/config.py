@@ -293,32 +293,54 @@ def _random_raw(grid: WaveGrid, rng: np.random.Generator) -> SpectralVectorField
     return SpectralVectorField(grid, coeff)
 
 
-def _random_spectrum_field(spec: FieldSpec, grid: WaveGrid) -> SpectralVectorField:
-    """Seeded, divergence-free random field with a banded energy profile.
+def _field_words(spec: FieldSpec, grid: WaveGrid) -> np.ndarray:
+    """The retained (3, M) coefficients, in ret_flat order, of the field `spec` describes,
+    unchecked; only a single mode is built in the full layout first.
 
-    Per-mode energy follows kappa^p * exp(-2 kappa^2 / kappa0^2), kappa0 = K/6
-    unless overridden, rescaled so that the H0 norm hits the target exactly. Only
-    the draw's M retained modes are worked on, in the full-layout form's operand
-    order, so their words equal that form's; the masked modes hold +0.0.
+    A random spectrum is seeded and divergence-free, with per-mode energy kappa^p *
+    exp(-2 kappa^2 / kappa0^2), kappa0 = K/6 unless overridden, rescaled so that the H0 norm
+    hits the target exactly. Its normals are drawn one full-layout component at a time, as
+    one (3, K, K, K//2+1) draw gives them; only the M retained ones are kept and worked on,
+    in the full-layout form's operand order, so their words equal that form's.
     """
-    draw, shape = np.random.default_rng(spec.seed).standard_normal, (3,) + grid.spectral_shape
-    coeff = _gather(draw(shape), grid) + 1j * _gather(draw(shape), grid)
+    if spec.kind == "zero":
+        return np.zeros((3, grid.ret_flat.size), np.complex128)
+    if spec.kind == "single_mode":
+        k = np.asarray(spec.mode, dtype=np.float64)
+        a = np.asarray(spec.amplitude, dtype=np.float64)
+        dot = abs(float(k @ a))
+        scale = float(np.linalg.norm(k) * np.linalg.norm(a))
+        if dot > 1e-12 * max(scale, 1.0):
+            raise ValueError(
+                f"amplitude {spec.amplitude} is not orthogonal to k = {spec.mode} "
+                f"(k . a = {float(k @ a)})"
+            )
+        field = SpectralVectorField.from_modes(grid, {tuple(spec.mode): spec.amplitude})
+        return _gather(field.coeff, grid)
+    if spec.kind == "snapshot":
+        from .solver import _retained
+        from .storage import read_snapshot
+
+        return _retained(read_snapshot(spec.path, grid=grid))
+    rng, ret = np.random.default_rng(spec.seed), grid.ret_flat
+    coeff, draw = np.empty((3, ret.size), np.complex128), np.empty(grid.spectral_shape)
+    for part in (*coeff.real, *coeff.imag):
+        part[...] = np.take(rng.standard_normal(out=draw), ret)
     # Hermitian symmetry on the k3 = 0 plane, here (3, ky, kx) and closed under -k.
-    n, ret = 2 * grid.cut + 1, grid.ret_flat
+    n = 2 * grid.cut + 1
     flip = -np.arange(n) % n
     plane = coeff.reshape(3, n, -1, n)[:, :, 0]
     plane[...] = 0.5 * (plane + np.conj(plane[:, flip][:, :, flip]))
-    coeff *= grid.mask.reshape(-1)[ret]
     coeff[:, 0] = 0.0
     kappa0 = spec.cutoff if spec.cutoff is not None else grid.K / 6.0
-    ksq = grid.ksq.reshape(-1)[ret]
-    amp2 = np.where(ksq > 0.0, np.sqrt(ksq) ** spec.exponent * np.exp(-2.0 * ksq / kappa0**2), 0.0)
-    coeff *= np.sqrt(amp2)
+    ksq = grid.ret_ksq[1:]  # the mean's energy is 0: its term is not formed
+    with np.errstate(divide="ignore", over="ignore"):  # kappa0**2 may underflow: exp(-inf) = 0
+        coeff[:, 1:] *= np.sqrt(np.sqrt(ksq) ** spec.exponent * np.exp(-2.0 * ksq / kappa0**2))
     out = _leray(coeff, grid.ret_k, grid.ret_ksq_safe)
     (norm,) = _retained_norms(out, grid, 0.0)
     if norm == 0.0:
         raise ValueError("random field vanished; grid too small for the profile")
-    return SpectralVectorField(grid, _scatter(out * (spec.target_norm / norm), grid))
+    return np.multiply(out, spec.target_norm / norm, out=out)
 
 
 def generate_ic(
@@ -330,24 +352,11 @@ def generate_ic(
     fixed seed. `filters` is ignored; it is kept for callers that still
     pass one (bench/workloads.py).
     """
-    if spec.kind == "zero":
-        return SpectralVectorField.zeros(grid)
-    if spec.kind == "single_mode":
-        k = np.asarray(spec.mode, dtype=np.float64)
-        a = np.asarray(spec.amplitude, dtype=np.float64)
-        dot = abs(float(k @ a))
-        scale = float(np.linalg.norm(k) * np.linalg.norm(a))
-        if dot > 1e-12 * max(scale, 1.0):
-            raise ValueError(
-                f"amplitude {spec.amplitude} is not orthogonal to k = {spec.mode} "
-                f"(k . a = {float(k @ a)})"
-            )
-        return SpectralVectorField.from_modes(grid, {tuple(spec.mode): spec.amplitude})
-    if spec.kind == "random_spectrum":
-        return _random_spectrum_field(spec, grid)
-    from .storage import read_snapshot
+    if spec.kind == "snapshot":
+        from .storage import read_snapshot
 
-    return read_snapshot(spec.path, grid=grid).w
+        return read_snapshot(spec.path, grid=grid).w
+    return SpectralVectorField(grid, _scatter(_field_words(spec, grid), grid))
 
 
 def format_config(config: SolverConfig) -> str:

@@ -23,7 +23,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .config import SolverConfig, generate_ic
+from .config import SolverConfig, _field_words
 from .deconv import FilterParams, hn_symbol
 from .spectral import (
     SpectralVectorField,
@@ -90,10 +90,14 @@ class ModelParams:
         hn_r = hn_symbol(grid.ret_ksq, self.filters.delta, self.filters.order)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "hn_r", _read_only(hn_r.astype(np.complex128))[0])
-        if forcing is None:
-            return
-        f_r = _solenoidal(forcing, "forcing")
-        object.__setattr__(self, "f_norm", _retained_norms(f_r, grid, 0.0)[0])
+        if forcing is not None:
+            _require_fits(forcing, "forcing")
+            self._force(_gather(forcing.coeff, grid))
+
+    def _force(self, f_r: np.ndarray) -> None:
+        """Check the forcing's retained (3, M) coefficients f_r, then truncate them in place."""
+        _require_solenoidal(f_r, self.grid, "forcing")
+        object.__setattr__(self, "f_norm", _retained_norms(f_r, self.grid, 0.0)[0])
         f_r *= self.hn_r
         object.__setattr__(self, "hn_forcing_r", _read_only(f_r)[0])
 
@@ -104,19 +108,17 @@ class ModelParams:
 del ModelParams.forcing
 
 
-def _solenoidal(u: SpectralVectorField, what: str, model=None) -> np.ndarray:
-    """The retained (3, M) coefficients of a field that fits (`_require_fits`), is zero-mean and
-    is divergence-free: a defect relative to H_1 above DIVERGENCE_TOL is rejected."""
-    _require_fits(u, what, model)
-    grid = u.grid
-    c = _gather(u.coeff, grid)
+def _require_solenoidal(c: np.ndarray, grid: WaveGrid, what: str) -> None:
+    """Reject retained (3, M) coefficients c unless finite (in `_require_fits`' words), divergence-
+    free (a defect relative to H_1 above DIVERGENCE_TOL is rejected) and zero-mean."""
+    if not np.isfinite(c).all():
+        _require_fits(SpectralVectorField(grid, _scatter(c, grid)), what)
     err = _divergence_error(c, grid.ret_k, _retained_norms(c, grid, 1.0)[0])
     if err > DIVERGENCE_TOL:
         raise ValueError(f"{what} is not divergence-free (relative defect {err:.3e}); "
                          "project it with leray_project")
     if c[:, 0].any():
         raise ValueError(f"{what} must have zero mean")
-    return c
 
 
 def _first_mode(flags: np.ndarray, grid: WaveGrid) -> list:
@@ -155,8 +157,10 @@ def _require_same_model(what: str, have: dict, want: dict, have_at: str, want_at
 def build_model(config: SolverConfig) -> ModelParams:
     """The model (grid, viscosity, filters, steady forcing) of a config."""
     grid = make_grid(config.K)
-    forcing = None if config.forcing.kind == "zero" else generate_ic(config.forcing, grid)
-    return ModelParams(config.nu, FilterParams(config.delta, config.order), forcing, grid)
+    model = ModelParams(config.nu, FilterParams(config.delta, config.order), grid=grid)
+    if config.forcing.kind != "zero":
+        model._force(_field_words(config.forcing, grid))
+    return model
 
 
 @dataclass
@@ -208,7 +212,13 @@ def make_state(t: float, w: SpectralVectorField, params: ModelParams) -> SolverS
 def initial_state(u0: SpectralVectorField, params: ModelParams) -> SolverState:
     """Apply the initial truncation w(0) = H_N(u0) and start the clock. u0 must be
     divergence-free to DIVERGENCE_TOL relative; leray_project makes it so."""
-    u_r = _solenoidal(u0, "initial condition", params)
+    _require_fits(u0, "initial condition", params)
+    return _initial(_gather(u0.coeff, u0.grid), params)
+
+
+def _initial(u_r: np.ndarray, params: ModelParams) -> SolverState:
+    """initial_state from u0's retained (3, M) coefficients u_r."""
+    _require_solenoidal(u_r, params.grid, "initial condition")
     return _retained_state(0.0, u_r * params.hn_r, params)
 
 
@@ -372,8 +382,7 @@ def _start_state(config: SolverConfig) -> SolverState:
         from .storage import read_snapshot
 
         return read_snapshot(config.ic.path, params=params)
-    u0 = generate_ic(config.ic, params.grid)
-    return initial_state(u0, params)
+    return _initial(_field_words(config.ic, params.grid), params)
 
 
 def _require_model(config: SolverConfig, model: ModelParams) -> None:

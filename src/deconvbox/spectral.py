@@ -405,20 +405,22 @@ def _planes(K: int) -> int:
 class _Workspace:
     """A run's buffers for the convective term at one K; a `line` and a `phys` per worker.
 
-    `line` holds one channel's retained (ky, kz) columns at a time, with
-    a zero middle kx range, and is transformed in place. by_ky holds one
-    round's 4 channels, phys `planes` x-planes of them; conv is full size.
-    chat shares by_ky's buffer: it is written after the last round reads by_ky.
+    `line` holds one channel's retained (ky, kz) columns at a time, with a zero middle kx
+    range, and is transformed in place. by_ky holds one round's 4 channels, phys `planes`
+    x-planes of them; conv is full size. Buffers that take turns share words: chat and by_ky
+    (chat is written after the last round reads by_ky), and each worker's line and phys.
     """
 
     def __init__(self, grid: WaveGrid, workers: int = 1) -> None:
         K, cut = grid.K, grid.cut
         self.planes = _planes(K)
-        self.line = [np.empty((2 * cut + 1, cut + 1, K), np.complex128) for _ in range(workers)]
+        line, phys = (2 * cut + 1, cut + 1, K), (4, self.planes, K, K // 2)  # phys as complex
+        own = [np.empty(max(np.prod(line), np.prod(phys)), np.complex128) for _ in range(workers)]
+        self.line = [b[: np.prod(line)].reshape(line) for b in own]
+        self.phys = [b[: np.prod(phys)].reshape(phys).view(np.float64) for b in own]
         shapes = (4, K, cut + 1, K), (3,) + grid.spectral_shape
         shared = np.empty(max(map(np.prod, shapes)), dtype=np.complex128)
         self.by_ky, self.chat = (shared[: np.prod(s)].reshape(s) for s in shapes)
-        self.phys = [np.empty((4, self.planes, K, K)) for _ in range(workers)]
         self.conv = np.empty((3, K, K, K))
 
 

@@ -8,7 +8,16 @@ Intentionally slow; keep the inputs small.
 
 import numpy as np
 
-from deconvbox import FieldSpec, SpectralVectorField, generate_ic, make_grid
+from deconvbox import (
+    FieldSpec,
+    FilterParams,
+    ModelParams,
+    SpectralVectorField,
+    generate_ic,
+    initial_state,
+    make_grid,
+)
+from deconvbox.storage import write_snapshot
 
 
 def random_div_free(grid, seed, target=1.0):
@@ -16,6 +25,19 @@ def random_div_free(grid, seed, target=1.0):
     return generate_ic(
         FieldSpec(kind="random_spectrum", seed=seed, target_norm=target), grid
     )
+
+
+def start_specs(grid, seed, path):
+    """One field spec of each kind on grid; the snapshot is written to path."""
+    u0 = generate_ic(FieldSpec(kind="random_spectrum", seed=seed + 1), grid)
+    state = initial_state(u0, ModelParams(1.0, FilterParams(0.5, 1), grid=grid))
+    write_snapshot(state, state.model, path)
+    return {
+        "zero": FieldSpec(),
+        "single_mode": FieldSpec(kind="single_mode", mode=(1, 2, 1), amplitude=(2.0, -1.0, 0.0)),
+        "random_spectrum": FieldSpec(kind="random_spectrum", seed=seed, target_norm=1.5),
+        "snapshot": FieldSpec(kind="snapshot", path=str(path)),
+    }
 
 
 def masked_shear(value, K=16):

@@ -3,6 +3,7 @@ import hashlib
 import math
 import os
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,12 +21,15 @@ from deconvbox import (
     h1_absorbing_report,
     h1_time_average,
     initial_state,
+    make_grid,
     rho0,
     simulate,
     sobolev_norm,
     uniform_gronwall,
 )
-from deconvbox import solver, spectral
+from deconvbox import attractor, solver, spectral
+from deconvbox.solver import Trajectory
+from oracles import start_specs
 
 TWO_CPUS = pytest.mark.skipif(
     not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
@@ -439,22 +443,23 @@ class TestEnsembleProbe:
         assert digests() == one_cpu
         assert seen == {("MainThread", 1)} and threading.active_count() == threads
 
-    def test_members_check_and_gather_their_start_once(self, monkeypatch):
-        # The forcing and each member's initial condition are checked and
-        # gathered once; a member's retained start goes to simulate as it is,
-        # and its w0_norm keeps the bytes of sobolev_norm of that start.
+    def test_members_check_their_retained_start_once(self, monkeypatch):
+        # The forcing and each member's initial condition are made on the retained
+        # modes and checked there once: no full-layout check (_require_fits) or gather.
+        # A member's retained start goes to simulate as it is, and its w0_norm keeps
+        # the bytes of sobolev_norm of that start.
         template = SolverConfig(
             K=12, nu=1.0, delta=0.5, order=1, dt=0.05, T=1.0,
             forcing=FieldSpec(kind="random_spectrum", seed=63, target_norm=0.3),
         )
         calls = []
-        for name in ("_require_fits", "_gather"):
+        for name in ("_require_fits", "_gather", "_require_solenoidal"):
             def counted(*args, _name=name, _fn=getattr(solver, name), **kwargs):
                 calls.append(_name)
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(solver, name, counted)
         report = ensemble_absorb_probe(R=1.0, rho0_prime=0.5, ensemble_size=2, template=template)
-        assert sorted(calls) == ["_gather"] * 3 + ["_require_fits"] * 3
+        assert calls == ["_require_solenoidal"] * 3
         monkeypatch.undo()
         model = build_model(template)
         for m in report.members:
@@ -463,6 +468,41 @@ class TestEnsembleProbe:
             u0 = u0 * ((m.index + 1) / 2 / sobolev_norm(model.filters.apply(u0), 0.0))
             want = sobolev_norm(initial_state(u0, model).w, 0.0)
             assert np.float64(m.w0_norm).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("seed", [3, 40])
+    @pytest.mark.parametrize("K", [8, 16, 32, 34, 48, 64])
+    def test_member_starts_equal_the_full_layout_path(self, K, seed, tmp_path, monkeypatch):
+        # Each template kind: a member's start words and w0_norm equal those of
+        # generate_ic, filters.apply, sobolev_norm and initial_state. The members
+        # are not run.
+        seen = []
+
+        def started(config, initial):
+            seen.append(solver._retained(initial).tobytes())
+            return Trajectory(*[np.ones(1)] * 8)
+
+        monkeypatch.setattr(attractor, "simulate", started)
+        grid = make_grid(K)
+        for kind, ic in start_specs(grid, seed, tmp_path / "w.snap").items():
+            template = SolverConfig(K=K, nu=1.0, delta=0.5, order=1, dt=0.01, T=0.0, ic=ic)
+            seen.clear()
+            report = ensemble_absorb_probe(R=1.0, rho0_prime=0.5, ensemble_size=2,
+                                           template=template, base_seed=seed)
+            model, want = build_model(template), []
+            for m in report.members:
+                if kind == "single_mode":
+                    spec = ic
+                else:
+                    spec = replace(ic if kind == "random_spectrum" else FieldSpec(
+                        kind="random_spectrum"), seed=m.seed, target_norm=1.0)
+                u0 = generate_ic(spec, grid)
+                u0 = u0 * ((m.index + 1) / 2 / sobolev_norm(model.filters.apply(u0), 0.0))
+                state = initial_state(u0, model)
+                want.append(solver._retained(state).tobytes())
+                have_norm, want_norm = (np.float64(v).tobytes()
+                                        for v in (m.w0_norm, sobolev_norm(state.w, 0.0)))
+                assert have_norm == want_norm, kind
+            assert sorted(seen) == sorted(want), kind
 
     @TWO_CPUS
     def test_threads_do_not_change_results(self):

@@ -227,6 +227,22 @@ class TestOtherCommands:
         assert done.stdout.splitlines()[-1] == "23/23 operator checks passed"
         assert run("simulate", "--config", "missing.cfg").returncode == 3
 
+    def test_a_negative_spectrum_exponent_runs_with_warnings_as_errors(self, tmp_path):
+        # A -5/3 slope once printed numpy's divide-by-zero warning, and exited 1 under -W error.
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        done = []
+        for i, flags in enumerate(([], ["-W", "error"])):
+            (tmp_path / str(i)).mkdir()
+            write(tmp_path / str(i), "run.cfg", GOOD_CONFIG.replace("K = 8", "K = 16").replace(
+                "ic = zero", "ic = random_spectrum\nic_exponent = -1.6667"))
+            done.append(subprocess.run(
+                [sys.executable, *flags, "-m", "deconvbox", "simulate", "--config", "run.cfg"],
+                cwd=tmp_path / str(i), env=env, capture_output=True, text=True, timeout=120))
+        assert [d.returncode for d in done] == [0, 0], done[1].stderr
+        assert done[0].stdout == done[1].stdout != "" and done[0].stderr == done[1].stderr == ""
+        assert (tmp_path / "0" / "timeseries.csv").read_bytes() == (
+            (tmp_path / "1" / "timeseries.csv").read_bytes())
+
     def test_energy_check_reports_order(self, tmp_path, capsys):
         cfg = write(tmp_path, "run.cfg", FORCED_CONFIG)
         assert cli_main(["energy-check", "--config", cfg, "--levels", "3"]) == 0

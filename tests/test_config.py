@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -578,3 +580,36 @@ class TestGenerateIC:
         amp2 = (np.abs(w.coeff) ** 2).sum(axis=0) * grid16.mult
         high = amp2[grid16.ksq >= 20.0].sum()
         assert high <= 0.2 * amp2.sum()
+
+    # sha256 prefixes of generate_ic(...).coeff for seeds 0 and 7 at exponents -5/3 and 4,
+    # taken from the full-layout generator before it moved to the retained modes.
+    DIGESTS = {
+        8: ("9540371974ec0a8f", "9bd774d712501885", "399e7dc761e4d9e2", "0605fedb4a6417da"),
+        16: ("51039444d885df8e", "7151e62679b5c7df", "6ffaef37529bce0c", "52f5a09e953c2dc4"),
+        32: ("5e0066ee6502951c", "4ed955e664d91d3c", "1a4f39d5709f975e", "0b7ae756a89c34a4"),
+        34: ("9b35e60c55bd465f", "d65a7c04ff205e27", "ef47b613c20d19bd", "cfd6ce23f5c4733a"),
+        48: ("1e1586402d854fb7", "c1696b6259221305", "04441c20bf6f1319", "7c13434c3c8409e6"),
+        64: ("d6cb27d80abb2f01", "689362beb114e8d2", "123b391479eb0b61", "184566135dc5173c"),
+    }
+
+    @pytest.mark.parametrize("K", sorted(DIGESTS))
+    def test_negative_and_default_exponents_keep_their_bytes_and_warn_nothing(self, K):
+        # A -5/3 slope once raised numpy's divide-by-zero warning on the mean mode.
+        grid = make_grid(K)
+        got = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in (0, 7):
+                for exponent in (-5 / 3, 4.0):
+                    spec = FieldSpec(kind="random_spectrum", seed=seed, exponent=exponent)
+                    got.append(hashlib.sha256(generate_ic(spec, grid).coeff.tobytes()).hexdigest())
+        assert tuple(d[:16] for d in got) == self.DIGESTS[K]
+
+    @pytest.mark.parametrize("cutoff", [1e-160, 1e-200])
+    def test_a_vanishing_profile_is_rejected_without_a_warning(self, grid16, cutoff):
+        # kappa0**2 is subnormal (the Gaussian's argument overflows) or 0.0.
+        spec = FieldSpec(kind="random_spectrum", cutoff=cutoff)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="random field vanished"):
+                generate_ic(spec, grid16)

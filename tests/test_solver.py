@@ -39,7 +39,8 @@ from deconvbox import (
 )
 from deconvbox import solver, spectral
 from deconvbox.spectral import _gather
-from oracles import hermitian_defect, masked_shear, random_div_free
+from deconvbox.storage import read_snapshot, write_snapshot
+from oracles import hermitian_defect, masked_shear, random_div_free, start_specs
 
 
 def shear(grid, amp=(0.0, 1.0, 0.0)):
@@ -705,19 +706,19 @@ class TestRunWorkspace:
         return [obj for obj in gc.get_objects() if isinstance(obj, spectral._Workspace)]
 
     def test_a_run_leaves_less_than_one_workspace_behind(self):
-        # One workspace is 2,788,864 B at K=32 and 14,796,800 B at K=64 with one worker
+        # One workspace is 2,670,592 B at K=32 and 13,828,096 B at K=64 with one worker
         # (tests/test_spectral.py); a run that kept its own would stay that far above.
         for K in (32, 64):
             make_grid(K)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            for K, size in ((32, 2_788_864), (64, 14_796_800)):
+            for K, size in ((32, 2_670_592), (64, 13_828_096)):
                 simulate_with_state(forced_run(K, 0.03))
                 assert tracemalloc.get_traced_memory()[0] - base < size, K
             with pytest.warns(RuntimeWarning), pytest.raises(BlowUpError):
                 simulate(blow_up_run(32))
-            assert tracemalloc.get_traced_memory()[0] - base < 2_788_864
+            assert tracemalloc.get_traced_memory()[0] - base < 2_670_592
         finally:
             tracemalloc.stop()
 
@@ -748,3 +749,78 @@ class TestRunWorkspace:
             finally:
                 tracemalloc.stop()
         assert (peak - base) / solver._retained(state).nbytes < 4.5
+
+
+class TestRetainedStart:
+    """A run's forcing and initial words are made on the retained modes, and equal those of
+    the full-layout path: generate_ic, then ModelParams, then initial_state."""
+
+    @pytest.mark.parametrize("seed", [3, 40])
+    @pytest.mark.parametrize("K", [8, 16, 32, 34, 48, 64])
+    def test_the_start_equals_the_full_layout_path(self, K, seed, tmp_path):
+        grid = make_grid(K)
+        for kind, spec in start_specs(grid, seed, tmp_path / "w.snap").items():
+            config = SolverConfig(K=K, nu=1.0, delta=0.5, order=1, dt=0.01, T=0.0,
+                                  ic=spec, forcing=spec)
+            state = solver._start_state(config)
+            forcing = None if kind == "zero" else generate_ic(spec, grid)
+            model = ModelParams(1.0, FilterParams(0.5, 1), forcing, grid)
+            want = (read_snapshot(spec.path, params=model) if kind == "snapshot"
+                    else initial_state(generate_ic(spec, grid), model))
+            assert solver._retained(state).tobytes() == solver._retained(want).tobytes(), kind
+            have_f, want_f = state.model.hn_forcing_r, model.hn_forcing_r
+            if want_f is None:
+                assert have_f is None, kind
+            else:
+                assert have_f.tobytes() == want_f.tobytes(), kind
+            assert np.float64(state.model.f_norm).tobytes() == (
+                np.float64(model.f_norm).tobytes()), kind
+
+    def test_a_start_holds_less_than_one_full_layout_field_in_passing(self):
+        # One K=64 full-layout field is 6,488,064 B. Drawn, checked and truncated there,
+        # a forced random start held 9,734,016 B beyond what it returned.
+        config = forced_run(64, 0.0)
+        solver._start_state(config)
+        tracemalloc.start()
+        try:
+            state = solver._start_state(config)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - current < 6_488_064
+        assert solver._retained(state).shape == (3, state.model.grid.ret_flat.size)
+
+    @pytest.mark.parametrize("defect", ["non-finite", "divergent", "mean"])
+    def test_the_retained_check_words_each_rejection_as_the_field_check(self, grid16, defect):
+        u = random_div_free(grid16, seed=64)
+        if defect == "non-finite":
+            u.coeff[2, -3, 2, 1], u.coeff[0, 4, -1, 0] = math.nan, math.inf
+        elif defect == "divergent":
+            u = SpectralVectorField.from_modes(grid16, {(1, 0, 0): (1.0, 1.0, 0.0)})
+        else:
+            u.coeff[0, 0, 0, 0] = 1.0
+        params = ModelParams(1.0, FilterParams(0.5, 1), grid=grid16)
+        for what, check in (("forcing", lambda: ModelParams(1.0, FilterParams(0.5, 1), u)),
+                            ("initial condition", lambda: initial_state(u, params))):
+            with pytest.raises(ValueError) as field:
+                check()
+            with pytest.raises(ValueError) as retained:
+                solver._require_solenoidal(_gather(u.coeff, grid16), grid16, what)
+            assert str(retained.value) == str(field.value)
+            assert str(field.value).startswith(what + " " + {
+                "non-finite": "has a non-finite coefficient at mode (4, -1, 0)",
+                "divergent": "is not divergence-free", "mean": "must have zero mean"}[defect])
+
+    def test_a_configured_snapshot_forcing_is_rejected_in_the_field_check_words(self, tmp_path):
+        grid = make_grid(16)
+        model = ModelParams(1.0, FilterParams(0.5, 1), grid=grid)
+        u = SpectralVectorField.from_modes(grid, {(1, 0, 0): (1.0, 1.0, 0.0)})
+        write_snapshot(make_state(0.0, u, model), model, tmp_path / "f.snap")
+        spec = FieldSpec(kind="snapshot", path=str(tmp_path / "f.snap"))
+        with pytest.raises(ValueError) as field:
+            ModelParams(1.0, FilterParams(0.5, 1), read_snapshot(spec.path).w)
+        with pytest.raises(ValueError) as retained:
+            solver.build_model(SolverConfig(K=16, nu=1.0, delta=0.5, order=1, dt=0.01, T=0.0,
+                                            forcing=spec))
+        assert str(retained.value) == str(field.value)
+        assert str(field.value).startswith("forcing is not divergence-free (relative defect")

@@ -516,7 +516,7 @@ class TestWorkspace:
 
     @pytest.mark.parametrize(
         "K, workers, total",
-        [(32, 1, 2_788_864), (64, 1, 14_796_800), (32, 2, 3_955_712), (64, 2, 16_814_080)],
+        [(32, 1, 2_670_592), (64, 1, 13_828_096), (32, 2, 3_719_168), (64, 2, 14_876_672)],
     )
     def test_buffers_hold_no_column_stack(self, K, workers, total):
         # The kx pass fills one channel at a time: no (12, 2c+1, c+1, K)
@@ -525,8 +525,9 @@ class TestWorkspace:
         # rounds of 4 channels, so by_ky holds 4 (a 12-channel one took the
         # total to 34,599,712 B). by_ky and chat share one buffer, and the kz
         # pass reads by_ky, so no by_kz copy is kept (with both, 21,645,312 B).
-        # Each further worker adds one kx line buffer and one physical block:
-        # 118,272 + 1,048,576 B at K=32 and 968,704 + 1,048,576 B at K=64.
+        # Each worker's kx line buffer shares its physical block, which is the
+        # larger: a further worker adds 1,048,576 B (with its own line,
+        # 118,272 B more at K=32 and 968,704 B more at K=64).
         grid = make_grid(K)
         c = grid.cut
         ws = _Workspace(grid, workers)
@@ -536,6 +537,8 @@ class TestWorkspace:
         assert all(a.shape != (12, 2 * c + 1, c + 1, K) for a in arrays)
         assert ws.by_ky.shape == (4, K, c + 1, K) and not hasattr(ws, "by_kz")
         assert np.shares_memory(ws.by_ky, ws.chat)
+        assert all(np.shares_memory(line, phys) for line, phys in zip(ws.line, ws.phys))
+        assert not any(np.shares_memory(ws.line[0], phys) for phys in ws.phys[1:])
         bases = {id(b): b for b in (a if a.base is None else a.base for a in arrays)}
         assert sum(b.nbytes for b in bases.values()) == total
 
