@@ -11,11 +11,12 @@ import argparse
 import math
 import sys
 
+import numpy as np
+
 from .attractor import ensemble_absorb_probe
 from .config import ConfigError, parse_config
 from .deconv import SymbolTable
 from .solver import BlowUpError, energy_refinement_study, simulate_with_state
-from .spectral import make_grid
 from .storage import write_snapshot, write_timeseries
 from .verify import run_operator_checks
 
@@ -102,18 +103,17 @@ def _write_probe_csv(report, path) -> None:
 def _cmd_deconv_table(args) -> int:
     if not (math.isfinite(args.k2max) and args.k2max > 0.0):
         raise ConfigError([f"k2max: must be finite and positive, got {args.k2max!r}"])
-    K = 3 * math.ceil(math.sqrt(args.k2max)) + 2
-    grid = make_grid(K + K % 2)
+    # The values of |k|^2 are the n that are not 4^a (8b + 7) (Legendre's three-square theorem).
+    k2 = np.arange(math.floor(args.k2max + 1e-12) + 1)
+    odd = k2.copy()
+    while (fours := (odd % 4 == 0) & (odd > 0)).any():
+        odd[fours] //= 4
     try:
-        table = SymbolTable.build(grid, args.delta, args.N)
+        table = SymbolTable._of(k2[odd % 8 != 7].astype(np.float64), args.delta, args.N)
     except RuntimeError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
-    lines = ["k2,g,hn"]
-    for k2, g, hn in table.rows():
-        if k2 <= args.k2max + 1e-12:
-            lines.append(f"{k2!r},{g!r},{hn!r}")
-    text = "\n".join(lines) + "\n"
+    text = "k2,g,hn\n" + "".join(f"{k2!r},{g!r},{hn!r}\n" for k2, g, hn in table.rows())
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)

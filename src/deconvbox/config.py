@@ -334,8 +334,10 @@ def _field_words(spec: FieldSpec, grid: WaveGrid) -> np.ndarray:
     coeff[:, 0] = 0.0
     kappa0 = spec.cutoff if spec.cutoff is not None else grid.K / 6.0
     ksq = grid.ret_ksq[1:]  # the mean's energy is 0: its term is not formed
-    with np.errstate(divide="ignore", over="ignore"):  # kappa0**2 may underflow: exp(-inf) = 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # exp(-inf) = 0
         coeff[:, 1:] *= np.sqrt(np.sqrt(ksq) ** spec.exponent * np.exp(-2.0 * ksq / kappa0**2))
+    if not np.isfinite(coeff).all():
+        raise ValueError(f"exponent {spec.exponent} overflows the spectrum at K = {grid.K}")
     out = _leray(coeff, grid.ret_k, grid.ret_ksq_safe)
     (norm,) = _retained_norms(out, grid, 0.0)
     if norm == 0.0:

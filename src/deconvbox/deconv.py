@@ -161,7 +161,11 @@ class SymbolTable:
 
     @classmethod
     def build(cls, grid: WaveGrid, delta: float, order: int) -> "SymbolTable":
-        k2 = np.unique(grid.ksq[grid.mask])
+        return cls._of(np.unique(grid.ksq[grid.mask]), delta, order)
+
+    @classmethod
+    def _of(cls, k2: np.ndarray, delta: float, order: int) -> "SymbolTable":
+        """The table over k2, increasing values of |k|^2."""
         with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the check
             g = g_symbol(k2, delta)
             hn = hn_symbol(k2, delta, order)

@@ -35,8 +35,8 @@ from .spectral import (
     _read_only,
     _require_same_grid,
     _retained_norms,
+    _running,
     _scatter,
-    _workers,
     make_grid,
     smallest_eigenvalue,
 )
@@ -167,9 +167,10 @@ def build_model(config: SolverConfig) -> ModelParams:
 class SolverState:
     """Time, the evolved field w, and the model w evolves under.
 
-    A state that `step`, `initial_state` or `read_snapshot` made holds only w's retained
-    coefficients (3, M), and keeps them: each read of w builds a new field, +0.0 on the masked
-    modes, whose changes leave the state as it was. A given w is the next step's start.
+    A state that `step` or `initial_state` made, or `read_snapshot` read with no masked word
+    set (-0.0 is set), holds only w's retained coefficients (3, M): each read of w builds a new
+    field, +0.0 on the masked modes, whose changes leave the state as it was. Any other state
+    holds a given w, the next step's start. A state that a run steps carries that run.
     """
 
     t: float
@@ -187,10 +188,10 @@ class SolverState:
         return self.model.filters.apply(self.w)
 
 
-def _retained_state(t: float, w_r: np.ndarray, model: ModelParams) -> SolverState:
-    """The state at t under model whose w has retained coefficients w_r, unbuilt."""
+def _retained_state(t: float, w_r: np.ndarray, model: ModelParams, run=None) -> SolverState:
+    """The state at t under model whose w has retained coefficients w_r, unbuilt, in run."""
     state = object.__new__(SolverState)
-    state.t, state.model, state._ret = t, model, w_r
+    state.t, state.model, state._ret, state._run = t, model, w_r, run
     return state
 
 
@@ -222,9 +223,9 @@ def _initial(u_r: np.ndarray, params: ModelParams) -> SolverState:
     return _retained_state(0.0, u_r * params.hn_r, params)
 
 
-def _explicit(hn_w: np.ndarray, w: np.ndarray, hn_f, grid: WaveGrid) -> np.ndarray:
+def _explicit(hn_w: np.ndarray, w: np.ndarray, hn_f, grid: WaveGrid, run) -> np.ndarray:
     """-P_L[(H_N w . grad) w] + H_N f on retained (3, M) arrays, in a new array."""
-    out = _leray(_convective(hn_w, w, grid), grid.ret_k, grid.ret_ksq_safe)
+    out = _leray(_convective(hn_w, w, grid, run), grid.ret_k, grid.ret_ksq_safe)
     np.negative(out, out=out)
     if hn_f is not None:
         np.add(out, hn_f, out=out)
@@ -237,13 +238,14 @@ def step(state: SolverState, dt: float) -> SolverState:
 
     The viscous factor is exact; the explicit part is advanced with a
     half-step predictor and a midpoint corrector. The step runs on the
-    retained modes only and returns a state that holds them. Raises
-    `BlowUpError` if any coefficient becomes non-finite.
+    retained modes only and returns a state that holds them, in the run of `state`
+    (one worker outside a run). Raises `BlowUpError` if any coefficient becomes non-finite.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     params = state.model
     grid, hn_r, hn_f, w_r = params.grid, params.hn_r, params.hn_forcing_r, _retained(state)
+    run = vars(state).get("_run")
     decay_r = np.exp(-params.nu * grid.ret_ksq * (0.5 * dt)).astype(np.complex128)
     # In place, in the operand order of
     #   mid = decay_half * (w + (dt/2) k1)
@@ -252,11 +254,11 @@ def step(state: SolverState, dt: float) -> SolverState:
     # as one factor rounds differently. Each factor is real-valued, and such
     # a complex product commutes to the last bit. H_N w's buffer takes H_N mid, then new.
     with np.errstate(over="ignore", invalid="ignore"):
-        mid = _explicit(hn := np.multiply(w_r, hn_r), w_r, hn_f, grid)
+        mid = _explicit(hn := np.multiply(w_r, hn_r), w_r, hn_f, grid, run)
         np.multiply(0.5 * dt, mid, out=mid)
         np.add(w_r, mid, out=mid)
         np.multiply(decay_r, mid, out=mid)
-        k2 = _explicit(np.multiply(mid, hn_r, out=hn), mid, hn_f, grid)
+        k2 = _explicit(np.multiply(mid, hn_r, out=hn), mid, hn_f, grid, run)
         new_r = np.multiply(decay_r, w_r, out=hn)
         np.multiply(decay_r, new_r, out=new_r)
         np.multiply(decay_r, k2, out=k2)
@@ -264,7 +266,7 @@ def step(state: SolverState, dt: float) -> SolverState:
         np.add(new_r, k2, out=new_r)
     if not np.isfinite(new_r).all():
         raise BlowUpError(state.t)
-    return _retained_state(state.t + dt, new_r, params)
+    return _retained_state(state.t + dt, new_r, params, run)
 
 
 @dataclass(eq=False)
@@ -425,14 +427,14 @@ def simulate_with_state(
             msg = f"advisory CFL number {cfl:.2f} exceeds 1; the run may be inaccurate"
             warnings.warn(msg, RuntimeWarning, stacklevel=2)
 
-    # The run keeps only retained coefficients: no step builds a full-layout w.
+    # Retained coefficients only: no step builds a full-layout w. Only the run's states carry it.
     state = _retained_state(state.t, w_r, params)
     builder = _TrajectoryBuilder(rho0_sq, params.nu * lam1)
     norms = _squared_norms(w_r, grid, sampled=True)
     h1_prev, work_prev = norms[0], _work_rate(state)
     builder.record(state, norms)
     try:
-        with _workers(grid):
+        with _running(grid) as state._run:
             for i in range(1, n_steps + 1):
                 state = step(state, dt)
                 sampled = i % config.sample_every == 0 or i == n_steps
@@ -448,6 +450,7 @@ def simulate_with_state(
     except BlowUpError as err:
         err.trajectory = builder.build()
         raise
+    state._run = None
     return builder.build(), state
 
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -402,33 +401,6 @@ def _planes(K: int) -> int:
     return min(K, max(1, _BLOCK_BYTES // (4 * K * K * 8)))
 
 
-class _Workspace:
-    """A run's buffers for the convective term at one K; a `line` and a `phys` per worker.
-
-    `line` holds one channel's retained (ky, kz) columns at a time, with a zero middle kx
-    range, and is transformed in place. by_ky holds one round's 4 channels, phys `planes`
-    x-planes of them; conv is full size. Buffers that take turns share words: chat and by_ky
-    (chat is written after the last round reads by_ky), and each worker's line and phys.
-    """
-
-    def __init__(self, grid: WaveGrid, workers: int = 1) -> None:
-        K, cut = grid.K, grid.cut
-        self.planes = _planes(K)
-        line, phys = (2 * cut + 1, cut + 1, K), (4, self.planes, K, K // 2)  # phys as complex
-        own = [np.empty(max(np.prod(line), np.prod(phys)), np.complex128) for _ in range(workers)]
-        self.line = [b[: np.prod(line)].reshape(line) for b in own]
-        self.phys = [b[: np.prod(phys)].reshape(phys).view(np.float64) for b in own]
-        shapes = (4, K, cut + 1, K), (3,) + grid.spectral_shape
-        shared = np.empty(max(map(np.prod, shapes)), dtype=np.complex128)
-        self.by_ky, self.chat = (shared[: np.prod(s)].reshape(s) for s in shapes)
-        self.conv = np.empty((3, K, K, K))
-
-
-# The active run of each thread: its pool, worker count and workspace, set by `_workers`.
-# Probe members run on pool threads, so each member finds its own run.
-_local = threading.local()
-
-
 @contextlib.contextmanager
 def _bound_pool(units: int):
     """Up to `units` CPUs of this thread's mask as single-thread executors, each bound to its own
@@ -450,26 +422,46 @@ def _map(pool, fn, n: int) -> list:
     return [future.result() for future in futures]
 
 
+class _Run:
+    """A run of the convective kernel on one grid: `deal` runs a phase on each of its workers,
+    one per thread of its pool (or one without), each with an x-range `own`, a line and a phys.
+
+    `line` holds one channel's retained (ky, kz) columns at a time, with a zero middle kx range, and
+    is transformed in place. by_ky holds one round's 4 channels, phys `planes` x-planes of them;
+    conv is full size. Buffers that take turns share words: chat and by_ky (chat is written after
+    the last round reads by_ky), and each worker's line and phys. `close` drops them all.
+    """
+
+    def __init__(self, grid: WaveGrid, pool: list | None = None) -> None:
+        K, cut, n = grid.K, grid.cut, 1 if pool is None else len(pool)
+        self.pool, self.workers, self.planes = pool, n, _planes(K)
+        self.own = [slice(w * K // n, (w + 1) * K // n) for w in range(n)]
+        line, phys = (2 * cut + 1, cut + 1, K), (4, self.planes, K, K // 2)  # phys as complex
+        words = [np.empty(max(np.prod(line), np.prod(phys)), np.complex128) for _ in range(n)]
+        self.line = [b[: np.prod(line)].reshape(line) for b in words]
+        self.phys = [b[: np.prod(phys)].reshape(phys).view(np.float64) for b in words]
+        shapes = (4, K, cut + 1, K), (3,) + grid.spectral_shape
+        shared = np.empty(max(map(np.prod, shapes)), dtype=np.complex128)
+        self.by_ky, self.chat = (shared[: np.prod(s)].reshape(s) for s in shapes)
+        self.conv = np.empty((3, K, K, K))
+
+    def deal(self, phase) -> None:
+        _map(self.pool, phase, self.workers)
+
+    def close(self) -> None:
+        vars(self).clear()
+
+
 @contextlib.contextmanager
-def _workers(grid: WaveGrid):
-    """A run on grid: while the block runs, this thread's convective kernel uses one workspace
-    and runs on one worker per CPU of its mask, up to one per x-block of grid, each on its own
-    `_bound_pool` thread. Both are dropped when the block ends, also on error."""
+def _running(grid: WaveGrid):
+    """A run on grid: a worker per CPU of this thread's mask, up to one per x-block, each on a
+    `_bound_pool` thread. On exit, also on error, it is closed and its pool is joined."""
     with _bound_pool(-(-grid.K // _planes(grid.K))) as pool:
-        workers = 1 if pool is None else len(pool)
-        _local.pool, _local.workers, _local.workspace = pool, workers, _Workspace(grid, workers)
-        try:
-            yield
-        finally:
-            del _local.pool, _local.workers, _local.workspace
+        with contextlib.closing(_Run(grid, pool)) as run:
+            yield run
 
 
-def _deal(phase, workers: int) -> None:
-    """Run phase(w) for each worker w < workers on this thread's `_workers` pool."""
-    _map(getattr(_local, "pool", None), phase, workers)
-
-
-def _convective(u: np.ndarray, v: np.ndarray, grid: WaveGrid) -> np.ndarray:
+def _convective(u: np.ndarray, v: np.ndarray, grid: WaveGrid, run=None) -> np.ndarray:
     """Retained, mean-free coefficients (3, M) of the dealiased (u . grad) v, in a
     new array, for retained coefficients u and v (3, M) in ret_flat order.
 
@@ -485,26 +477,25 @@ def _convective(u: np.ndarray, v: np.ndarray, grid: WaveGrid) -> np.ndarray:
     u_i d v_j / d x_i to +0.0 in round order is einsum("ixyz,ijxyz->jxyz")
     byte for byte. The forward transform is numpy's 3-channel rfftn, as its
     passes: kz, ky per x-range, then kx per ky-range; only its retained outputs
-    are kept. Each phase is dealt to the thread's `_workers`, which write
+    are kept. Each phase is dealt to the workers of `run`, which write
     disjoint words, so the bytes do not depend on the worker count. A call
-    in a run uses the run's workspace; one outside a run builds its own.
+    without a run, or with a closed one, builds a one-worker run for itself.
     """
     K, c = grid.K, grid.cut
-    workers = getattr(_local, "workers", 1)
-    ws = getattr(_local, "workspace", None) or _Workspace(grid, workers)
+    run = _Run(grid) if run is None or not vars(run) else run
+    own = run.own
     # The retained kx of each column sit at 0..c and K-c..K-1 of the kx line.
     shape = (3, 2 * c + 1, c + 1, 2 * c + 1)
     u4, v4 = u.reshape(shape), v.reshape(shape)
-    view = ws.by_ky.transpose(0, 3, 2, 1)  # (channel, ky, kz, x)
-    own = [slice(w * K // workers, (w + 1) * K // workers) for w in range(workers)]
+    view = run.by_ky.transpose(0, 3, 2, 1)  # (channel, ky, kz, x)
 
     # Each phase runs within one iteration of the loop below that reads its round i.
     def kx_pass(w: int) -> None:
-        ik, line = grid.ret_ik[i].reshape(shape[1:]), ws.line[w]
+        ik, line = grid.ret_ik[i].reshape(shape[1:]), run.line[w]
         halves = ((line[..., : c + 1], slice(0, c + 1)), (line[..., K - c :], slice(c + 1, None)))
-        for ch in range(w, 4, workers):
+        for ch in range(w, 4, run.workers):
             # The last ky pass and the forward spectrum wrote the ky rows the kx pass leaves.
-            ws.by_ky[ch, ..., c + 1 : K - c] = 0.0
+            run.by_ky[ch, ..., c + 1 : K - c] = 0.0
             line[..., c + 1 : K - c] = 0.0
             for lines, kx in halves:
                 if ch == 0:
@@ -516,26 +507,26 @@ def _convective(u: np.ndarray, v: np.ndarray, grid: WaveGrid) -> np.ndarray:
             view[ch, : c + 1], view[ch, K - c :] = line[: c + 1], line[c + 1 :]
 
     def x_blocks(w: int) -> None:
-        for x0 in range(own[w].start, own[w].stop, ws.planes):
-            n = min(ws.planes, own[w].stop - x0)
+        for x0 in range(own[w].start, own[w].stop, run.planes):
+            n = min(run.planes, own[w].stop - x0)
             xs = slice(x0, x0 + n)
             # ky pass in place, then read in (x, y, kz) order.
-            cols = ws.by_ky[:, xs]
+            cols = run.by_ky[:, xs]
             np.fft.ifft(cols, axis=-1, out=cols)
             # Real kz pass: numpy runs irfftn over one axis as exactly this
             # irfft. Calling it as irfftn keeps the inverse visible to
             # bench/spans.py, which wraps numpy's n-d transforms.
-            block = np.fft.irfftn(cols.swapaxes(2, 3), s=(K,), axes=(-1,), out=ws.phys[w][:, :n])
+            block = np.fft.irfftn(cols.swapaxes(2, 3), s=(K,), axes=(-1,), out=run.phys[w][:, :n])
             block *= grid.n_points
             block[1:] *= block[0]
-            np.add(ws.conv[:, xs] if i else 0.0, block[1:], out=ws.conv[:, xs])
+            np.add(run.conv[:, xs] if i else 0.0, block[1:], out=run.conv[:, xs])
 
     for i in range(3):
-        _deal(kx_pass, workers)
-        _deal(x_blocks, workers)
-    _deal(lambda w: np.fft.rfftn(ws.conv[:, own[w]], axes=(2, 3), out=ws.chat[:, own[w]]), workers)
-    _deal(lambda w: np.fft.fft(ws.chat[:, :, own[w]], axis=1, out=ws.chat[:, :, own[w]]), workers)
-    out = _gather(ws.chat, grid)
+        run.deal(kx_pass)
+        run.deal(x_blocks)
+    run.deal(lambda w: np.fft.rfftn(run.conv[:, own[w]], axes=(2, 3), out=run.chat[:, own[w]]))
+    run.deal(lambda w: np.fft.fft(run.chat[:, :, own[w]], axis=1, out=run.chat[:, :, own[w]]))
+    out = _gather(run.chat, grid)
     out /= grid.n_points
     out[:, 0] = 0.0
     return out

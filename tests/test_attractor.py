@@ -27,7 +27,7 @@ from deconvbox import (
     sobolev_norm,
     uniform_gronwall,
 )
-from deconvbox import attractor, solver, spectral
+from deconvbox import attractor, solver
 from deconvbox.solver import Trajectory
 from oracles import start_specs
 
@@ -358,7 +358,7 @@ class TestEnsembleProbe:
 
         def watched(state, dt, _step=solver.step):
             seen.append((threading.current_thread().name, os.sched_getaffinity(0),
-                         getattr(spectral._local, "workers", 1)))
+                         vars(state)["_run"].workers))
             return _step(state, dt)
 
         monkeypatch.setattr(solver, "step", watched)
@@ -409,6 +409,34 @@ class TestEnsembleProbe:
         assert len(by_thread) == 1 and "MainThread" in by_thread
         assert list(by_thread.values()) == [2]
 
+    # The same physics as tests/test_cli.py's BLOW_UP_PROBE_CONFIG: each member's run
+    # loses finiteness in its third step of dt = 1.
+    BLOW_UP_TEMPLATE = SolverConfig(
+        K=16, nu=0.01, delta=0.5, order=1, dt=1.0, T=4.0,
+        ic=FieldSpec(kind="random_spectrum", target_norm=50.0),
+        forcing=FieldSpec(kind="random_spectrum", seed=3, target_norm=50.0),
+    )
+
+    def test_members_that_blow_up_keep_their_partial_trajectories_and_fail(self):
+        threads = set(threading.enumerate())
+        reports = []
+        for cpus in (1, 2):
+            with on_cpus(cpus), pytest.warns(RuntimeWarning, match="advisory CFL"):
+                reports.append(ensemble_absorb_probe(None, None, 2, self.BLOW_UP_TEMPLATE))
+        for report in reports:
+            assert report.passed is False
+            for m in report.members:
+                assert m.blow_up_time == 2.0 and list(m.trajectory.t) == [0.0, 1.0, 2.0]
+                assert m.bound_ok is False and m.max_bound_ratio == math.inf
+                assert m.entry_time is None and m.stayed_inside is False
+        digests = [
+            [hashlib.sha256(b"".join(c.tobytes() for c in m.trajectory.columns().values()))
+             .hexdigest() for m in report.members]
+            for report in reports
+        ]
+        assert digests[0] == digests[1] and len(set(digests[0])) == 2
+        assert set(threading.enumerate()) == threads
+
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="removes the affinity calls")
     def test_a_platform_without_affinity_calls_runs_on_one_cpu(self, monkeypatch):
         # Where CPython has no affinity calls (macOS, Windows), a K=48 run, four x-blocks,
@@ -420,7 +448,7 @@ class TestEnsembleProbe:
         seen = set()
 
         def watched(state, dt, _step=solver.step):
-            seen.add((threading.current_thread().name, getattr(spectral._local, "workers", 1)))
+            seen.add((threading.current_thread().name, vars(state)["_run"].workers))
             return _step(state, dt)
 
         def digests():

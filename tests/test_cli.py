@@ -62,6 +62,22 @@ ic_seed = 82
 ic_target_norm = 10.0
 """
 
+# Each run loses finiteness in its third step of dt = 1: a lone run after t = 3.0 (the
+# first start), a probe member after t = 2.0 (the members start farther out).
+BLOW_UP_PROBE_CONFIG = """
+K = 16
+nu = 0.01
+delta = 0.5
+N = 1
+dt = 1.0
+T = 4.0
+ic = random_spectrum
+ic_target_norm = 50.0
+forcing = random_spectrum
+forcing_seed = 3
+forcing_target_norm = 50.0
+"""
+
 
 def write(tmp_path, name, text):
     path = tmp_path / name
@@ -165,6 +181,28 @@ class TestOtherCommands:
         sums = {a * a + b * b + c * c for a in range(6) for b in range(6) for c in range(6)}
         assert k2s == sorted(n for n in sums if n <= float(k2max))
 
+    def test_deconv_table_lists_a_large_k2max_without_a_lattice(self, tmp_path):
+        # The table was once read off a K=168 lattice for k2max = 3000: the call peaked at
+        # 162 MB traced (188 MB resident). The digest is that lattice's table. A fresh
+        # process holds no cached grid.
+        code = """
+import contextlib, hashlib, io, tracemalloc
+from deconvbox import cli_main
+tracemalloc.start()
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli_main(["deconv-table", "--delta", "1", "--N", "1", "--k2max", "3000"])
+peak = tracemalloc.get_traced_memory()[1]
+print(code, hashlib.sha256(out.getvalue().encode()).hexdigest(), peak)
+"""
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.stderr == ""
+        code, digest, peak = done.stdout.split()
+        assert code == "0"
+        assert digest == "525fb9bb4fb12929d2c344040804cb1624b3d24747a3d965e7d79b9a1264b9a8"
+        assert int(peak) < 16 * 2**20
+
     @pytest.mark.parametrize(
         "flags",
         [["--delta", "1", "--k2max", "inf"], ["--delta", "1", "--k2max", "nan"]],
@@ -243,6 +281,17 @@ class TestOtherCommands:
         assert (tmp_path / "0" / "timeseries.csv").read_bytes() == (
             (tmp_path / "1" / "timeseries.csv").read_bytes())
 
+    @pytest.mark.parametrize("prefix", ["ic", "forcing"])
+    def test_an_overflowing_exponent_exits_1_with_warnings_as_errors(self, tmp_path, prefix):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        write(tmp_path, "run.cfg", FORCED_CONFIG.replace("K = 8", "K = 16")
+              + f"{prefix}_exponent = 1000\n")
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "deconvbox", "simulate", "--config", "run.cfg"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == cli.EXIT_VALIDATION
+        assert done.stderr == "error: exponent 1000.0 overflows the spectrum at K = 16\n"
+
     def test_energy_check_reports_order(self, tmp_path, capsys):
         cfg = write(tmp_path, "run.cfg", FORCED_CONFIG)
         assert cli_main(["energy-check", "--config", cfg, "--levels", "3"]) == 0
@@ -260,6 +309,29 @@ class TestOtherCommands:
         assert "observed order: 0.140" in captured.out
         assert captured.err == f"observed order 0.140 is below the floor {cli.ENERGY_ORDER_FLOOR}\n"
         assert cli.ENERGY_ORDER_FLOOR == 1.5
+
+    def test_energy_check_blow_up_exits_2(self, tmp_path, capsys):
+        cfg = write(tmp_path, "run.cfg", BLOW_UP_PROBE_CONFIG)
+        with pytest.warns(RuntimeWarning, match="advisory CFL"):
+            assert cli_main(["energy-check", "--config", cfg]) == cli.EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "blow-up: solution lost finiteness after t = 3.0\n"
+
+    def test_absorb_probe_reports_each_blown_up_member_and_exits_2(self, tmp_path, capsys):
+        cfg = write(tmp_path, "run.cfg", BLOW_UP_PROBE_CONFIG)
+        report = tmp_path / "p.csv"
+        with pytest.warns(RuntimeWarning, match="advisory CFL"):
+            code = cli_main(["absorb-probe", "--config", cfg, "--members", "2",
+                             "--output", str(report)])
+        assert code == cli.EXIT_NUMERICAL
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "member 0: BLOW-UP at t = 2.0", "member 1: BLOW-UP at t = 2.0", "probe FAIL",
+            f"report written to {report}",
+        ]
+        assert report.read_text().splitlines()[1:] == [
+            "0,2024,10000.000000000002,,0,0,inf,2.0", "1,2025,20000.000000000004,,0,0,inf,2.0",
+        ]
 
     def test_energy_check_zero_residual_exits_1(self, tmp_path, capsys):
         cfg = write(tmp_path, "run.cfg", GOOD_CONFIG)

@@ -605,6 +605,19 @@ class TestGenerateIC:
                     got.append(hashlib.sha256(generate_ic(spec, grid).coeff.tobytes()).hexdigest())
         assert tuple(d[:16] for d in got) == self.DIGESTS[K]
 
+    @pytest.mark.parametrize("K, exponent", [(16, 1000.0), (64, 200.0), (64, 198.0)])
+    def test_an_overflowing_exponent_is_rejected_by_name_without_a_warning(self, K, exponent):
+        # |k| ** exponent overflows. The Leray step then warned, and the run failed as a
+        # non-finite coefficient on the mean mode.
+        grid = make_grid(K)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as caught:
+                generate_ic(FieldSpec(kind="random_spectrum", exponent=exponent), grid)
+            finite = generate_ic(FieldSpec(kind="random_spectrum", exponent=190.0), grid)
+        assert str(caught.value) == f"exponent {exponent} overflows the spectrum at K = {K}"
+        assert np.isfinite(finite.coeff).all()
+
     @pytest.mark.parametrize("cutoff", [1e-160, 1e-200])
     def test_a_vanishing_profile_is_rejected_without_a_warning(self, grid16, cutoff):
         # kappa0**2 is subnormal (the Gaussian's argument overflows) or 0.0.

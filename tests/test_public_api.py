@@ -99,3 +99,16 @@ def test_no_module_reads_the_environment():
         and (getattr(node, "attr", None) or getattr(node, "id", None)) in ("environ", "getenv")
     ]
     assert reads == []
+
+
+def test_no_module_keeps_per_thread_state():
+    # A run is an object that the caller holds and a stepped state carries; a
+    # threading.local would hand a thread's run to whatever else runs there.
+    calls = [
+        f"{path.stem}:{node.lineno}"
+        for path in Path(deconvbox.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) == "local"
+    ]
+    assert calls == []

@@ -613,15 +613,15 @@ class TestRunWorkers:
 
     @staticmethod
     def watch(monkeypatch):
-        """Per step: live threads, the kernel's workers, each worker's CPU mask and the
-        calling thread's mask."""
+        """Per step: live threads, the workers of the stepped state's run, each worker's CPU
+        mask and the calling thread's mask."""
         seen = []
 
         def watched(state, dt, _step=solver.step):
-            workers = getattr(spectral._local, "workers", 1)
-            masks = [None] * workers
-            spectral._deal(lambda w: masks.__setitem__(w, os.sched_getaffinity(0)), workers)
-            seen.append((threading.active_count(), workers, masks, os.sched_getaffinity(0)))
+            run = vars(state)["_run"]
+            masks = [None] * run.workers
+            run.deal(lambda w: masks.__setitem__(w, os.sched_getaffinity(0)))
+            seen.append((threading.active_count(), run.workers, masks, os.sched_getaffinity(0)))
             return _step(state, dt)
 
         monkeypatch.setattr(solver, "step", watched)
@@ -674,6 +674,21 @@ class TestRunWorkers:
         simulate_with_state(forced_run(64, 0.0))
         assert started == []
 
+    def test_the_returned_state_carries_no_run_and_steps_without_a_thread(self, monkeypatch):
+        # A run's states step on its workers; the state it returns is outside any run, and
+        # a state kept from a run that has ended steps as one outside a run.
+        _, state = simulate_with_state(forced_run(48, 0.02))
+        _, want = simulate_with_state(forced_run(48, 0.03))
+        assert vars(state)["_run"] is None
+        with spectral._running(state.model.grid) as run:
+            kept = solver._retained_state(state.t, solver._retained(state), state.model, run)
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+        got = [step(state, 0.01), step(kept, 0.01)]
+        assert started == [] and [vars(s)["_run"] for s in got] == [None, run]
+        for s in got:
+            assert solver._retained(s).tobytes() == solver._retained(want).tobytes()
+
     @pytest.mark.parametrize("K, workers", [(32, 1), pytest.param(64, 2, marks=two_cpus)])
     def test_steady_steps_take_few_page_faults(self, K, workers, monkeypatch):
         # The steps of a run reuse their buffers: a fresh full-size array per step
@@ -683,7 +698,7 @@ class TestRunWorkers:
         seen = set()
 
         def watched(state, dt, _step=solver.step):
-            seen.add(getattr(spectral._local, "workers", 1))
+            seen.add(vars(state)["_run"].workers)
             return _step(state, dt)
 
         monkeypatch.setattr(solver, "step", watched)
@@ -699,11 +714,12 @@ class TestRunWorkers:
 
 
 class TestRunWorkspace:
-    """A run owns its convective workspace and drops it when it ends, also on error."""
+    """A run owns its convective buffers and drops them when it ends, also on error."""
 
     @staticmethod
-    def workspaces():
-        return [obj for obj in gc.get_objects() if isinstance(obj, spectral._Workspace)]
+    def runs_with_buffers():
+        return [obj for obj in gc.get_objects()
+                if isinstance(obj, spectral._Run) and hasattr(obj, "conv")]
 
     def test_a_run_leaves_less_than_one_workspace_behind(self):
         # One workspace is 2,670,592 B at K=32 and 13,828,096 B at K=64 with one worker
@@ -725,13 +741,14 @@ class TestRunWorkspace:
     def test_no_thread_holds_a_workspace_after_a_run_or_a_bare_call(self):
         grid = make_grid(48)
         simulate_with_state(forced_run(48, 0.03))
-        assert not hasattr(spectral._local, "workspace") and not self.workspaces()
-        with pytest.warns(RuntimeWarning), pytest.raises(BlowUpError):
+        assert not self.runs_with_buffers()
+        with pytest.warns(RuntimeWarning), pytest.raises(BlowUpError) as caught:
             simulate(blow_up_run(48))
-        assert not hasattr(spectral._local, "workspace") and not self.workspaces()
+        # The traceback still holds the run's frame, its run and its states.
+        assert caught.tb is not None and not self.runs_with_buffers()
         u = random_div_free(grid, 81)
         nonlinear_term(u, u)
-        assert not hasattr(spectral._local, "workspace") and not self.workspaces()
+        assert not self.runs_with_buffers()
 
     @pytest.mark.parametrize("K", [32, 64])
     def test_a_warm_step_in_a_run_allocates_about_four_arrays(self, K):
@@ -739,7 +756,7 @@ class TestRunWorkspace:
         # convective outputs, each projected in place, the decay factor and Leray's two
         # (M,) temporaries: 4 (3, M) arrays. A stage projected into a new array makes 5.
         state = solver._start_state(forced_run(K, 0.0))
-        with spectral._workers(state.model.grid):
+        with spectral._running(state.model.grid) as state._run:
             state = step(state, 0.01)
             tracemalloc.start()
             try:

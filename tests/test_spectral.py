@@ -30,11 +30,9 @@ from deconvbox.spectral import (
     _gather,
     _mode_energy,
     _norm_from_energy,
-    _Workspace,
+    _Run,
     _bound_pool,
-    _deal,
-    _local,
-    _workers,
+    _running,
 )
 from deconvbox.verify import _nonlinear_reference
 from oracles import hermitian_defect, random_div_free, trilinear_collocation
@@ -319,13 +317,13 @@ class TestDealiasedInverse:
         # einsum("ixyz,ijxyz->jxyz") byte for byte; with grad v = +0, where
         # every u_i < 0 all three products are -0.0 and the sum must be +0.0,
         # not the -0.0 a sum started from u_0 d_0 v_j leaves.
-        # conv is read from the workspace of the run the calls are made in.
+        # conv is read from the buffers of the run the calls are made in.
         grid = make_grid(48)
         u, v = random_pair(grid, 5)
         for w in (v, SpectralVectorField.zeros(grid)):
-            with _workers(grid):
-                _convective(_gather(u.coeff, grid), _gather(w.coeff, grid), grid)
-                conv = _local.workspace.conv
+            with _running(grid) as run:
+                _convective(_gather(u.coeff, grid), _gather(w.coeff, grid), grid, run)
+                conv = run.conv
             parts = [u.coeff * grid.mask] + [(1j * k) * (w.coeff * grid.mask) for k in grid.kvec]
             phys = np.fft.irfftn(np.concatenate(parts), s=grid.shape, axes=(1, 2, 3))
             phys *= grid.n_points
@@ -442,7 +440,7 @@ class TestWorkspace:
         # K=48 runs in x-blocks of 14, 14, 14 and 6 planes; each thread must
         # use its own buffers, and each call must clear what the last left.
         grid = make_grid(48)
-        assert _Workspace(grid).planes == 14
+        assert _Run(grid).planes == 14
         inputs = [[random_pair(grid, seed), random_pair(grid, seed + 10)] for seed in (31, 32)]
         serial = [[nonlinear_term(u, w).coeff.tobytes() for u, w in pairs] for pairs in inputs]
         results = [[], []]
@@ -491,13 +489,13 @@ class TestWorkspace:
         # An unsplit run is entered on one CPU.
         grid = make_grid(K)
         u, v = (_gather(f.coeff, grid) for f in random_pair(grid, 37))
-        with on_cpus(2 if split else 1), _workers(grid):
-            assert _local.workers == (2 if split else 1)
-            _convective(u, v, grid)
+        with on_cpus(2 if split else 1), _running(grid) as run:
+            assert run.workers == (2 if split else 1)
+            _convective(u, v, grid, run)
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                out = _convective(u, v, grid)
+                out = _convective(u, v, grid, run)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -530,7 +528,7 @@ class TestWorkspace:
         # 118,272 B more at K=32 and 968,704 B more at K=64).
         grid = make_grid(K)
         c = grid.cut
-        ws = _Workspace(grid, workers)
+        ws = _Run(grid, [None] * workers)  # buffers only: no phase is dealt
         assert len(ws.line) == len(ws.phys) == workers
         arrays = [a for v in vars(ws).values() for a in (v if isinstance(v, list) else [v])]
         arrays = [a for a in arrays if isinstance(a, np.ndarray)]
@@ -551,18 +549,14 @@ class TestWorkspace:
         u, v = (_gather(f.coeff, grid) for f in random_pair(grid, 39))
         got = [_convective(u, v, grid)]
         for fill in (0.0, np.nan):
-            ws = _Workspace(grid, workers)
-            for value in vars(ws).values():
-                for a in value if isinstance(value, list) else [value]:
-                    if isinstance(a, np.ndarray):
-                        a.view(np.float64).fill(fill)
             with _bound_pool(workers) as pool:
-                assert (1 if pool is None else len(pool)) == workers
-                _local.pool, _local.workers, _local.workspace = pool, workers, ws
-                try:
-                    got.append(_convective(u, v, grid))
-                finally:
-                    del _local.pool, _local.workers, _local.workspace
+                run = _Run(grid, pool)
+                assert run.workers == workers
+                for value in vars(run).values():
+                    for a in value if isinstance(value, list) else [value]:
+                        if isinstance(a, np.ndarray):
+                            a.view(np.float64).fill(fill)
+                got.append(_convective(u, v, grid, run))
         assert got[1].tobytes() == got[2].tobytes() == got[0].tobytes()
         assert not np.isnan(got[0]).any()
 
@@ -584,17 +578,17 @@ class TestWorkers:
         u, v = random_pair(grid, K)
         ur, vr = _gather(u.coeff, grid), _gather(v.coeff, grid)
         one, projected = _convective(ur, vr, grid), nonlinear_term(u, v)
-        with _workers(grid):
-            assert _local.workers == 2
-            two = _convective(ur, vr, grid)
+        with _running(grid) as run:
+            assert run.workers == 2
+            two = _convective(ur, vr, grid, run)
             assert nonlinear_term(u, v).coeff.tobytes() == projected.coeff.tobytes()
         assert two.tobytes() == one.tobytes()
         assert projected.coeff.tobytes() == _nonlinear_reference(u, v).tobytes()
 
     def test_a_one_block_grid_starts_no_worker(self):
         # K=32 is one block of 32 planes: splitting it made the kx phase slower.
-        with _workers(make_grid(32)):
-            assert _local.workers == 1 and _local.pool is None
+        with _running(make_grid(32)) as run:
+            assert run.workers == 1 and run.pool is None
 
     def test_more_workers_than_cpus_on_a_short_switch_interval_equal_one(self):
         # Four workers (a channel and 16 planes each), on unbound threads of one shared
@@ -607,11 +601,8 @@ class TestWorkers:
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(4) as pool:
-                _local.pool, _local.workers = [pool] * 4, 4
-                try:
-                    split = [_convective(u, v, grid).tobytes() for _ in range(3)]
-                finally:
-                    del _local.pool, _local.workers
+                run = _Run(grid, [pool] * 4)
+                split = [_convective(u, v, grid, run).tobytes() for _ in range(3)]
         finally:
             sys.setswitchinterval(old)
         assert split == [one.tobytes()] * 3
@@ -627,11 +618,12 @@ class TestWorkers:
             threading.Event().wait(0.05)
             finished.append(w)
 
-        with _workers(make_grid(64)):
+        with _running(make_grid(64)) as run:
+            assert run.workers == 2
             for failing in (0, 1):
                 finished.clear()
                 with pytest.raises(ValueError, match=f"worker {failing} failed"):
-                    _deal(phase, 2)
+                    run.deal(phase)
                 assert finished == [1 - failing]
 
 
